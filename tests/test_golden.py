@@ -1,0 +1,53 @@
+"""Byte-for-byte pins on the CLI's seeded output.
+
+Each digest is the sha256 of stdout for one invocation at its default
+arguments (seed 42), recorded from the original implementation.  A change
+that alters any verdict, any rendered value, or the order of random draws
+changes a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from posetdet.cli import EXIT_OK, IDENTITY_NAMES, main
+
+GOLDEN = [
+    ("verify main", "6a5b8fbdf32a356856a56c8306074927092d1605114afe9963570272fd1df083"),
+    ("verify main --machine", "650ececcdd293181e28a1db74477e6ea81795494474eb181a9d6de1724cb8fe7"),
+    ("verify weighted", "1eb66cf62e71195cd0f3fa566de16ea6fe678d990375855b774a5c4391d68231"),
+    ("verify weighted --machine", "b0d58be9381635b0e22c8540bee0226c636ee5e032e12d2b381c5835b35445f5"),
+    ("verify lindstrom", "ef307df3a5b53d943d4a9afe512cec933efa973fb8c2184ea2896ec00cd9bc73"),
+    ("verify lindstrom --machine", "ccb9c5e5a015c6945059576c421de1b8dad7e3f5005acaefba357b693b915e0a"),
+    ("verify meet-closed", "109a3ce29c01bedab1064f2716733d31527c18c139bfb8d8b5c96d18fc76ccf2"),
+    ("verify meet-closed --machine", "814c725c3e51c4d7204e47b7c0446e672238e086e55c77c5ff626811773eb06e"),
+    ("verify smith", "c70b81b33361feefd93e1213eaf26d72483eacd32c6bb6bad4aca104098ecf2d"),
+    ("verify smith --machine", "248326c3a0accf574b669cd8129f73f81f3e5a38c6aca6952d396386b9ab7a41"),
+    ("verify apostol", "6ac3ee108ac24b7c665adfc1b5f9faee918bc36b3ddff32b405d5cbf57096a5e"),
+    ("verify apostol --machine", "82aef10fbef08809fbed46fd527dd5145abb64c3b74dfd188a423157d921f769"),
+    ("verify daniloff", "acce6433db66b693713e0ef2f773bd3fd2d66d0aad0344c7224a5d2100edd887"),
+    ("verify daniloff --machine", "233f5853d8978cc3d6b11730dc693067bba41bf67a03ab2b02067f6c8a764f6f"),
+    ("verify stembridge", "5d0c2fd79d9cf1bdde43067083b46fdebcc6652732d67a38a72c18515a838b6c"),
+    ("verify stembridge --machine", "94296c3b496ac785a6ca604faab0275f2dbd1e12bb78649c969401e40b80069c"),
+    ("verify three-layer", "c607823683ad813fbb32326742dfe3b5084859bec735491f2e1f5abefc3e64bd"),
+    ("verify three-layer --machine", "ec234791cccc224eb1a0eb804ee0c991dd43e16f4ae2243eaa7e4aa37c9a6662"),
+    ("verify tutte", "eff5d24add421435251fc4d1e4fc406882dc932e0a4548a8301f32654af365c8"),
+    ("verify tutte --machine", "8e23707c695502f03aded6a971211d97c0d4bdd03d2985b38f3a562932b9ed2a"),
+    ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
+    ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
+    ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),
+    ("random-suite --machine", "2add27b7e71d6d5595bab264f34250c4e3896de2d7d77b5d5d5ed3d39ffa63b2"),
+]
+
+
+def test_golden_covers_every_family():
+    pinned = {argv.split()[1] for argv, _ in GOLDEN if argv.startswith("verify ")}
+    assert pinned == set(IDENTITY_NAMES)
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_stdout_matches_golden_digest(capsys, argv, digest):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
