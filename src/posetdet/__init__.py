@@ -70,9 +70,7 @@ from .poset import (
 )
 from .ring import (
     InexactDivisionError,
-    Int,
     Poly,
-    Rat,
     RingValue,
     TagMismatchError,
     one_like,

@@ -49,13 +49,7 @@ from .lgv import (
     verify_stembridge,
 )
 from .matrix import det_bareiss, leading_principal_minors
-from .poset import (
-    IncidenceFunction,
-    Poset,
-    mobius_function,
-    poset_from_dict,
-)
-from .ring import Int
+from .poset import Poset, mobius_function, poset_from_dict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,6 +99,13 @@ def _check_product(p: Poset, f, g, name: str = "main") -> IdentityReport:
     return make_report(name, f"poset n={p.n}", p.n, det, predicted, started)
 
 
+def _check_meet(p: Poset, f, name: str = "lindstrom") -> IdentityReport:
+    started = time.perf_counter()
+    det = det_bareiss(meet_matrix(p, f))
+    predicted = meet_matrix_det(p, f)
+    return make_report(name, f"semilattice n={p.n}", p.n, det, predicted, started)
+
+
 def run_main(args, rng) -> list[IdentityReport]:
     reports = []
     if args.poset:
@@ -120,7 +121,7 @@ def run_main(args, rng) -> list[IdentityReport]:
             )
         return reports
     cases = 200 if args.cases is None else args.cases
-    max_size = args.max_size or 7
+    max_size = 7 if args.max_size is None else args.max_size
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
         reports.append(
@@ -135,7 +136,7 @@ def run_main(args, rng) -> list[IdentityReport]:
 
 def run_weighted(args, rng) -> list[IdentityReport]:
     cases = 100 if args.cases is None else args.cases
-    max_size = args.max_size or 7
+    max_size = 7 if args.max_size is None else args.max_size
     reports = []
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
@@ -160,31 +161,12 @@ def run_lindstrom(args, rng) -> list[IdentityReport]:
         posets = [p] * (20 if args.cases is None else args.cases)
     else:
         cases = 100 if args.cases is None else args.cases
-        max_size = args.max_size or 6
+        max_size = 6 if args.max_size is None else args.max_size
         posets = [
             randgen.random_meet_semilattice(rng, rng.randint(1, max_size))
             for _ in range(cases)
         ]
-    reports = []
-    for p in posets:
-        f = randgen.random_incidence(rng, p)
-        started = time.perf_counter()
-        det = det_bareiss(meet_matrix(p, f))
-        predicted = meet_matrix_det(p, f)
-        reports.append(
-            make_report("lindstrom", f"semilattice n={p.n}", p.n, det, predicted, started)
-        )
-    return reports
-
-
-def _restrict_incidence(sub: Poset, f: IncidenceFunction) -> IncidenceFunction:
-    host_map = sub.host_map
-    values = {
-        (i, j): f(host_map[i], host_map[j])
-        for i in range(sub.n)
-        for j in sub.above(i)
-    }
-    return IncidenceFunction(sub, values, zero=f.zero)
+    return [_check_meet(p, randgen.random_incidence(rng, p)) for p in posets]
 
 
 def run_meet_closed(args, rng) -> list[IdentityReport]:
@@ -206,7 +188,7 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
         )
         if report.passed and lattice.is_lower_closed(subset):
             sub = lattice.induced(subset)
-            alt = meet_matrix_det(sub, _restrict_incidence(sub, f))
+            alt = meet_matrix_det(sub, f.restrict(sub))
             if alt != det:
                 report = dataclasses.replace(
                     report,
@@ -242,7 +224,7 @@ def run_smith(args, rng) -> list[IdentityReport]:
 
 
 def run_apostol(args, rng) -> list[IdentityReport]:
-    ns = [args.n] if args.n else range(1, 11)
+    ns = [args.n] if args.n is not None else range(1, 11)
     reports = []
     for n in ns:
         started = time.perf_counter()
@@ -253,11 +235,11 @@ def run_apostol(args, rng) -> list[IdentityReport]:
 
 
 def run_daniloff(args, rng) -> list[IdentityReport]:
-    ns = [args.n] if args.n else range(1, 11)
-    ks = [args.k] if args.k else (1, 2, 3)
+    ns = [args.n] if args.n is not None else range(1, 11)
+    ks = [args.k] if args.k is not None else (1, 2, 3)
     reports = []
     for n in ns:
-        weights = [Int(a) for a in range(1, n + 1)]
+        weights = list(range(1, n + 1))
         for k in ks:
             started = time.perf_counter()
             det = det_bareiss(kth_root_matrix(n, k, weights))
@@ -280,7 +262,7 @@ def run_stembridge(args, rng) -> list[IdentityReport]:
 
 def run_three_layer(args, rng) -> list[IdentityReport]:
     cases = 30 if args.cases is None else args.cases
-    max_size = args.max_size or 5
+    max_size = 5 if args.max_size is None else args.max_size
     reports = []
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
@@ -312,7 +294,7 @@ def run_tutte(args, rng) -> list[IdentityReport]:
 
 def run_definiteness(args, rng) -> list[IdentityReport]:
     cases = 100 if args.cases is None else args.cases
-    max_size = args.max_size or 6
+    max_size = 6 if args.max_size is None else args.max_size
     reports = []
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
@@ -323,7 +305,7 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         det = minors[-1]
         predicted = incidence_product_det(p, f, g)
         report = make_report("definiteness", f"poset n={p.n}", p.n, det, predicted, started)
-        if report.passed and predicate != all(x.is_positive() for x in minors):
+        if report.passed and predicate != all(x > 0 for x in minors):
             report = _fail(report, "(diagonal predicate disagrees with minors)")
         reports.append(report)
     for _ in range(cases // 2):
@@ -333,7 +315,7 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         det = det_bareiss(incidence_product_matrix(p, f, g))
         reports.append(
             make_report(
-                "definiteness-singular", f"poset n={p.n}", p.n, det, Int(0), started
+                "definiteness-singular", f"poset n={p.n}", p.n, det, 0, started
             )
         )
     return reports
@@ -399,17 +381,7 @@ def run_suite(args) -> int:
             rng, rng.randint(1, min(max_size, 6))
         )
         h = randgen.random_incidence(rng, semilattice)
-        started = time.perf_counter()
-        det = det_bareiss(meet_matrix(semilattice, h))
-        predicted = meet_matrix_det(semilattice, h)
-        meet_report = make_report(
-            "suite-lindstrom",
-            f"semilattice n={semilattice.n}",
-            semilattice.n,
-            det,
-            predicted,
-            started,
-        )
+        meet_report = _check_meet(semilattice, h, name="suite-lindstrom")
         for report in (product_report, meet_report):
             lines.append(report.machine_line() if args.machine else report.line())
         if product_report.passed and meet_report.passed:
@@ -463,9 +435,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args) -> None:
+    """Reject size arguments below their minimum; 0 is a value, not "unset"."""
+    for flag, low in (("n", 1), ("k", 1), ("max_size", 1), ("cases", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least {low}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         if args.command == "mobius":
             return run_mobius(args)
         if args.command == "random-suite":

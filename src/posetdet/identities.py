@@ -13,7 +13,7 @@ from typing import Sequence
 from .arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from .matrix import SquareMatrix
 from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function, zeta_function
-from .ring import Int, Rat, RingValue, TagMismatchError, one_like, zero_like
+from .ring import RingValue, TagMismatchError, one_like, zero_like
 
 PASS = "pass"
 FAIL = "fail"
@@ -173,14 +173,14 @@ def _ramanujan_config(n: int):
     g = IncidenceFunction(
         p,
         {
-            (a, b): Int(mobius((b + 1) // (a + 1)))
+            (a, b): mobius((b + 1) // (a + 1))
             for a in range(n)
             for b in p.above(a)
         },
-        zero=Int(0),
+        zero=0,
     )
-    f_weights = [Int(a + 1) for a in range(n)]
-    g_weights = [Int(1)] * n
+    f_weights = [a + 1 for a in range(n)]
+    g_weights = [1] * n
     return p, zeta, f_weights, g, g_weights
 
 
@@ -196,14 +196,14 @@ def ramanujan_matrix(n: int) -> SquareMatrix:
     vals = [a + 1 for a in p.lin_ext]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
-            if m[i, j] != Int(ramanujan_sum(a, b)):
+            if m[i, j] != ramanujan_sum(a, b):
                 raise RuntimeError(
                     f"ramanujan sum cross-check failed at ({a}, {b})"
                 )
     return m
 
 
-def ramanujan_matrix_det(n: int) -> Int:
+def ramanujan_matrix_det(n: int) -> int:
     """Predicted determinant of the Ramanujan-sum matrix (n factorial)."""
     return weighted_product_det(*_ramanujan_config(n))
 
@@ -221,9 +221,9 @@ def _kth_root_config(n: int, k: int, f_weights: Sequence[RingValue]):
     for a in range(n):
         for b in p.above(a):
             root = kth_root((b + 1) // (a + 1), k)
-            values[(a, b)] = Int(root if root is not None else 0)
-    omega = IncidenceFunction(p, values, zero=Int(0))
-    g_weights = [Int(1)] * n
+            values[(a, b)] = root if root is not None else 0
+    omega = IncidenceFunction(p, values, zero=0)
+    g_weights = [1] * n
     return p, omega, list(f_weights), omega, g_weights
 
 
@@ -263,7 +263,7 @@ def meet_matrix_det(semilattice: Poset, f: IncidenceFunction) -> RingValue:
     for a in range(semilattice.n):
         term = zero_like(f.zero)
         for c in semilattice.below(a):
-            term = term + f(c, a).scale(mu(c, a).v)
+            term = term + f(c, a) * mu(c, a)
         acc = acc * term
     return acc
 
@@ -280,18 +280,13 @@ def gcd_matrix(s: Sequence[int]) -> SquareMatrix:
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
-    return SquareMatrix(
-        [[Int(math.gcd(a, b)) for b in vals] for a in vals]
-    )
+    return SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
 
 
-def totient_product(s: Sequence[int]) -> Int:
+def totient_product(s: Sequence[int]) -> int:
     """Predicted GCD-matrix determinant for factor-closed sets: the product
     of the totients of the members."""
-    acc = 1
-    for a in s:
-        acc *= euler_phi(a)
-    return Int(acc)
+    return math.prod(euler_phi(a) for a in s)
 
 
 def is_factor_closed(s: Sequence[int]) -> bool:
@@ -352,7 +347,7 @@ def meet_closed_det(
             if j != i:
                 continue
             for c in semilattice.below(d):
-                factor = factor + f(c, a).scale(mu(c, d).v)
+                factor = factor + f(c, a) * mu(c, d)
         acc = acc * factor
     return acc
 
@@ -365,9 +360,7 @@ def product_matrix_invertible(
 ) -> bool:
     """True exactly when every diagonal value of f and of g is nonzero."""
     _check_host(p, f, g)
-    return all(
-        not f(a, a).is_zero() and not g(a, a).is_zero() for a in range(p.n)
-    )
+    return all(f(a, a) and g(a, a) for a in range(p.n))
 
 
 def product_matrix_positive_definite(
@@ -375,12 +368,12 @@ def product_matrix_positive_definite(
 ) -> bool:
     """True exactly when every diagonal product f(a,a) g(a,a) is positive.
 
-    Only meaningful for symmetric matrices over the integers or rationals;
-    anything else is rejected rather than guessed at.
+    Only meaningful for symmetric matrices over the integers; anything
+    else is rejected rather than guessed at.
     """
     _check_host(p, f, g)
-    if not isinstance(f.zero, (Int, Rat)):
-        raise ValueError("positive definiteness needs integer or rational entries")
+    if type(f.zero) is not int:
+        raise ValueError("positive definiteness needs integer entries")
     if not incidence_product_matrix(p, f, g).is_symmetric():
         raise ValueError("matrix is not symmetric")
-    return all((f(a, a) * g(a, a)).is_positive() for a in range(p.n))
+    return all(f(a, a) * g(a, a) > 0 for a in range(p.n))

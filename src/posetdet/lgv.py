@@ -14,15 +14,10 @@ from typing import Iterable, Iterator, Sequence
 from .identities import HYPOTHESIS_FAILED, IdentityReport, make_report
 from .matrix import SquareMatrix, det_bareiss
 from .poset import IncidenceFunction, Poset
-from .ring import Int, RingValue, one_like, ring_value_from_json, zero_like
+from .ring import RingValue, one_like, ring_value_from_json, zero_like
 
 # Enumerating families over every permutation is exponential; keep it small.
 ALL_PERMS_VERTEX_CAP = 18
-
-LAYER_NONE = "none"
-LAYER_SOURCE = "source"
-LAYER_MIDDLE = "middle"
-LAYER_SINK = "sink"
 
 
 class WeightedDigraph:
@@ -35,7 +30,6 @@ class WeightedDigraph:
         arcs: Iterable[tuple[int, int, RingValue]],
         sources: Sequence[int] = (),
         sinks: Sequence[int] = (),
-        layers: Sequence[str] | None = None,
     ):
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
@@ -52,7 +46,7 @@ class WeightedDigraph:
             weights[(u, v)] = w
             succ[u].append(v)
         first = next(iter(weights.values()), None)
-        self.one = Int(1) if first is None else one_like(first)
+        self.one = 1 if first is None else one_like(first)
         for w in weights.values():
             if type(w) is not type(self.one):
                 raise ValueError("arc weights must share one ring tag")
@@ -72,11 +66,6 @@ class WeightedDigraph:
             raise ValueError("sources and sinks must be disjoint")
         if len(self.sources) != len(self.sinks):
             raise ValueError("need as many sinks as sources")
-        if layers is None:
-            layers = [LAYER_NONE] * n
-        if len(layers) != n:
-            raise ValueError("need one layer tag per vertex")
-        self.layers = tuple(layers)
 
     def _topological_order(self) -> tuple[int, ...]:
         indeg = [0] * self.n
@@ -293,15 +282,11 @@ def three_layer_digraph(
     for b in range(n):
         for c in sorted(p.below(b)):
             arcs.append((2 * n + c, n + b, g(c, b)))
-    layers = (
-        [LAYER_SOURCE] * n + [LAYER_SINK] * n + [LAYER_MIDDLE] * n
-    )
     return WeightedDigraph(
         3 * n,
         arcs,
         sources=tuple(p.lin_ext),
         sinks=tuple(n + e for e in p.lin_ext),
-        layers=layers,
     )
 
 
@@ -309,7 +294,7 @@ def digraph_to_dict(d: WeightedDigraph) -> dict:
     """JSON-ready description used by the CLI digraph file format."""
 
     def weight_json(w: RingValue):
-        return w.v if isinstance(w, Int) else list(w.coeffs)
+        return w if type(w) is int else list(w.coeffs)
 
     return {
         "vertices": d.n,

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .ring import Int, RingValue, one_like, zero_like
+from .ring import InexactDivisionError, Poly, RingValue, one_like, zero_like
 
 COFACTOR_MAX = 8  # Laplace expansion is factorial; keep the oracle small.
 
 
 class SquareMatrix:
-    """Immutable n x n matrix whose entries share one ring tag."""
+    """Immutable n x n matrix whose entries are all int or all Poly."""
 
     def __init__(self, rows: Sequence[Sequence[RingValue]]):
         n = len(rows)
@@ -24,6 +24,8 @@ class SquareMatrix:
         if any(len(row) != n for row in self._rows):
             raise ValueError("matrix must be square")
         tag = type(self._rows[0][0])
+        if tag is not int and tag is not Poly:
+            raise ValueError(f"matrix entries must be int or Poly, not {tag.__name__}")
         for row in self._rows:
             for x in row:
                 if type(x) is not tag:
@@ -31,7 +33,7 @@ class SquareMatrix:
         self.n = n
 
     @classmethod
-    def identity(cls, n: int, one: RingValue = Int(1)) -> SquareMatrix:
+    def identity(cls, n: int, one: RingValue = 1) -> SquareMatrix:
         zero = zero_like(one)
         return cls(
             [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -89,6 +91,13 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
+def _exact_int_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError(f"{a} is not divisible by {b}")
+    return q
+
+
 def det_bareiss(m: SquareMatrix) -> RingValue:
     """Exact determinant by one-step fraction-free elimination.
 
@@ -99,13 +108,14 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     n = m.n
     zero = zero_like(m[0, 0])
     prev = one_like(m[0, 0])
+    exact_div = _exact_int_div if type(zero) is int else Poly.exact_div
     a = [list(m.row(i)) for i in range(n)]
     negate = False
     for k in range(n - 1):
-        if a[k][k].is_zero():
+        if not a[k][k]:
             # Deterministic pivot: first lower row with a nonzero entry.
             for r in range(k + 1, n):
-                if not a[r][k].is_zero():
+                if a[r][k]:
                     a[k], a[r] = a[r], a[k]
                     negate = not negate
                     break
@@ -117,7 +127,7 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
             row_i = a[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]).exact_div(prev)
+                row_i[j] = exact_div(pivot * row_i[j] - head * row_k[j], prev)
             row_i[k] = zero
         prev = pivot
     d = a[n - 1][n - 1]
@@ -136,7 +146,7 @@ def det_cofactor(m: SquareMatrix) -> RingValue:
         first = rows[0]
         rest = rows[1:]
         for j, coeff in enumerate(first):
-            if coeff.is_zero():
+            if not coeff:
                 continue
             minor = [tuple(row[:j] + row[j + 1 :]) for row in rest]
             term = coeff * expand(minor)

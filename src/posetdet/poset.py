@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from .ring import Int, RingValue, ring_value_from_json, zero_like
+from .ring import RingValue, ring_value_from_json, zero_like
 
 # Exhaustive predicates below are O(n^3) or worse; keep instances small.
 MAX_ELEMENTS = 64
@@ -259,7 +259,7 @@ class IncidenceFunction:
                 )
             table[(a, b)] = v
         if zero is None:
-            zero = zero_like(next(iter(table.values()))) if table else Int(0)
+            zero = zero_like(next(iter(table.values()))) if table else 0
         for v in table.values():
             if type(v) is not type(zero):
                 raise ValueError("incidence function values must share one ring tag")
@@ -274,6 +274,19 @@ class IncidenceFunction:
     def items(self):
         return self._table.items()
 
+    def restrict(self, sub: Poset) -> IncidenceFunction:
+        """This function on a subposet induced from its host, read through
+        sub.host_map."""
+        if sub.host_map is None:
+            raise ValueError("poset is not an induced subposet")
+        host_map = sub.host_map
+        values = {
+            (i, j): self(host_map[i], host_map[j])
+            for i in range(sub.n)
+            for j in sub.above(i)
+        }
+        return IncidenceFunction(sub, values, zero=self.zero)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, IncidenceFunction) or self.host != other.host:
             return False
@@ -284,13 +297,13 @@ class IncidenceFunction:
 def zeta_function(p: Poset) -> IncidenceFunction:
     """Indicator of the order relation: 1 exactly when a <= b."""
     return IncidenceFunction(
-        p, {(a, b): Int(1) for a in range(p.n) for b in p.above(a)}
+        p, {(a, b): 1 for a in range(p.n) for b in p.above(a)}
     )
 
 
 def delta_function(p: Poset) -> IncidenceFunction:
     """Identity of the incidence algebra: 1 exactly on the diagonal."""
-    return IncidenceFunction(p, {(a, a): Int(1) for a in range(p.n)})
+    return IncidenceFunction(p, {(a, a): 1 for a in range(p.n)})
 
 
 def mobius_function(p: Poset) -> IncidenceFunction:
@@ -299,9 +312,9 @@ def mobius_function(p: Poset) -> IncidenceFunction:
     Computed by the defining recursion mu(a, a) = 1 and
     mu(a, b) = -sum of mu(a, c) over a <= c < b.
     """
-    values: dict[tuple[int, int], Int] = {}
+    values: dict[tuple[int, int], int] = {}
     for a in range(p.n):
-        values[(a, a)] = Int(1)
+        values[(a, a)] = 1
         # Walk the interval above a in linear-extension order so every
         # mu(a, c) needed is already present.
         for b in sorted(p.above(a), key=p.position):
@@ -310,8 +323,8 @@ def mobius_function(p: Poset) -> IncidenceFunction:
             total = 0
             for c in p.above(a) & p.below(b):
                 if c != b:
-                    total += values[(a, c)].v
-            values[(a, b)] = Int(-total)
+                    total += values[(a, c)]
+            values[(a, b)] = -total
     return IncidenceFunction(p, values)
 
 

@@ -12,7 +12,6 @@ import random
 from .arith import divisors
 from .lgv import WeightedDigraph, nonintersecting_families
 from .poset import IncidenceFunction, Poset, divisor_poset
-from .ring import Int
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -31,14 +30,14 @@ def random_incidence(
     values = {}
     for a in range(p.n):
         for b in sorted(p.above(a)):
-            values[(a, b)] = Int(rng.randint(lo, hi))
-    return IncidenceFunction(p, values, zero=Int(0))
+            values[(a, b)] = rng.randint(lo, hi)
+    return IncidenceFunction(p, values, zero=0)
 
 
 def random_weights(
     rng: random.Random, n: int, lo: int = -5, hi: int = 5
-) -> list[Int]:
-    return [Int(rng.randint(lo, hi)) for _ in range(n)]
+) -> list[int]:
+    return [rng.randint(lo, hi) for _ in range(n)]
 
 
 def random_meet_semilattice(
@@ -102,16 +101,16 @@ def random_symmetric_pair(
     values = {}
     for a in range(p.n):
         for b in sorted(p.above(a)):
-            values[(a, b)] = Int(rng.randint(-4, 4))
+            values[(a, b)] = rng.randint(-4, 4)
     if force_zero_diag:
         dead = rng.randrange(p.n)
-        values[(dead, dead)] = Int(0)
-    f = IncidenceFunction(p, values, zero=Int(0))
+        values[(dead, dead)] = 0
+    f = IncidenceFunction(p, values, zero=0)
     signs = [rng.choice((-1, 1)) for _ in range(p.n)]
     g = IncidenceFunction(
         p,
-        {(a, b): v.scale(signs[a]) for (a, b), v in values.items()},
-        zero=Int(0),
+        {(a, b): v * signs[a] for (a, b), v in values.items()},
+        zero=0,
     )
     return f, g
 
@@ -125,7 +124,7 @@ def random_hypothesis_digraph(
         n = rng.randint(2, 10)
         k = rng.randint(1, min(3, n // 2))
         arcs = [
-            (u, v, Int(rng.randint(-3, 3)))
+            (u, v, rng.randint(-3, 3))
             for u in range(n)
             for v in range(u + 1, n)
             if rng.random() < 0.4

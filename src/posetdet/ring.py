@@ -1,17 +1,16 @@
-"""Exact ring elements: unbounded integers, rationals, and integer polynomials.
+"""Exact ring values: Python integers and integer polynomials in q.
 
-Every value is immutable and tagged by its concrete class.  Arithmetic is
-closed within one tag; combining different tags raises TagMismatchError
-instead of silently coercing, so determinant identities stay exact.
+Integers are plain ``int``; ``Poly`` is the only ring class.  A Poly
+combines only with another Poly, apart from scaling by an int: adding an
+int to a Poly raises TagMismatchError instead of silently coercing, so
+determinant identities stay exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class TagMismatchError(TypeError):
-    """Two ring values of different tags were combined."""
+    """An integer and a polynomial were combined."""
 
 
 class InexactDivisionError(ArithmeticError):
@@ -22,150 +21,12 @@ class InexactDivisionError(ArithmeticError):
     """
 
 
-class RingValue:
-    """Base class for exact elements of a commutative integral domain."""
-
-    __slots__ = ()
-
-    def _require_same_tag(self, other: RingValue) -> None:
-        if type(other) is not type(self):
-            raise TagMismatchError(
-                f"cannot combine {type(self).__name__} with {type(other).__name__}"
-            )
-
-    def __sub__(self, other: RingValue) -> RingValue:
-        self._require_same_tag(other)
-        return self + (-other)
-
-    def __pow__(self, exponent: int) -> RingValue:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = one_like(self)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+def _require_poly(other) -> None:
+    if type(other) is not Poly:
+        raise TagMismatchError(f"cannot combine Poly with {type(other).__name__}")
 
 
-class Int(RingValue):
-    """Arbitrary-precision integer."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        if not isinstance(v, int):
-            raise TypeError(f"Int needs a Python int, got {type(v).__name__}")
-        self.v = v
-
-    def __add__(self, other: Int) -> Int:
-        self._require_same_tag(other)
-        return Int(self.v + other.v)
-
-    def __neg__(self) -> Int:
-        return Int(-self.v)
-
-    def __mul__(self, other: Int) -> Int:
-        self._require_same_tag(other)
-        return Int(self.v * other.v)
-
-    def exact_div(self, other: Int) -> Int:
-        self._require_same_tag(other)
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(self.v, other.v)
-        if r != 0:
-            raise InexactDivisionError(f"{self.v} is not divisible by {other.v}")
-        return Int(q)
-
-    def scale(self, k: int) -> Int:
-        return Int(self.v * k)
-
-    def is_zero(self) -> bool:
-        return self.v == 0
-
-    def is_positive(self) -> bool:
-        return self.v > 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Int) and self.v == other.v
-
-    def __hash__(self):
-        return hash(("Int", self.v))
-
-    def __str__(self) -> str:
-        return str(self.v)
-
-    def __repr__(self) -> str:
-        return f"Int({self.v})"
-
-
-class Rat(RingValue):
-    """Exact rational, always reduced with positive denominator."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, numerator, denominator: int = 1):
-        # Fraction normalizes sign and reduces to lowest terms.
-        if isinstance(numerator, Fraction) and denominator == 1:
-            self.v = numerator
-        elif isinstance(numerator, int) and isinstance(denominator, int):
-            self.v = Fraction(numerator, denominator)
-        else:
-            raise TypeError("Rat needs integers or a Fraction")
-
-    @property
-    def numerator(self) -> int:
-        return self.v.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.v.denominator
-
-    def __add__(self, other: Rat) -> Rat:
-        self._require_same_tag(other)
-        return Rat(self.v + other.v)
-
-    def __neg__(self) -> Rat:
-        return Rat(-self.v)
-
-    def __mul__(self, other: Rat) -> Rat:
-        self._require_same_tag(other)
-        return Rat(self.v * other.v)
-
-    def exact_div(self, other: Rat) -> Rat:
-        self._require_same_tag(other)
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero")
-        return Rat(self.v / other.v)
-
-    def scale(self, k: int) -> Rat:
-        return Rat(self.v * k)
-
-    def is_zero(self) -> bool:
-        return self.v == 0
-
-    def is_positive(self) -> bool:
-        return self.v > 0
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rat) and self.v == other.v
-
-    def __hash__(self):
-        return hash(("Rat", self.v))
-
-    def __str__(self) -> str:
-        return str(self.v)
-
-    def __repr__(self) -> str:
-        return f"Rat({self.v.numerator}, {self.v.denominator})"
-
-
-class Poly(RingValue):
+class Poly:
     """Univariate polynomial in q over the integers.
 
     Coefficients are stored ascending by degree with no trailing zeros;
@@ -208,8 +69,11 @@ class Poly(RingValue):
             acc = acc * x + c
         return acc
 
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
     def __add__(self, other: Poly) -> Poly:
-        self._require_same_tag(other)
+        _require_poly(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -221,8 +85,15 @@ class Poly(RingValue):
     def __neg__(self) -> Poly:
         return Poly(tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other: Poly) -> Poly:
-        self._require_same_tag(other)
+    def __sub__(self, other: Poly) -> Poly:
+        _require_poly(other)
+        return self + -other
+
+    def __mul__(self, other: Poly | int) -> Poly:
+        """Product with another Poly, or scaling by an int."""
+        if type(other) is int:
+            return Poly(tuple(c * other for c in self.coeffs))
+        _require_poly(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
@@ -238,9 +109,23 @@ class Poly(RingValue):
                         out[i + j] += ai * bj
         return Poly(out)
 
+    def __pow__(self, exponent: int) -> Poly:
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = Poly((1,))
+        base = self
+        k = exponent
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
     def exact_div(self, other: Poly) -> Poly:
         """Quotient self / other when the division is exact in Z[q]."""
-        self._require_same_tag(other)
+        _require_poly(other)
         b = other.coeffs
         if not b:
             raise ZeroDivisionError("division by zero polynomial")
@@ -266,14 +151,6 @@ class Poly(RingValue):
         if any(rem):
             raise InexactDivisionError("polynomial division leaves a remainder")
         return Poly(quot)
-
-    def scale(self, k: int) -> Poly:
-        if k == 0:
-            return Poly()
-        return Poly(tuple(c * k for c in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -307,35 +184,34 @@ class Poly(RingValue):
         return f"Poly({self.coeffs})"
 
 
+RingValue = int | Poly
+
+
 def ring_value_from_json(v) -> RingValue:
     """Ring value from its file-format form: an integer, or an ascending
     coefficient list for a polynomial."""
     if isinstance(v, bool):
         raise ValueError("boolean is not a ring value")
     if isinstance(v, int):
-        return Int(v)
+        return v
     if isinstance(v, list):
         return Poly(v)
     raise ValueError(f"cannot read a ring value from {v!r}")
 
 
 def zero_like(x: RingValue) -> RingValue:
-    """Additive identity with the same tag as x."""
-    if isinstance(x, Int):
-        return Int(0)
-    if isinstance(x, Rat):
-        return Rat(0)
-    if isinstance(x, Poly):
+    """Additive identity of x's ring."""
+    if type(x) is int:
+        return 0
+    if type(x) is Poly:
         return Poly()
     raise TypeError(f"not a ring value: {type(x).__name__}")
 
 
 def one_like(x: RingValue) -> RingValue:
-    """Multiplicative identity with the same tag as x."""
-    if isinstance(x, Int):
-        return Int(1)
-    if isinstance(x, Rat):
-        return Rat(1)
-    if isinstance(x, Poly):
+    """Multiplicative identity of x's ring."""
+    if type(x) is int:
+        return 1
+    if type(x) is Poly:
         return Poly((1,))
     raise TypeError(f"not a ring value: {type(x).__name__}")

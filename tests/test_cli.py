@@ -97,6 +97,29 @@ def test_verify_main_zero_cases_is_vacuous(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "apostol", "--n", "0"],
+        ["verify", "daniloff", "--n", "0"],
+        ["verify", "daniloff", "--k", "0"],
+        ["verify", "tutte", "--n", "0"],
+        ["verify", "main", "--max-size", "0"],
+        ["verify", "three-layer", "--max-size", "-2"],
+        ["verify", "main", "--cases", "-1"],
+        ["verify", "main", "--cases", "0", "--max-size", "0"],
+        ["random-suite", "--cases", "-1"],
+        ["random-suite", "--max-size", "0"],
+    ],
+    ids=" ".join,
+)
+def test_size_arguments_below_minimum_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: --")
+
+
 def test_verify_weighted(capsys):
     code, out, err = run(capsys, "verify", "weighted", "--cases", "8")
     assert code == EXIT_OK

@@ -27,35 +27,35 @@ from posetdet.randgen import (
     random_incidence,
     random_poset,
 )
-from posetdet.ring import Int, Poly
+from posetdet.ring import Poly
 
 
 def diamond():
     """Two parallel two-arc routes from 0 to 3, unit weights."""
-    arcs = [(0, 1, Int(1)), (0, 2, Int(1)), (1, 3, Int(1)), (2, 3, Int(1))]
+    arcs = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]
     return WeightedDigraph(4, arcs, sources=(0,), sinks=(3,))
 
 
 def two_paths():
     """Two sources, two sinks, direct arcs; the swap family is impossible."""
-    arcs = [(0, 2, Int(2)), (0, 3, Int(5)), (1, 3, Int(3))]
+    arcs = [(0, 2, 2), (0, 3, 5), (1, 3, 3)]
     return WeightedDigraph(4, arcs, sources=(0, 1), sinks=(2, 3))
 
 
 def shared_middle():
     """Both routes must pass one middle vertex, so no family is disjoint."""
     arcs = [
-        (0, 2, Int(1)),
-        (1, 2, Int(1)),
-        (2, 3, Int(1)),
-        (2, 4, Int(1)),
+        (0, 2, 1),
+        (1, 2, 1),
+        (2, 3, 1),
+        (2, 4, 1),
     ]
     return WeightedDigraph(5, arcs, sources=(0, 1), sinks=(3, 4))
 
 
 def random_dag(rng, n, density=0.4):
     arcs = [
-        (u, v, Int(rng.randint(-3, 3)))
+        (u, v, rng.randint(-3, 3))
         for u in range(n)
         for v in range(u + 1, n)
         if rng.random() < density
@@ -65,34 +65,34 @@ def random_dag(rng, n, density=0.4):
 
 def test_digraph_validation():
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 1, Int(1)), (1, 0, Int(1))])  # cycle
+        WeightedDigraph(2, [(0, 1, 1), (1, 0, 1)])  # cycle
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 0, Int(1))])  # loop
+        WeightedDigraph(2, [(0, 0, 1)])  # loop
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 1, Int(1)), (0, 1, Int(2))])  # duplicate
+        WeightedDigraph(2, [(0, 1, 1), (0, 1, 2)])  # duplicate
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 1, Int(1))], sources=(0,), sinks=(0,))
+        WeightedDigraph(2, [(0, 1, 1)], sources=(0,), sinks=(0,))
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 1, Int(1))], sources=(0,), sinks=())
+        WeightedDigraph(2, [(0, 1, 1)], sources=(0,), sinks=())
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 1, Int(1)), (0, 1, Poly((1,)))])
+        WeightedDigraph(2, [(0, 1, 1), (0, 1, Poly((1,)))])
     with pytest.raises(ValueError):
-        WeightedDigraph(2, [(0, 3, Int(1))])
+        WeightedDigraph(2, [(0, 3, 1)])
 
 
 def test_path_weight():
-    d = WeightedDigraph(3, [(0, 1, Int(2)), (1, 2, Int(3))])
-    assert path_weight(d, (0,)) == Int(1)
-    assert path_weight(d, (0, 1, 2)) == Int(6)
+    d = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
+    assert path_weight(d, (0,)) == 1
+    assert path_weight(d, (0, 1, 2)) == 6
     with pytest.raises(ValueError):
         path_weight(d, (0, 2))
 
 
 def test_path_weight_sum_basics():
     d = diamond()
-    assert path_weight_sum(d, 0, 0) == Int(1)  # the empty path
-    assert path_weight_sum(d, 3, 0) == Int(0)  # no path
-    assert path_weight_sum(d, 0, 3) == Int(2)  # both routes
+    assert path_weight_sum(d, 0, 0) == 1  # the empty path
+    assert path_weight_sum(d, 3, 0) == 0  # no path
+    assert path_weight_sum(d, 0, 3) == 2  # both routes
 
 
 def test_path_weight_sum_matches_dp():
@@ -105,12 +105,12 @@ def test_path_weight_sum_matches_dp():
 
 
 def test_stembridge_matrix_diamond():
-    assert stembridge_matrix(diamond()) == SquareMatrix([[Int(2)]])
+    assert stembridge_matrix(diamond()) == SquareMatrix([[2]])
 
 
 def test_stembridge_matrix_disconnected():
     d = WeightedDigraph(2, [], sources=(0,), sinks=(1,))
-    assert stembridge_matrix(d) == SquareMatrix([[Int(0)]])
+    assert stembridge_matrix(d) == SquareMatrix([[0]])
 
 
 def test_nonintersecting_families_single_terminal():
@@ -151,7 +151,7 @@ def test_families_are_vertex_disjoint_and_match_perm():
 
 def test_all_permutation_vertex_cap():
     n = 20
-    d = WeightedDigraph(n, [(0, 1, Int(1))], sources=(0,), sinks=(1,))
+    d = WeightedDigraph(n, [(0, 1, 1)], sources=(0,), sinks=(1,))
     with pytest.raises(ValueError):
         nonintersecting_families(d)
     assert nonintersecting_families(d, perm=(0,)) != []
@@ -160,23 +160,23 @@ def test_all_permutation_vertex_cap():
 def test_verify_stembridge_two_paths():
     report = verify_stembridge(two_paths())
     assert report.passed
-    assert report.computed == Int(6)  # det [[2, 5], [0, 3]]
+    assert report.computed == 6  # det [[2, 5], [0, 3]]
 
 
 def test_verify_stembridge_single_path():
-    d = WeightedDigraph(2, [(0, 1, Int(7))], sources=(0,), sinks=(1,))
+    d = WeightedDigraph(2, [(0, 1, 7)], sources=(0,), sinks=(1,))
     report = verify_stembridge(d)
-    assert report.passed and report.computed == Int(7)
+    assert report.passed and report.computed == 7
 
 
 def test_verify_stembridge_shared_middle_passes_with_zero():
     report = verify_stembridge(shared_middle())
     assert report.passed
-    assert report.computed == Int(0)
+    assert report.computed == 0
 
 
 def test_verify_stembridge_hypothesis_failure_is_flagged():
-    arcs = [(0, 3, Int(1)), (1, 2, Int(1))]
+    arcs = [(0, 3, 1), (1, 2, 1)]
     d = WeightedDigraph(4, arcs, sources=(0, 1), sinks=(2, 3))
     report = verify_stembridge(d)
     assert report.verdict == HYPOTHESIS_FAILED
@@ -197,7 +197,6 @@ def test_three_layer_singleton():
     d = three_layer_digraph(p, f, g)
     assert d.n == 3
     assert d.arcs() == [(0, 2, f(0, 0)), (2, 1, g(0, 0))]
-    assert d.layers == ("source", "sink", "middle")
 
 
 def test_three_layer_vee_structure():

@@ -9,15 +9,11 @@ from posetdet.matrix import (
     det_cofactor,
     leading_principal_minors,
 )
-from posetdet.ring import Int, Poly, Rat
-
-
-def ints(rows):
-    return SquareMatrix([[Int(x) for x in row] for row in rows])
+from posetdet.ring import Poly
 
 
 def random_int_matrix(rng, n, lo=-9, hi=9):
-    return ints([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+    return SquareMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
 def random_poly_matrix(rng, n, max_deg=3):
@@ -35,8 +31,8 @@ def random_poly_matrix(rng, n, max_deg=3):
 def test_identity_determinant():
     for n in range(1, 6):
         m = SquareMatrix.identity(n)
-        assert det_bareiss(m) == Int(1)
-        assert det_cofactor(m) == Int(1)
+        assert det_bareiss(m) == 1 and type(det_bareiss(m)) is int
+        assert det_cofactor(m) == 1
 
 
 def test_small_poly_determinant():
@@ -49,9 +45,9 @@ def test_small_poly_determinant():
 
 def test_gcd_matrix_of_one_to_four():
     vals = [1, 2, 3, 4]
-    m = ints([[math.gcd(a, b) for b in vals] for a in vals])
-    assert det_cofactor(m) == Int(4)
-    assert det_bareiss(m) == Int(4)
+    m = SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
+    assert det_cofactor(m) == 4
+    assert det_bareiss(m) == 4
 
 
 def test_bareiss_equals_cofactor_on_random_integer_matrices():
@@ -68,18 +64,12 @@ def test_bareiss_equals_cofactor_on_random_polynomial_matrices():
         assert det_bareiss(m) == det_cofactor(m)
 
 
-def test_bareiss_over_rationals():
-    m = SquareMatrix([[Rat(1, 2), Rat(1, 3)], [Rat(1, 4), Rat(1, 5)]])
-    assert det_bareiss(m) == Rat(1, 60)  # 1/10 - 1/12
-    assert det_cofactor(m) == Rat(1, 60)
-
-
 def test_zero_pivot_handling():
-    assert det_bareiss(ints([[0, 1], [1, 0]])) == Int(-1)
-    assert det_bareiss(ints([[0, 0], [0, 0]])) == Int(0)
-    assert det_bareiss(ints([[0, 1], [0, 2]])) == Int(0)
-    m = ints([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
-    assert det_bareiss(m) == det_cofactor(m) == Int(30)
+    assert det_bareiss(SquareMatrix([[0, 1], [1, 0]])) == -1
+    assert det_bareiss(SquareMatrix([[0, 0], [0, 0]])) == 0
+    assert det_bareiss(SquareMatrix([[0, 1], [0, 2]])) == 0
+    m = SquareMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
+    assert det_bareiss(m) == det_cofactor(m) == 30
 
 
 def test_transpose_preserves_determinant():
@@ -97,7 +87,7 @@ def test_repeated_row_gives_zero():
         i, j = rng.sample(range(n), 2)
         rows = [list(m.row(r)) for r in range(n)]
         rows[i] = list(rows[j])
-        assert det_bareiss(SquareMatrix(rows)) == Int(0)
+        assert det_bareiss(SquareMatrix(rows)) == 0
 
 
 def test_multilinearity_in_a_row():
@@ -106,8 +96,8 @@ def test_multilinearity_in_a_row():
         n = rng.randint(1, 5)
         base = random_int_matrix(rng, n)
         i = rng.randrange(n)
-        r = [Int(rng.randint(-9, 9)) for _ in range(n)]
-        s = [Int(rng.randint(-9, 9)) for _ in range(n)]
+        r = [rng.randint(-9, 9) for _ in range(n)]
+        s = [rng.randint(-9, 9) for _ in range(n)]
         rows_r = [list(base.row(k)) for k in range(n)]
         rows_s = [list(base.row(k)) for k in range(n)]
         rows_rs = [list(base.row(k)) for k in range(n)]
@@ -120,16 +110,12 @@ def test_multilinearity_in_a_row():
 
 
 def test_leading_principal_minors():
-    assert leading_principal_minors(SquareMatrix.identity(3)) == [
-        Int(1),
-        Int(1),
-        Int(1),
-    ]
+    assert leading_principal_minors(SquareMatrix.identity(3)) == [1, 1, 1]
     vals = [1, 2, 4]
-    m = ints([[math.gcd(a, b) for b in vals] for a in vals])
+    m = SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
     # prefixes of a factor-closed chain are factor closed, so the minors
     # are prefix products of totients: 1, 1*1, 1*1*2
-    assert leading_principal_minors(m) == [Int(1), Int(1), Int(2)]
+    assert leading_principal_minors(m) == [1, 1, 2]
     rng = random.Random("minors")
     for _ in range(30):
         m = random_int_matrix(rng, rng.randint(1, 5))
@@ -144,9 +130,9 @@ def test_matmul_and_transpose():
     m = random_int_matrix(rng, 3)
     assert ident @ m == m
     assert m.transpose().transpose() == m
-    a = ints([[1, 2], [3, 4]])
-    b = ints([[5, 6], [7, 8]])
-    assert a @ b == ints([[19, 22], [43, 50]])
+    a = SquareMatrix([[1, 2], [3, 4]])
+    b = SquareMatrix([[5, 6], [7, 8]])
+    assert a @ b == SquareMatrix([[19, 22], [43, 50]])
     with pytest.raises(ValueError):
         a @ SquareMatrix.identity(3)
 
@@ -155,9 +141,14 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         SquareMatrix([])
     with pytest.raises(ValueError):
-        SquareMatrix([[Int(1), Int(2)]])
+        SquareMatrix([[1, 2]])
     with pytest.raises(ValueError):
-        SquareMatrix([[Int(1), Poly((1,))], [Int(1), Int(1)]])
+        SquareMatrix([[1, Poly((1,))], [1, 1]])
+    with pytest.raises(ValueError):
+        SquareMatrix([[1, True], [1, 1]])
+    for not_a_ring_value in (True, 1.5):
+        with pytest.raises(ValueError):
+            SquareMatrix([[not_a_ring_value]])
 
 
 def test_cofactor_size_cap():
@@ -166,5 +157,5 @@ def test_cofactor_size_cap():
 
 
 def test_is_symmetric():
-    assert ints([[1, 2], [2, 3]]).is_symmetric()
-    assert not ints([[1, 2], [4, 3]]).is_symmetric()
+    assert SquareMatrix([[1, 2], [2, 3]]).is_symmetric()
+    assert not SquareMatrix([[1, 2], [4, 3]]).is_symmetric()

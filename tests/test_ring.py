@@ -2,11 +2,10 @@ import random
 
 import pytest
 
+from posetdet.matrix import _exact_int_div
 from posetdet.ring import (
     InexactDivisionError,
-    Int,
     Poly,
-    Rat,
     TagMismatchError,
     one_like,
     ring_value_from_json,
@@ -16,17 +15,8 @@ from posetdet.ring import (
 
 def _random_value(rng, tag):
     if tag == "int":
-        return Int(rng.randint(-50, 50))
-    if tag == "rat":
-        return Rat(rng.randint(-20, 20), rng.randint(1, 9))
+        return rng.randint(-50, 50)
     return Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))])
-
-
-def test_int_arithmetic():
-    assert Int(3) + Int(4) == Int(7)
-    assert Int(3) * Int(4) == Int(12)
-    assert -Int(5) == Int(-5)
-    assert Int(3) - Int(4) == Int(-1)
 
 
 def test_poly_monomial_product():
@@ -40,11 +30,15 @@ def test_poly_product_expanded_by_hand():
 
 
 def test_exact_div_int():
-    assert Int(12).exact_div(Int(4)) == Int(3)
+    # the integer division det_bareiss uses: a remainder is a broken invariant
+    assert _exact_int_div(12, 4) == 3
+    assert _exact_int_div(-12, 4) == -3
     with pytest.raises(InexactDivisionError):
-        Int(7).exact_div(Int(2))
+        _exact_int_div(7, 2)
+    with pytest.raises(InexactDivisionError):
+        _exact_int_div(-7, 2)
     with pytest.raises(ZeroDivisionError):
-        Int(7).exact_div(Int(0))
+        _exact_int_div(7, 0)
 
 
 def test_exact_div_poly():
@@ -61,53 +55,47 @@ def test_exact_div_poly():
 
 def test_tag_mixing_is_an_error():
     with pytest.raises(TagMismatchError):
-        Int(1) + Rat(1)
+        Poly((1,)) + 1
     with pytest.raises(TagMismatchError):
-        Poly((1,)) * Int(2)
+        Poly((1,)) - 1
     with pytest.raises(TagMismatchError):
-        Rat(1, 2) - Int(1)
+        Poly((4,)).exact_div(2)
     with pytest.raises(TagMismatchError):
-        Int(4).exact_div(Poly((2,)))
-
-
-def test_rational_canonical_form():
-    assert Rat(2, 4) == Rat(1, 2)
-    r = Rat(1, -2)
-    assert r.numerator == -1 and r.denominator == 2
-    with pytest.raises(ZeroDivisionError):
-        Rat(1, 0)
+        Poly((1,)) * 1.5
+    # multiplying by an int is scaling, not mixing
+    assert Poly((1, 2)) * 3 == Poly((3, 6))
 
 
 def test_poly_canonical_form():
     assert Poly((1, 0)) == Poly((1,))
     assert Poly((0, 0)) == Poly()
-    assert Poly().is_zero()
+    assert not Poly() and Poly((0, 1))
     assert Poly((0, 1)).degree == 1
     assert Poly().degree == -1
     with pytest.raises(TypeError):
         Poly((1.5,))
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "poly"])
-def test_ring_axioms_on_random_triples(tag):
-    rng = random.Random(f"axioms-{tag}")
+def test_ring_axioms_on_random_triples():
+    rng = random.Random("axioms-poly")
     for _ in range(500):
-        x, y, z = (_random_value(rng, tag) for _ in range(3))
+        x, y, z = (_random_value(rng, "poly") for _ in range(3))
         assert (x + y) + z == x + (y + z)
         assert x * y == y * x
         assert x * (y + z) == x * y + x * z
 
 
-@pytest.mark.parametrize("tag", ["int", "rat", "poly"])
+@pytest.mark.parametrize("tag", ["int", "poly"])
 def test_exact_div_inverts_multiplication(tag):
     rng = random.Random(f"divs-{tag}")
+    exact_div = _exact_int_div if tag == "int" else Poly.exact_div
     checked = 0
     while checked < 500:
         x = _random_value(rng, tag)
         y = _random_value(rng, tag)
-        if y.is_zero():
+        if not y:
             continue
-        assert (x * y).exact_div(y) == x
+        assert exact_div(x * y, y) == x
         checked += 1
 
 
@@ -116,7 +104,7 @@ def test_no_operation_leaves_trailing_zeros():
     for _ in range(300):
         x = _random_value(rng, "poly")
         y = _random_value(rng, "poly")
-        for r in (x + y, x - y, x * y, -x, x.scale(rng.randint(-3, 3))):
+        for r in (x + y, x - y, x * y, -x, x * rng.randint(-3, 3)):
             assert not r.coeffs or r.coeffs[-1] != 0
 
 
@@ -124,23 +112,21 @@ def test_pow():
     q = Poly.variable()
     assert q**0 == Poly((1,))
     assert q**3 == Poly((0, 0, 0, 1))
-    assert Int(3) ** 4 == Int(81)
-    assert Rat(1, 2) ** 2 == Rat(1, 4)
+    assert Poly((1, 1)) ** 2 == Poly((1, 2, 1))
     with pytest.raises(ValueError):
-        Int(2) ** -1
+        q**-1
 
 
 def test_scale_matches_repeated_addition():
     rng = random.Random("scale")
-    for tag in ("int", "rat", "poly"):
-        for _ in range(50):
-            x = _random_value(rng, tag)
-            k = rng.randint(0, 6)
-            total = zero_like(x)
-            for _ in range(k):
-                total = total + x
-            assert x.scale(k) == total
-            assert x.scale(-k) == -total
+    for _ in range(150):
+        x = _random_value(rng, "poly")
+        k = rng.randint(0, 6)
+        total = zero_like(x)
+        for _ in range(k):
+            total = total + x
+        assert x * k == total
+        assert x * -k == -total
 
 
 def test_rendering():
@@ -149,9 +135,6 @@ def test_rendering():
     assert str(Poly((0, -2, 3))) == "3q^2 - 2q"
     assert str(Poly((-1,))) == "-1"
     assert str(Poly((0, 1))) == "q"
-    assert str(Int(-12)) == "-12"
-    assert str(Rat(3, 6)) == "1/2"
-    assert str(Rat(4, 2)) == "2"
 
 
 def test_evaluate():
@@ -161,15 +144,16 @@ def test_evaluate():
 
 
 def test_like_helpers():
-    assert zero_like(Int(7)) == Int(0)
-    assert one_like(Rat(2, 3)) == Rat(1)
+    assert zero_like(7) == 0 and one_like(7) == 1
+    assert zero_like(Poly((0, 5))) == Poly()
     assert one_like(Poly((0, 5))) == Poly((1,))
-    with pytest.raises(TypeError):
-        zero_like(3)
+    for not_a_ring_value in (1.5, True):
+        with pytest.raises(TypeError):
+            zero_like(not_a_ring_value)
 
 
 def test_ring_value_from_json():
-    assert ring_value_from_json(5) == Int(5)
+    assert type(ring_value_from_json(5)) is int and ring_value_from_json(5) == 5
     assert ring_value_from_json([1, 2]) == Poly((1, 2))
     with pytest.raises(ValueError):
         ring_value_from_json(True)
