@@ -7,6 +7,7 @@ from .chromatic import (
     SetPartition,
     all_partitions,
     beraha,
+    chromatic_join_det,
     chromatic_join_matrix,
     is_noncrossing,
     join_partitions,

@@ -201,8 +201,10 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
 
 
 def run_smith(args, rng) -> list[IdentityReport]:
-    if args.value_set:
+    if args.value_set is not None:
         values = _parse_set(args.value_set)
+        if not values:
+            raise ValueError("--set must name at least one integer")
         if not is_factor_closed(values):
             raise ValueError(
                 "set is not factor closed: the totient-product identity needs every divisor present"

@@ -341,9 +341,16 @@ def poset_from_dict(doc: dict) -> Poset:
     if not isinstance(doc, dict) or "labels" not in doc or "covers" not in doc:
         raise ValueError('poset document needs "labels" and "covers"')
     labels = doc["labels"]
-    covers = [tuple(c) for c in doc["covers"]]
-    if any(len(c) != 2 for c in covers):
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise ValueError("labels must be a list of strings")
+    covers = doc["covers"]
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 for c in covers
+    ):
         raise ValueError("covers must be pairs")
+    if not all(type(x) is int for c in covers for x in c):
+        raise ValueError("cover indices must be integers")
+    covers = [tuple(c) for c in covers]
     return Poset.from_covers(len(labels), covers, labels=labels)
 
 

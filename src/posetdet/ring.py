@@ -58,6 +58,38 @@ class Poly:
             raise ValueError("power must be nonnegative")
         return cls((0,) * power + (coeff,))
 
+    @classmethod
+    def interpolate(cls, xs, ys) -> Poly:
+        """The polynomial of degree below len(xs) taking the value ys[i] at
+        xs[i], by Newton divided differences.
+
+        The nodes and values must be ints.  Every divided difference of an
+        integer polynomial at integer nodes is an integer, so each division
+        must be exact; a remainder raises InexactDivisionError, which means
+        the data do not come from a polynomial in Z[q] of that degree.
+        """
+        xs, diffs = list(xs), list(ys)
+        if len(xs) != len(diffs):
+            raise ValueError("need as many values as nodes")
+        if len(set(xs)) != len(xs):
+            raise ValueError("interpolation nodes must be distinct")
+        if not all(type(v) is int for v in xs + diffs):
+            raise TypeError("interpolation nodes and values must be ints")
+        for j in range(1, len(xs)):
+            for i in range(len(xs) - 1, j - 1, -1):
+                t, r = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
+                if r:
+                    raise InexactDivisionError("divided difference is not an integer")
+                diffs[i] = t
+        # Horner on the Newton form d0 + (q - x0)(d1 + (q - x1)(d2 + ...)).
+        out: list[int] = []
+        for x, d in zip(reversed(xs), reversed(diffs)):
+            out.insert(0, 0)
+            for i in range(len(out) - 1):
+                out[i] -= x * out[i + 1]
+            out[0] += d
+        return cls(out)
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""

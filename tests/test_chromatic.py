@@ -5,6 +5,7 @@ from posetdet.chromatic import (
     SetPartition,
     all_partitions,
     beraha,
+    chromatic_join_det,
     chromatic_join_matrix,
     is_noncrossing,
     join_partitions,
@@ -182,6 +183,37 @@ def test_det_degree_matches_block_count_sum():
     for n in (2, 3, 4):
         det = det_bareiss(chromatic_join_matrix(n))
         assert det.degree == sum(a.num_blocks for a in noncrossing_partitions(n))
+
+
+def test_chromatic_join_det_matches_poly_bareiss_oracle():
+    for n in (2, 3, 4):
+        assert chromatic_join_det(n) == det_bareiss(chromatic_join_matrix(n))
+
+
+def test_chromatic_join_det_degree_and_lowest_power():
+    # degree is the diagonal's block sum, the interpolation bound plus one q
+    # per row, and the lowest nonzero power is exactly q^rows
+    for n in (2, 3, 4):
+        ncs = noncrossing_partitions(n)
+        det = chromatic_join_det(n)
+        assert det.degree == sum(a.num_blocks for a in ncs)
+        lowest = next(i for i, c in enumerate(det.coeffs) if c)
+        assert lowest == len(ncs)
+
+
+def test_out_of_range_raises_before_any_evaluation(monkeypatch):
+    import posetdet.chromatic as chromatic
+
+    def forbidden(*args):
+        raise AssertionError("evaluated an out-of-range chromatic join matrix")
+
+    monkeypatch.setattr(chromatic, "noncrossing_partitions", forbidden)
+    monkeypatch.setattr(chromatic, "det_bareiss", forbidden)
+    for n in (1, 7):
+        with pytest.raises(ValueError):
+            verify_chromatic_join_det(n)
+        with pytest.raises(ValueError):
+            chromatic_join_det(n)
 
 
 def test_beraha_polynomials():

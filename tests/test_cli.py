@@ -252,6 +252,34 @@ def test_bad_set_argument(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("value_set", ["", ",", " , "])
+def test_empty_set_argument_is_rejected(capsys, value_set):
+    # an empty --set is a bad value, not "unset": no random campaign runs
+    code, out, err = run(capsys, "verify", "smith", "--set", value_set)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: --set")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"labels": ["a", "b"], "covers": [["0", 1]]},
+        {"labels": ["a", "b"], "covers": [[True, 1]]},
+        {"labels": "ab", "covers": []},
+    ],
+    ids=["string-index", "bool-index", "string-labels"],
+)
+def test_mistyped_poset_file_exits_two(tmp_path, capsys, doc):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["mobius", str(path)], ["verify", "main", "--poset", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 def test_unknown_identity_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-identity"])

@@ -1,7 +1,8 @@
 """Byte-for-byte pins on the CLI's seeded output.
 
 Each digest is the sha256 of stdout for one invocation at its default
-arguments (seed 42), recorded from the original implementation.  A change
+arguments (seed 42), or at the larger sizes named in its argv, recorded
+from the original implementation.  A change
 that alters any verdict, any rendered value, or the order of random draws
 changes a digest.
 """
@@ -33,6 +34,10 @@ GOLDEN = [
     ("verify three-layer --machine", "ec234791cccc224eb1a0eb804ee0c991dd43e16f4ae2243eaa7e4aa37c9a6662"),
     ("verify tutte", "eff5d24add421435251fc4d1e4fc406882dc932e0a4548a8301f32654af365c8"),
     ("verify tutte --machine", "8e23707c695502f03aded6a971211d97c0d4bdd03d2985b38f3a562932b9ed2a"),
+    ("verify tutte --n 4", "197389a73c46ac310da1e98ff1315727734ed8cf78923d5b24bcc041c21e3fff"),
+    ("verify tutte --n 4 --machine", "00850bc12b4c5215f7573ffc89806ef146841f05e0495b30328e70ea4586358b"),
+    ("verify tutte --n 5", "4914e287f5c8ea26aa18177aa5ae7dfff3303387451154a8173336d21dccccac"),
+    ("verify tutte --n 5 --machine", "e37bfa79de629815cb1b14bf9f83128e42274e44135810affc733dfb91992753"),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

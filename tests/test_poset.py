@@ -300,6 +300,17 @@ def test_poset_json_round_trip():
         poset_from_dict({"labels": ["a"]})
     with pytest.raises(ValueError):
         poset_from_dict({"labels": ["a", "b"], "covers": [[0]]})
+    for doc in (
+        {"labels": ["a", "b"], "covers": [["0", 1]]},
+        {"labels": ["a", "b"], "covers": [[0, 1.0]]},
+        {"labels": ["a", "b"], "covers": [[False, True]]},
+        {"labels": ["a", "b"], "covers": [0, 1]},
+        {"labels": ["a", "b"], "covers": "01"},
+        {"labels": "ab", "covers": []},
+        {"labels": ["a", 2], "covers": []},
+    ):
+        with pytest.raises(ValueError):
+            poset_from_dict(doc)
 
 
 def test_incidence_function_contract():

@@ -159,3 +159,34 @@ def test_ring_value_from_json():
         ring_value_from_json(True)
     with pytest.raises(ValueError):
         ring_value_from_json("q")
+
+
+def test_interpolate_round_trips_random_polynomials():
+    rng = random.Random("interpolate")
+    for _ in range(40):
+        p = Poly([rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, 21))])
+        count = rng.randint(p.degree + 1, p.degree + 4)
+        xs = rng.sample(range(-30, 31), count)
+        assert Poly.interpolate(xs, [p.evaluate(x) for x in xs]) == p
+
+
+def test_interpolate_small_cases():
+    assert Poly.interpolate([], []) == Poly()
+    assert Poly.interpolate([5], [7]) == Poly.const(7)
+    # q^2 through 0, 1, -1
+    assert Poly.interpolate([0, 1, -1], [0, 1, 1]) == Poly.monomial(2)
+
+
+def test_interpolate_rejects_bad_nodes():
+    with pytest.raises(ValueError):
+        Poly.interpolate([0, 1, 1], [0, 1, 2])
+    with pytest.raises(ValueError):
+        Poly.interpolate([0, 1, 2], [0, 1])
+    with pytest.raises(TypeError):
+        Poly.interpolate([0, 1], [0, 0.5])
+
+
+def test_interpolate_inexact_divided_difference():
+    # the unique quadratic through these points is q(q - 1)/2, not in Z[q]
+    with pytest.raises(InexactDivisionError):
+        Poly.interpolate([0, 1, 2], [0, 0, 1])
