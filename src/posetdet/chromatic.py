@@ -241,7 +241,6 @@ def verify_chromatic_join_det(n: int, name: str = "tutte") -> IdentityReport:
     """
     started = time.perf_counter()
     det = chromatic_join_det(n)
-    rows = len(noncrossing_partitions(n))
     exponents = _formula_exponents(n)
     q = Poly.variable()
     corner = binomial(2 * n - 1, n)
@@ -270,7 +269,6 @@ def verify_chromatic_join_det(n: int, name: str = "tutte") -> IdentityReport:
     )
     return IdentityReport(
         name=name,
-        description=f"chromatic join matrix, {rows} noncrossing partitions",
         computed=det,
         predicted=predicted,
         verdict=verdict,

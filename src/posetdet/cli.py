@@ -41,6 +41,7 @@ from .identities import (
     weighted_product_matrix,
 )
 from .lgv import (
+    ALL_PERMS_VERTEX_CAP,
     digraph_from_dict,
     family_weight,
     nonintersecting_families,
@@ -96,42 +97,30 @@ def _check_product(p: Poset, f, g, name: str = "main") -> IdentityReport:
     started = time.perf_counter()
     det = det_bareiss(incidence_product_matrix(p, f, g))
     predicted = incidence_product_det(p, f, g)
-    return make_report(name, f"poset n={p.n}", p.n, det, predicted, started)
+    return make_report(name, p.n, det, predicted, started)
 
 
 def _check_meet(p: Poset, f, name: str = "lindstrom") -> IdentityReport:
     started = time.perf_counter()
     det = det_bareiss(meet_matrix(p, f))
     predicted = meet_matrix_det(p, f)
-    return make_report(name, f"semilattice n={p.n}", p.n, det, predicted, started)
+    return make_report(name, p.n, det, predicted, started)
+
+
+def _random_case(rng, max_size: int, p: Poset | None = None):
+    """(p, f, g): a random poset of size 1..max_size unless p is given,
+    then two random incidence functions on it, drawn in that order."""
+    if p is None:
+        p = randgen.random_poset(rng, rng.randint(1, max_size))
+    return p, randgen.random_incidence(rng, p), randgen.random_incidence(rng, p)
 
 
 def run_main(args, rng) -> list[IdentityReport]:
-    reports = []
-    if args.poset:
-        p = _load_poset(args.poset)
-        cases = 20 if args.cases is None else args.cases
-        for _ in range(cases):
-            reports.append(
-                _check_product(
-                    p,
-                    randgen.random_incidence(rng, p),
-                    randgen.random_incidence(rng, p),
-                )
-            )
-        return reports
-    cases = 200 if args.cases is None else args.cases
+    p = _load_poset(args.poset) if args.poset is not None else None
+    default_cases = 200 if p is None else 20
+    cases = default_cases if args.cases is None else args.cases
     max_size = 7 if args.max_size is None else args.max_size
-    for _ in range(cases):
-        p = randgen.random_poset(rng, rng.randint(1, max_size))
-        reports.append(
-            _check_product(
-                p,
-                randgen.random_incidence(rng, p),
-                randgen.random_incidence(rng, p),
-            )
-        )
-    return reports
+    return [_check_product(*_random_case(rng, max_size, p)) for _ in range(cases)]
 
 
 def run_weighted(args, rng) -> list[IdentityReport]:
@@ -139,22 +128,18 @@ def run_weighted(args, rng) -> list[IdentityReport]:
     max_size = 7 if args.max_size is None else args.max_size
     reports = []
     for _ in range(cases):
-        p = randgen.random_poset(rng, rng.randint(1, max_size))
-        f = randgen.random_incidence(rng, p)
-        g = randgen.random_incidence(rng, p)
+        p, f, g = _random_case(rng, max_size)
         fw = randgen.random_weights(rng, p.n)
         gw = randgen.random_weights(rng, p.n)
         started = time.perf_counter()
         det = det_bareiss(weighted_product_matrix(p, f, fw, g, gw))
         predicted = weighted_product_det(p, f, fw, g, gw)
-        reports.append(
-            make_report("weighted", f"poset n={p.n}", p.n, det, predicted, started)
-        )
+        reports.append(make_report("weighted", p.n, det, predicted, started))
     return reports
 
 
 def run_lindstrom(args, rng) -> list[IdentityReport]:
-    if args.poset:
+    if args.poset is not None:
         p = _load_poset(args.poset)
         if not p.is_meet_semilattice():
             raise ValueError("poset is not a meet semilattice")
@@ -178,14 +163,7 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
         started = time.perf_counter()
         det = det_bareiss(meet_closed_matrix(lattice, subset, f))
         predicted = meet_closed_det(lattice, subset, f)
-        report = make_report(
-            "meet-closed",
-            f"subset size {len(subset)} of n={lattice.n}",
-            len(subset),
-            det,
-            predicted,
-            started,
-        )
+        report = make_report("meet-closed", len(subset), det, predicted, started)
         if report.passed and lattice.is_lower_closed(subset):
             sub = lattice.induced(subset)
             alt = meet_matrix_det(sub, f.restrict(sub))
@@ -218,10 +196,7 @@ def run_smith(args, rng) -> list[IdentityReport]:
         started = time.perf_counter()
         det = det_bareiss(gcd_matrix(s))
         predicted = totient_product(s)
-        label = ",".join(str(x) for x in s)
-        reports.append(
-            make_report("smith", f"set {{{label}}}", len(s), det, predicted, started)
-        )
+        reports.append(make_report("smith", len(s), det, predicted, started))
     return reports
 
 
@@ -232,7 +207,7 @@ def run_apostol(args, rng) -> list[IdentityReport]:
         started = time.perf_counter()
         det = det_bareiss(ramanujan_matrix(n))
         predicted = ramanujan_matrix_det(n)
-        reports.append(make_report("apostol", f"n={n}", n, det, predicted, started))
+        reports.append(make_report("apostol", n, det, predicted, started))
     return reports
 
 
@@ -246,14 +221,12 @@ def run_daniloff(args, rng) -> list[IdentityReport]:
             started = time.perf_counter()
             det = det_bareiss(kth_root_matrix(n, k, weights))
             predicted = kth_root_matrix_det(n, k, weights)
-            reports.append(
-                make_report("daniloff", f"n={n} k={k}", n, det, predicted, started)
-            )
+            reports.append(make_report("daniloff", n, det, predicted, started))
     return reports
 
 
 def run_stembridge(args, rng) -> list[IdentityReport]:
-    if args.digraph:
+    if args.digraph is not None:
         return [verify_stembridge(digraph_from_dict(_load_json(args.digraph)))]
     cases = 10 if args.cases is None else args.cases
     return [
@@ -265,18 +238,20 @@ def run_stembridge(args, rng) -> list[IdentityReport]:
 def run_three_layer(args, rng) -> list[IdentityReport]:
     cases = 30 if args.cases is None else args.cases
     max_size = 5 if args.max_size is None else args.max_size
+    if 3 * max_size > ALL_PERMS_VERTEX_CAP:
+        raise ValueError(
+            f"--max-size must be at most {ALL_PERMS_VERTEX_CAP // 3} for three-layer"
+        )
     reports = []
     for _ in range(cases):
-        p = randgen.random_poset(rng, rng.randint(1, max_size))
-        f = randgen.random_incidence(rng, p)
-        g = randgen.random_incidence(rng, p)
+        p, f, g = _random_case(rng, max_size)
         started = time.perf_counter()
         d = three_layer_digraph(p, f, g)
         families = nonintersecting_families(d)
         paths_matrix = stembridge_matrix(d)
         det = det_bareiss(paths_matrix)
         predicted = incidence_product_det(p, f, g)
-        report = make_report("three-layer", f"poset n={p.n}", p.n, det, predicted, started)
+        report = make_report("three-layer", p.n, det, predicted, started)
         structure_ok = (
             len(families) == 1
             and families[0].perm == tuple(range(p.n))
@@ -306,7 +281,7 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         predicate = product_matrix_positive_definite(p, f, g)
         det = minors[-1]
         predicted = incidence_product_det(p, f, g)
-        report = make_report("definiteness", f"poset n={p.n}", p.n, det, predicted, started)
+        report = make_report("definiteness", p.n, det, predicted, started)
         if report.passed and predicate != all(x > 0 for x in minors):
             report = _fail(report, "(diagonal predicate disagrees with minors)")
         reports.append(report)
@@ -315,11 +290,7 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         f, g = randgen.random_symmetric_pair(rng, p, force_zero_diag=True)
         started = time.perf_counter()
         det = det_bareiss(incidence_product_matrix(p, f, g))
-        reports.append(
-            make_report(
-                "definiteness-singular", f"poset n={p.n}", p.n, det, 0, started
-            )
-        )
+        reports.append(make_report("definiteness-singular", p.n, det, 0, started))
     return reports
 
 
@@ -370,9 +341,7 @@ def run_suite(args) -> int:
     lines = []
     failing = []
     for case in range(args.cases):
-        p = randgen.random_poset(rng, rng.randint(1, max_size))
-        f = randgen.random_incidence(rng, p)
-        g = randgen.random_incidence(rng, p)
+        p, f, g = _random_case(rng, max_size)
         product_report = _check_product(p, f, g, name="suite-main")
         factorization_ok = (
             incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
@@ -419,7 +388,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--digraph", default=None, help="digraph JSON file")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--cases", type=int, default=None)
-    verify.add_argument("--max-size", dest="max_size", type=int, default=None)
+    verify.add_argument(
+        "--max-size",
+        dest="max_size",
+        type=int,
+        default=None,
+        help=f"largest random poset (at most {ALL_PERMS_VERTEX_CAP // 3} for three-layer)",
+    )
     verify.add_argument("--machine", action="store_true", help="tab-separated output")
 
     mob = sub.add_parser("mobius", help="print the Möbius table of a poset file")

@@ -25,7 +25,6 @@ class IdentityReport:
     """Outcome of one determinant-identity check."""
 
     name: str
-    description: str
     computed: RingValue | None
     predicted: RingValue | None
     verdict: str
@@ -53,24 +52,20 @@ class IdentityReport:
 
 def make_report(
     name: str,
-    description: str,
     size: int,
     computed: RingValue,
     predicted: RingValue,
     started: float,
-    detail: str = "",
 ) -> IdentityReport:
     """Report whose verdict is pass exactly when computed == predicted."""
     verdict = PASS if computed == predicted else FAIL
     return IdentityReport(
         name=name,
-        description=description,
         computed=computed,
         predicted=predicted,
         verdict=verdict,
         elapsed=time.perf_counter() - started,
         size=size,
-        detail=detail,
     )
 
 
@@ -81,6 +76,12 @@ def _check_host(p: Poset, *fns: IncidenceFunction) -> None:
     tags = {type(f.zero) for f in fns}
     if len(tags) > 1:
         raise TagMismatchError("incidence functions carry different ring tags")
+
+
+def _check_semilattice(p: Poset, f: IncidenceFunction) -> None:
+    _check_host(p, f)
+    if not p.is_meet_semilattice():
+        raise ValueError("poset is not a meet semilattice")
 
 
 def incidence_matrix(p: Poset, f: IncidenceFunction) -> SquareMatrix:
@@ -244,9 +245,7 @@ def kth_root_matrix_det(n: int, k: int, f_weights: Sequence[RingValue]) -> RingV
 
 def meet_matrix(semilattice: Poset, f: IncidenceFunction) -> SquareMatrix:
     """Matrix with entry (a, b) = f(meet(a, b), a)."""
-    _check_host(semilattice, f)
-    if not semilattice.is_meet_semilattice():
-        raise ValueError("poset is not a meet semilattice")
+    _check_semilattice(semilattice, f)
     lin = semilattice.lin_ext
     return SquareMatrix(
         [[f(semilattice.meet(a, b), a) for b in lin] for a in lin]
@@ -255,9 +254,7 @@ def meet_matrix(semilattice: Poset, f: IncidenceFunction) -> SquareMatrix:
 
 def meet_matrix_det(semilattice: Poset, f: IncidenceFunction) -> RingValue:
     """Predicted determinant: product over a of sum over c of mu(c, a) f(c, a)."""
-    _check_host(semilattice, f)
-    if not semilattice.is_meet_semilattice():
-        raise ValueError("poset is not a meet semilattice")
+    _check_semilattice(semilattice, f)
     mu = mobius_function(semilattice)
     acc = one_like(f.zero)
     for a in range(semilattice.n):
@@ -312,9 +309,7 @@ def meet_closed_matrix(
 ) -> SquareMatrix:
     """Matrix f(meet(a_i, a_j), a_i) over a meet-closed subset, the meet
     taken in the ambient semilattice."""
-    _check_host(semilattice, f)
-    if not semilattice.is_meet_semilattice():
-        raise ValueError("poset is not a meet semilattice")
+    _check_semilattice(semilattice, f)
     s = _ordered_subset(semilattice, subset)
     return SquareMatrix(
         [[f(semilattice.meet(a, b), a) for b in s] for a in s]
@@ -331,9 +326,7 @@ def meet_closed_det(
     (in the fixed linear extension) that dominates it, and the i-th factor
     sums mu(c, d) f(c, a_i) over elements charged to a_i.
     """
-    _check_host(semilattice, f)
-    if not semilattice.is_meet_semilattice():
-        raise ValueError("poset is not a meet semilattice")
+    _check_semilattice(semilattice, f)
     s = _ordered_subset(semilattice, subset)
     mu = mobius_function(semilattice)
     owner: dict[int, int] = {}

@@ -1,8 +1,10 @@
 """Weighted acyclic digraphs, path-weight sums, nonintersecting path
 families, and the determinant identity that ties them together.
 
-Graphs here are verification-sized; enumeration is exhaustive with a
-dynamic-programming cross-check, not a scalable algorithm.
+Path-sum matrices come from dynamic programming over a topological order.
+Nonintersecting families are found by exhaustive enumeration, which is
+also the test oracle for the path sums; graphs here are
+verification-sized.
 """
 
 from __future__ import annotations
@@ -97,9 +99,6 @@ class WeightedDigraph:
         except KeyError:
             raise ValueError(f"no arc from {u} to {v}") from None
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._weights
-
     def arcs(self) -> list[tuple[int, int, RingValue]]:
         return [(u, v, w) for (u, v), w in sorted(self._weights.items())]
 
@@ -137,11 +136,8 @@ def iter_paths(d: WeightedDigraph, u: int, v: int) -> Iterator[tuple[int, ...]]:
 
 
 def path_weight_sum(d: WeightedDigraph, u: int, v: int) -> RingValue:
-    """Sum of path weights over every directed path from u to v.
-
-    Finite because the digraph is finite and acyclic; computed by
-    exhaustive enumeration.
-    """
+    """Sum of path weights over every directed path from u to v, by
+    exhaustive enumeration; the test oracle for path_weight_sum_dp."""
     acc = zero_like(d.one)
     for path in iter_paths(d, u, v):
         acc = acc + path_weight(d, path)
@@ -149,8 +145,11 @@ def path_weight_sum(d: WeightedDigraph, u: int, v: int) -> RingValue:
 
 
 def path_weight_sum_dp(d: WeightedDigraph, u: int, v: int) -> RingValue:
-    """Same sum via dynamic programming over a topological order; used as
-    an internal cross-oracle for the enumeration."""
+    """Sum of path weights over every directed path from u to v.
+
+    Finite because the digraph is finite and acyclic; computed by dynamic
+    programming over a topological order, in O(V + E).
+    """
     zero = zero_like(d.one)
     ways = {u: d.one}
     for w in d.topological_order():
@@ -167,7 +166,7 @@ def stembridge_matrix(d: WeightedDigraph) -> SquareMatrix:
     if not d.sources:
         raise ValueError("digraph has no designated sources")
     return SquareMatrix(
-        [[path_weight_sum(d, s, t) for t in d.sinks] for s in d.sources]
+        [[path_weight_sum_dp(d, s, t) for t in d.sinks] for s in d.sources]
     )
 
 
@@ -241,12 +240,10 @@ def verify_stembridge(d: WeightedDigraph, name: str = "stembridge") -> IdentityR
     started = time.perf_counter()
     families = nonintersecting_families(d)
     n = len(d.sources)
-    description = f"{n} terminals, {d.n} vertices"
     identity = tuple(range(n))
     if any(f.perm != identity for f in families):
         return IdentityReport(
             name=name,
-            description=description,
             computed=None,
             predicted=None,
             verdict=HYPOTHESIS_FAILED,
@@ -258,7 +255,7 @@ def verify_stembridge(d: WeightedDigraph, name: str = "stembridge") -> IdentityR
     total = zero_like(d.one)
     for f in families:
         total = total + family_weight(d, f)
-    return make_report(name, description, n, det, total, started)
+    return make_report(name, n, det, total, started)
 
 
 def three_layer_digraph(
@@ -311,12 +308,20 @@ def digraph_from_dict(doc: dict) -> WeightedDigraph:
         raise ValueError(
             'digraph document needs "vertices", "arcs", "sources", "sinks"'
         )
+    if type(doc["vertices"]) is not int:
+        raise ValueError('"vertices" must be an integer')
+    for key in ("arcs", "sources", "sinks"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f'"{key}" must be a list')
     arcs = []
     for entry in doc["arcs"]:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each arc must be [u, v, weight]")
         u, v, w = entry
         arcs.append((u, v, ring_value_from_json(w)))
+    ends = [x for u, v, _ in arcs for x in (u, v)] + doc["sources"] + doc["sinks"]
+    if not all(type(x) is int for x in ends):
+        raise ValueError("vertex indices must be integers")
     return WeightedDigraph(
         doc["vertices"],
         arcs,

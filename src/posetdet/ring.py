@@ -221,12 +221,10 @@ RingValue = int | Poly
 
 def ring_value_from_json(v) -> RingValue:
     """Ring value from its file-format form: an integer, or an ascending
-    coefficient list for a polynomial."""
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a ring value")
-    if isinstance(v, int):
+    coefficient list of integers for a polynomial (a bool is no integer)."""
+    if type(v) is int:
         return v
-    if isinstance(v, list):
+    if isinstance(v, list) and all(type(c) is int for c in v):
         return Poly(v)
     raise ValueError(f"cannot read a ring value from {v!r}")
 

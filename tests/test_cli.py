@@ -280,6 +280,72 @@ def test_mistyped_poset_file_exits_two(tmp_path, capsys, doc):
         assert err.startswith("error: ")
 
 
+GOOD_DIGRAPH = {
+    "vertices": 4,
+    "arcs": [[0, 2, 2], [0, 3, 5], [1, 3, 3]],
+    "sources": [0, 1],
+    "sinks": [2, 3],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"arcs": 5},
+        {"arcs": [5]},
+        {"vertices": "3"},
+        {"vertices": 2.0},
+        {"vertices": True},
+        {"arcs": [["0", 2, 2]]},
+        {"arcs": [[0, 2, 2], [True, 3, 3]]},
+        {"sources": 0},
+        {"sources": ["0"]},
+        {"sinks": [2, 3.0]},
+        {"arcs": [[0, 2, [1, "a"]]]},
+        {"arcs": [[0, 2, [True, 1]]]},
+    ],
+    ids=lambda change: json.dumps(change),
+)
+def test_mistyped_digraph_file_exits_two(tmp_path, capsys, change):
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({**GOOD_DIGRAPH, **change}))
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cases", [None, "0"])
+def test_three_layer_max_size_above_family_cap_is_rejected(capsys, cases):
+    argv = ["verify", "three-layer", "--max-size", "7"]
+    if cases is not None:
+        argv += ["--cases", cases]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --max-size must be at most 6 for three-layer\n"
+    code, out, err = run(capsys, "verify", "three-layer", "--max-size", "6", "--cases", "2")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main", "--poset", ""],
+        ["verify", "lindstrom", "--poset", ""],
+        ["verify", "stembridge", "--digraph", ""],
+    ],
+    ids=" ".join,
+)
+def test_empty_file_argument_is_not_unset(capsys, argv):
+    # an empty path is a missing file, not a request for the random campaign
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_identity_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-identity"])

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import posetdet.lgv as lgv
+from posetdet.cli import EXIT_OK, main
 from posetdet.identities import (
     HYPOTHESIS_FAILED,
     incidence_product_det,
@@ -102,6 +104,42 @@ def test_path_weight_sum_matches_dp():
         for u in range(d.n):
             for v in range(d.n):
                 assert path_weight_sum(d, u, v) == path_weight_sum_dp(d, u, v)
+
+
+def _enumerated_matrix(d):
+    return SquareMatrix(
+        [[path_weight_sum(d, s, t) for t in d.sinks] for s in d.sources]
+    )
+
+
+def _with_poly_weights(d):
+    """Same digraph with each integer weight w replaced by q + w."""
+    arcs = [(u, v, Poly((w, 1))) for u, v, w in d.arcs()]
+    return WeightedDigraph(d.n, arcs, sources=d.sources, sinks=d.sinks)
+
+
+def test_stembridge_matrix_matches_enumeration():
+    rng = random.Random("engine")
+    terminals = set()
+    for _ in range(40):
+        d = random_hypothesis_digraph(rng)
+        terminals.add(len(d.sources))
+        for g in (d, _with_poly_weights(d)):
+            assert stembridge_matrix(g) == _enumerated_matrix(g)
+    assert terminals == {1, 2, 3}
+
+
+def test_stembridge_runs_without_enumerated_path_sums(monkeypatch):
+    def oracle_only(*args):
+        raise AssertionError("path_weight_sum is the test oracle only")
+
+    monkeypatch.setattr(lgv, "path_weight_sum", oracle_only)
+    rng = random.Random("flip")
+    for _ in range(10):
+        d = random_hypothesis_digraph(rng)
+        assert verify_stembridge(d).passed
+        assert verify_stembridge(_with_poly_weights(d)).passed
+    assert main(["verify", "three-layer", "--cases", "5"]) == EXIT_OK
 
 
 def test_stembridge_matrix_diamond():

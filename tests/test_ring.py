@@ -157,8 +157,9 @@ def test_ring_value_from_json():
     assert ring_value_from_json([1, 2]) == Poly((1, 2))
     with pytest.raises(ValueError):
         ring_value_from_json(True)
-    with pytest.raises(ValueError):
-        ring_value_from_json("q")
+    for bad in ("q", [True, 1], [1, "a"], [1.0]):
+        with pytest.raises(ValueError):
+            ring_value_from_json(bad)
 
 
 def test_interpolate_round_trips_random_polynomials():
