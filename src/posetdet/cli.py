@@ -13,7 +13,6 @@ import dataclasses
 import json
 import random
 import sys
-import time
 
 from . import randgen
 from .chromatic import verify_chromatic_join_det
@@ -50,26 +49,11 @@ from .lgv import (
     verify_stembridge,
 )
 from .matrix import det_bareiss, leading_principal_minors
-from .poset import Poset, mobius_function, poset_from_dict
+from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
-
-IDENTITY_NAMES = (
-    "main",
-    "weighted",
-    "lindstrom",
-    "meet-closed",
-    "smith",
-    "apostol",
-    "daniloff",
-    "stembridge",
-    "three-layer",
-    "tutte",
-    "definiteness",
-)
-
 
 def _load_json(path: str):
     with open(path) as fh:
@@ -94,17 +78,15 @@ def _fail(report: IdentityReport, note: str) -> IdentityReport:
 
 
 def _check_product(p: Poset, f, g, name: str = "main") -> IdentityReport:
-    started = time.perf_counter()
     det = det_bareiss(incidence_product_matrix(p, f, g))
     predicted = incidence_product_det(p, f, g)
-    return make_report(name, p.n, det, predicted, started)
+    return make_report(name, p.n, det, predicted)
 
 
 def _check_meet(p: Poset, f, name: str = "lindstrom") -> IdentityReport:
-    started = time.perf_counter()
     det = det_bareiss(meet_matrix(p, f))
     predicted = meet_matrix_det(p, f)
-    return make_report(name, p.n, det, predicted, started)
+    return make_report(name, p.n, det, predicted)
 
 
 def _random_case(rng, max_size: int, p: Poset | None = None):
@@ -131,10 +113,9 @@ def run_weighted(args, rng) -> list[IdentityReport]:
         p, f, g = _random_case(rng, max_size)
         fw = randgen.random_weights(rng, p.n)
         gw = randgen.random_weights(rng, p.n)
-        started = time.perf_counter()
         det = det_bareiss(weighted_product_matrix(p, f, fw, g, gw))
         predicted = weighted_product_det(p, f, fw, g, gw)
-        reports.append(make_report("weighted", p.n, det, predicted, started))
+        reports.append(make_report("weighted", p.n, det, predicted))
     return reports
 
 
@@ -160,10 +141,9 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
     for _ in range(cases):
         lattice, subset = randgen.random_meet_closed_instance(rng)
         f = randgen.random_incidence(rng, lattice)
-        started = time.perf_counter()
         det = det_bareiss(meet_closed_matrix(lattice, subset, f))
         predicted = meet_closed_det(lattice, subset, f)
-        report = make_report("meet-closed", len(subset), det, predicted, started)
+        report = make_report("meet-closed", len(subset), det, predicted)
         if report.passed and lattice.is_lower_closed(subset):
             sub = lattice.induced(subset)
             alt = meet_matrix_det(sub, f.restrict(sub))
@@ -191,24 +171,18 @@ def run_smith(args, rng) -> list[IdentityReport]:
     else:
         cases = 50 if args.cases is None else args.cases
         sets = [randgen.random_factor_closed_set(rng) for _ in range(cases)]
-    reports = []
-    for s in sets:
-        started = time.perf_counter()
-        det = det_bareiss(gcd_matrix(s))
-        predicted = totient_product(s)
-        reports.append(make_report("smith", len(s), det, predicted, started))
-    return reports
+    return [
+        make_report("smith", len(s), det_bareiss(gcd_matrix(s)), totient_product(s))
+        for s in sets
+    ]
 
 
 def run_apostol(args, rng) -> list[IdentityReport]:
     ns = [args.n] if args.n is not None else range(1, 11)
-    reports = []
-    for n in ns:
-        started = time.perf_counter()
-        det = det_bareiss(ramanujan_matrix(n))
-        predicted = ramanujan_matrix_det(n)
-        reports.append(make_report("apostol", n, det, predicted, started))
-    return reports
+    return [
+        make_report("apostol", n, det_bareiss(ramanujan_matrix(n)), ramanujan_matrix_det(n))
+        for n in ns
+    ]
 
 
 def run_daniloff(args, rng) -> list[IdentityReport]:
@@ -218,10 +192,9 @@ def run_daniloff(args, rng) -> list[IdentityReport]:
     for n in ns:
         weights = list(range(1, n + 1))
         for k in ks:
-            started = time.perf_counter()
             det = det_bareiss(kth_root_matrix(n, k, weights))
             predicted = kth_root_matrix_det(n, k, weights)
-            reports.append(make_report("daniloff", n, det, predicted, started))
+            reports.append(make_report("daniloff", n, det, predicted))
     return reports
 
 
@@ -245,13 +218,12 @@ def run_three_layer(args, rng) -> list[IdentityReport]:
     reports = []
     for _ in range(cases):
         p, f, g = _random_case(rng, max_size)
-        started = time.perf_counter()
         d = three_layer_digraph(p, f, g)
         families = nonintersecting_families(d)
         paths_matrix = stembridge_matrix(d)
         det = det_bareiss(paths_matrix)
         predicted = incidence_product_det(p, f, g)
-        report = make_report("three-layer", p.n, det, predicted, started)
+        report = make_report("three-layer", p.n, det, predicted)
         structure_ok = (
             len(families) == 1
             and families[0].perm == tuple(range(p.n))
@@ -276,21 +248,19 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
         f, g = randgen.random_symmetric_pair(rng, p)
-        started = time.perf_counter()
         minors = leading_principal_minors(incidence_product_matrix(p, f, g))
         predicate = product_matrix_positive_definite(p, f, g)
         det = minors[-1]
         predicted = incidence_product_det(p, f, g)
-        report = make_report("definiteness", p.n, det, predicted, started)
+        report = make_report("definiteness", p.n, det, predicted)
         if report.passed and predicate != all(x > 0 for x in minors):
             report = _fail(report, "(diagonal predicate disagrees with minors)")
         reports.append(report)
     for _ in range(cases // 2):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
         f, g = randgen.random_symmetric_pair(rng, p, force_zero_diag=True)
-        started = time.perf_counter()
         det = det_bareiss(incidence_product_matrix(p, f, g))
-        reports.append(make_report("definiteness-singular", p.n, det, 0, started))
+        reports.append(make_report("definiteness-singular", p.n, det, 0))
     return reports
 
 
@@ -307,6 +277,8 @@ RUNNERS = {
     "tutte": run_tutte,
     "definiteness": run_definiteness,
 }
+
+IDENTITY_NAMES = tuple(RUNNERS)
 
 
 def _emit(reports: list[IdentityReport], machine: bool, seed) -> int:
@@ -413,11 +385,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_sizes(args) -> None:
-    """Reject size arguments below their minimum; 0 is a value, not "unset"."""
+    """Reject out-of-range sizes before any draw; 0 is a value, not "unset"."""
     for flag, low in (("n", 1), ("k", 1), ("max_size", 1), ("cases", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least {low}")
+    max_size = getattr(args, "max_size", None)
+    if max_size is not None and max_size > MAX_ELEMENTS:
+        raise ValueError(f"--max-size must be at most {MAX_ELEMENTS}")
 
 
 def main(argv=None) -> int:

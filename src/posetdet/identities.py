@@ -6,7 +6,6 @@ the exact determinant engine rather than trusted.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +27,6 @@ class IdentityReport:
     computed: RingValue | None
     predicted: RingValue | None
     verdict: str
-    elapsed: float
     size: int = 0
     detail: str = ""
 
@@ -51,11 +49,7 @@ class IdentityReport:
 
 
 def make_report(
-    name: str,
-    size: int,
-    computed: RingValue,
-    predicted: RingValue,
-    started: float,
+    name: str, size: int, computed: RingValue, predicted: RingValue
 ) -> IdentityReport:
     """Report whose verdict is pass exactly when computed == predicted."""
     verdict = PASS if computed == predicted else FAIL
@@ -64,7 +58,6 @@ def make_report(
         computed=computed,
         predicted=predicted,
         verdict=verdict,
-        elapsed=time.perf_counter() - started,
         size=size,
     )
 

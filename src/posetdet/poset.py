@@ -231,6 +231,8 @@ def divisor_poset(values: Sequence[int]) -> Poset:
     vals = list(values)
     if not vals:
         raise ValueError("need at least one value")
+    if len(vals) > MAX_ELEMENTS:
+        raise ValueError(f"poset too large ({len(vals)} > {MAX_ELEMENTS})")
     if any(v < 1 for v in vals):
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
@@ -359,12 +361,14 @@ def incidence_from_dict(p: Poset, doc: dict) -> IncidenceFunction:
 
     A value is an integer or an ascending coefficient list.
     """
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ValueError('incidence document needs "entries"')
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ValueError('incidence document needs an "entries" list')
     values = {}
     for entry in doc["entries"]:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ValueError("each entry must be [a, b, value]")
         a, b, v = entry
+        if type(a) is not int or type(b) is not int:
+            raise ValueError("entry indices must be integers")
         values[(a, b)] = ring_value_from_json(v)
     return IncidenceFunction(p, values)

@@ -58,7 +58,7 @@ def random_meet_semilattice(
         p = Poset.from_covers(n, covers)
         if p.is_meet_semilattice():
             return p
-    raise RuntimeError("could not sample a meet semilattice")
+    raise ValueError(f"could not sample a meet semilattice on {n} elements")
 
 
 def random_factor_closed_set(

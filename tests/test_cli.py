@@ -1,9 +1,12 @@
+import functools
 import json
 import pathlib
 
 import pytest
 
-from posetdet.cli import EXIT_INPUT, EXIT_OK, main
+from posetdet import chromatic, cli, lgv
+from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from posetdet.ring import Poly
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -344,6 +347,79 @@ def test_empty_file_argument_is_not_unset(capsys, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main", "--max-size", "400", "--cases", "1", "--seed", "1"],
+        ["verify", "main", "--max-size", "65"],
+        ["verify", "lindstrom", "--max-size", "65", "--cases", "0"],
+        ["random-suite", "--max-size", "65"],
+        ["random-suite", "--max-size", "65", "--cases", "0"],
+    ],
+    ids=" ".join,
+)
+def test_max_size_above_poset_cap_is_rejected_before_any_draw(capsys, monkeypatch, argv):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random poset before checking --max-size")
+
+    monkeypatch.setattr(cli.randgen, "random_poset", no_draw)
+    monkeypatch.setattr(cli.randgen, "random_meet_semilattice", no_draw)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --max-size must be at most 64\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "apostol", "--n", "1000"],
+        ["verify", "daniloff", "--n", "65", "--k", "2"],
+    ],
+    ids=" ".join,
+)
+def test_divisor_order_above_poset_cap_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: poset too large ({argv[3]} > 64)\n"
+
+
+def test_semilattice_sampler_giving_up_exits_two(capsys, monkeypatch):
+    sampler = functools.partial(cli.randgen.random_meet_semilattice, max_tries=1)
+    monkeypatch.setattr(cli.randgen, "random_meet_semilattice", sampler)
+    code, out, err = run(capsys, "verify", "lindstrom", "--max-size", "40", "--cases", "20")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: could not sample a meet semilattice on ")
+
+
+# Each mutation breaks one producer of a report; the verifier must then
+# report FAIL, name a reproduction and exit 1.
+MUTATIONS = [
+    (cli, "totient_product", 1, ["verify", "smith", "--set", "1,2,3,4"]),
+    (lgv, "family_weight", 1, ["verify", "stembridge", "--cases", "5"]),
+    (cli, "family_weight", 1, ["verify", "three-layer"]),
+    (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
+    (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),
+    (cli, "incidence_product_det", 1, ["random-suite"]),
+]
+
+
+@pytest.mark.parametrize(
+    "module, attr, bump, argv",
+    MUTATIONS,
+    ids=[f"{m.__name__}.{attr}" for m, attr, _, _ in MUTATIONS],
+)
+def test_mutation_is_reported_as_a_violation(capsys, monkeypatch, module, attr, bump, argv):
+    original = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: original(*args) + bump)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VIOLATION
+    assert any(line.startswith("FAIL ") for line in out.splitlines())
+    assert "reproduce: " in err
 
 
 def test_unknown_identity_exits_two():

@@ -116,6 +116,22 @@ def test_divisor_poset_rejects_bad_input():
         divisor_poset([0, 1])
 
 
+class _NoRelation(int):
+    def __mod__(self, other):
+        raise AssertionError("divisibility relation built before the count check")
+
+
+def test_divisor_poset_checks_the_count_before_building_the_order():
+    assert divisor_poset(range(1, 65)).n == 64
+    with pytest.raises(ValueError, match=r"poset too large \(65 > 64\)"):
+        divisor_poset([_NoRelation(v) for v in range(1, 66)])
+
+
+def test_random_meet_semilattice_gives_up_with_value_error():
+    with pytest.raises(ValueError, match="on 40 elements"):
+        random_meet_semilattice(random.Random(0), 40, max_tries=3)
+
+
 def test_zeta_and_delta_singleton():
     p = Poset.from_covers(1, [])
     assert incidence_matrix(p, zeta_function(p)) == SquareMatrix([[1]])
@@ -361,3 +377,22 @@ def test_incidence_from_dict():
         incidence_from_dict(p, {"entries": [[0, 1]]})
     with pytest.raises(ValueError):
         incidence_from_dict(p, {})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"entries": 5},
+        {"entries": {"0": [0, 1, 3]}},
+        {"entries": [5]},
+        {"entries": ["abc"]},
+        {"entries": [[True, 1, 3]]},
+        {"entries": [[0, False, 3]]},
+        {"entries": [["0", 1, 3]]},
+        {"entries": [[0, 1.0, 3]]},
+    ],
+    ids=repr,
+)
+def test_incidence_from_dict_rejects_mistyped_documents(doc):
+    with pytest.raises(ValueError):
+        incidence_from_dict(vee(), doc)
