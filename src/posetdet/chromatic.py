@@ -153,16 +153,20 @@ def join_partitions(a: SetPartition, b: SetPartition) -> SetPartition:
     return SetPartition(a.n, list(groups.values()))
 
 
+def _check_join_size(n: int) -> None:
+    if not JOIN_MATRIX_MIN <= n <= JOIN_MATRIX_MAX:
+        raise ValueError(
+            f"chromatic join matrix supported for {JOIN_MATRIX_MIN} <= n <= {JOIN_MATRIX_MAX}"
+        )
+
+
 def _join_block_counts(n: int) -> list[list[int]]:
     """Table of blocks(a v b) over the noncrossing partitions a, b of {1..n}.
 
     Joins are taken in the full partition lattice even though the index
     set is noncrossing: the join of two noncrossing partitions may cross.
     """
-    if not JOIN_MATRIX_MIN <= n <= JOIN_MATRIX_MAX:
-        raise ValueError(
-            f"chromatic join matrix supported for {JOIN_MATRIX_MIN} <= n <= {JOIN_MATRIX_MAX}"
-        )
+    _check_join_size(n)
     ncs = noncrossing_partitions(n)
     return [[join_partitions(a, b).num_blocks for b in ncs] for a in ncs]
 
@@ -175,28 +179,84 @@ def chromatic_join_matrix(n: int) -> SquareMatrix:
     )
 
 
-def chromatic_join_det(n: int) -> Poly:
-    """Determinant of chromatic_join_matrix(n), by integer evaluation and
-    interpolation instead of elimination over Z[q].
+def _falling(x: int, k: int) -> int:
+    """The falling factorial (x)_k = x (x - 1) ... (x - k + 1)."""
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out
 
-    Every entry is q^blocks(a v b) with blocks(a v b) >= 1, so one q comes
-    out of each row: det = q^rows * det M', where M' has the exponents
-    blocks(a v b) - 1.  A join only merges blocks, so in every Leibniz
-    term blocks(a v sigma(a)) <= blocks(a), and deg det M' is at most
-    D = sum over a of (blocks(a) - 1), the diagonal's exponent sum.  det M'
-    is therefore fixed by its values at the D + 1 integers of smallest
-    magnitude, each an integer Bareiss determinant.
+
+def chromatic_join_det(n: int) -> Poly:
+    """Determinant of chromatic_join_matrix(n), through the partition
+    lattice: integer evaluation of a small Schur complement, then
+    interpolation.
+
+    Counting q-colourings of the blocks of a by which blocks share a colour
+    gives q^blocks(a) = sum over sigma >= a in Pi_n of (q)_blocks(sigma), so
+    M = Z D Z^T with Z[a, sigma] = [a refines sigma] over NC(n) x Pi_n and
+    D = diag((q)_blocks(sigma)): the incidence-product form of the main
+    theorem.  Split the columns into NC(n) and the crossing partitions X.
+    Z1 = Z[NC, NC] is unitriangular, so with the integer matrix
+    W = Z1^-1 Z2, det M = det(D1 + W D2 W^T) = det D1 det D2
+    det(D2^-1 + W^T D1^-1 W).  At an integer x outside 0..n-1 let
+    L = (x)_n; L / (x)_k = (x - k)_(n - k) is an integer, so
+    det M(x) = prod over Pi_n of (x)_blocks * det H / L^|X| with the
+    symmetric |X| x |X| integer matrix
+    H = diag(L / (x)_blocks(sigma)) + W^T diag(L / (x)_blocks(a)) W.
+
+    Every entry of M is q^blocks(a v b) with at least one block, so
+    det M = q^rows * P, and every Leibniz term has blocks(a v sigma(a)) <=
+    blocks(a), so deg P is at most D = sum over a of (blocks(a) - 1).  P is
+    interpolated from its values at D + 1 integers that skip 0..n-1.
     """
-    exponents = [[b - 1 for b in row] for row in _join_block_counts(n)]
-    bound = sum(row[i] for i, row in enumerate(exponents))
-    xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
+    _check_join_size(n)
+    parts = sorted(all_partitions(n), key=lambda p: -p.num_blocks)
+    ncs = [p for p in parts if is_noncrossing(p)]
+    crossing = [p for p in parts if not is_noncrossing(p)]
+    # Finest first makes Z1 upper unitriangular: a noncrossing sigma
+    # strictly above a has fewer blocks, so it sits later in ncs.
+    # Back-substitution fills W from the coarsest row up.
+    w: list[list[int]] = [[]] * len(ncs)
+    for i in range(len(ncs) - 1, -1, -1):
+        row = [int(refines(ncs[i], s)) for s in crossing]
+        for j in range(i + 1, len(ncs)):
+            if refines(ncs[i], ncs[j]):
+                row = [r - v for r, v in zip(row, w[j])]
+        w[i] = row
+    supports = [[(i, v) for i, v in enumerate(row) if v] for row in w]
+    # H is block diagonal: crossing partitions i and j interact only through
+    # a row w_a with both in its support, and det H is the product of the
+    # blocks' determinants (at n = 6 the largest block is 26 x 26 of 71).
+    group = [{i} for i in range(len(crossing))]
+    for support in supports:
+        merged = set().union(*(group[i] for i, _ in support))
+        for i in merged:
+            group[i] = merged
+    diagonal_blocks = {min(g): sorted(g) for g in group}.values()
+    size = len(crossing)
+    bound = sum(a.num_blocks - 1 for a in ncs)
+    xs = [n + k // 2 if k % 2 == 0 else -(k + 1) // 2 for k in range(bound + 1)]
     ys = []
     for x in xs:
-        powers = [x**e for e in range(n)]
-        ys.append(
-            det_bareiss(SquareMatrix([[powers[e] for e in row] for row in exponents]))
-        )
-    return Poly.monomial(len(exponents)) * Poly.interpolate(xs, ys)
+        h = [[0] * size for _ in range(size)]
+        for a, support in zip(ncs, supports):
+            weight = _falling(x - a.num_blocks, n - a.num_blocks)
+            for i, u in support:
+                for j, v in support:
+                    h[i][j] += weight * u * v
+        for i, s in enumerate(crossing):
+            h[i][i] += _falling(x - s.num_blocks, n - s.num_blocks)
+        value = 1
+        for block in diagonal_blocks:
+            value *= det_bareiss(SquareMatrix([[h[i][j] for j in block] for i in block]))
+        for a in parts:
+            value *= _falling(x, a.num_blocks)
+        y, r = divmod(value, _falling(x, n) ** size * x ** len(ncs))
+        if r:
+            raise InexactDivisionError(f"det M({x}) / (x^rows L^|X|) is not an integer")
+        ys.append(y)
+    return Poly.monomial(len(ncs)) * Poly.interpolate(xs, ys)
 
 
 def beraha(n: int) -> Poly:

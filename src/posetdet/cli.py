@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import randgen
-from .chromatic import verify_chromatic_join_det
+from .chromatic import JOIN_MATRIX_MAX, JOIN_MATRIX_MIN, verify_chromatic_join_det
 from .identities import (
     FAIL,
     HYPOTHESIS_FAILED,
@@ -129,7 +129,7 @@ def run_lindstrom(args, rng) -> list[IdentityReport]:
         cases = 100 if args.cases is None else args.cases
         max_size = 6 if args.max_size is None else args.max_size
         posets = [
-            randgen.random_meet_semilattice(rng, rng.randint(1, max_size))
+            randgen.sample_meet_semilattice(rng, rng.randint(1, max_size))
             for _ in range(cases)
         ]
     return [_check_meet(p, randgen.random_incidence(rng, p)) for p in posets]
@@ -348,7 +348,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify one identity family")
     verify.add_argument("identity", choices=IDENTITY_NAMES)
-    verify.add_argument("--n", type=int, default=None, help="size parameter")
+    verify.add_argument(
+        "--n",
+        type=int,
+        default=None,
+        help=(
+            f"size: apostol and daniloff 1..{MAX_ELEMENTS} (default 1..10 each),"
+            f" tutte {JOIN_MATRIX_MIN}..{JOIN_MATRIX_MAX} (default 3)"
+        ),
+    )
     verify.add_argument("--k", type=int, default=None, help="exponent parameter")
     verify.add_argument(
         "--set",

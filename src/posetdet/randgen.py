@@ -13,6 +13,9 @@ from .arith import divisors
 from .lgv import WeightedDigraph, nonintersecting_families
 from .poset import IncidenceFunction, Poset, divisor_poset
 
+# Largest semilattice size drawn by rejection; see sample_meet_semilattice.
+REJECTION_MAX_SIZE = 6
+
 
 def random_poset(rng: random.Random, n: int) -> Poset:
     covers = [
@@ -59,6 +62,42 @@ def random_meet_semilattice(
         if p.is_meet_semilattice():
             return p
     raise ValueError(f"could not sample a meet semilattice on {n} elements")
+
+
+def grown_meet_semilattice(rng: random.Random, n: int) -> Poset:
+    """Random meet semilattice on exactly n elements, built one element at
+    a time with no rejection.
+
+    Element 0 is the bottom.  Element j goes on top of the down-set I of
+    one or two random earlier elements; it then has a meet with every
+    earlier y exactly when I & down(y) has a greatest element.  When that
+    fails, j goes on top of the first pick alone, which always works:
+    down(z) & down(y) = down(z ^ y).
+    """
+    below: list[set[int]] = [{0}]
+    covers: list[tuple[int, int]] = []
+    for j in range(1, n):
+        picks = rng.sample(range(j), min(j, rng.randint(1, 2)))
+        ideal = set().union(*(below[z] for z in picks))
+        for y in range(j):
+            common = ideal & below[y]
+            if not any(len(below[m]) == len(common) for m in common):
+                picks = picks[:1]
+                ideal = set(below[picks[0]])
+                break
+        covers += [(z, j) for z in picks]
+        below.append(ideal | {j})
+    return Poset.from_covers(n, covers)
+
+
+def sample_meet_semilattice(rng: random.Random, n: int) -> Poset:
+    """Random meet semilattice on n elements: by rejection up to
+    REJECTION_MAX_SIZE elements, where it accepts quickly and the golden
+    output pins its seeded draws, and grown constructively above it, where
+    almost every rejection draw fails."""
+    if n <= REJECTION_MAX_SIZE:
+        return random_meet_semilattice(rng, n)
+    return grown_meet_semilattice(rng, n)
 
 
 def random_factor_closed_set(

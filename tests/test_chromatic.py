@@ -3,6 +3,7 @@ import pytest
 from posetdet.arith import binomial
 from posetdet.chromatic import (
     SetPartition,
+    _join_block_counts,
     all_partitions,
     beraha,
     chromatic_join_det,
@@ -190,6 +191,56 @@ def test_chromatic_join_det_matches_poly_bareiss_oracle():
         assert chromatic_join_det(n) == det_bareiss(chromatic_join_matrix(n))
 
 
+def join_table_det(n):
+    """Oracle that never leaves the C_n x C_n join table: q^rows times the
+    interpolant of its integer Bareiss dets, exponents lowered by one, at
+    the D + 1 integers of smallest magnitude."""
+    exponents = [[b - 1 for b in row] for row in _join_block_counts(n)]
+    bound = sum(row[i] for i, row in enumerate(exponents))
+    xs = [(k + 1) // 2 if k % 2 else -(k // 2) for k in range(bound + 1)]
+    ys = []
+    for x in xs:
+        powers = [x**e for e in range(n)]
+        ys.append(
+            det_bareiss(SquareMatrix([[powers[e] for e in row] for row in exponents]))
+        )
+    return Poly.monomial(len(exponents)) * Poly.interpolate(xs, ys)
+
+
+def test_join_table_oracle_matches_poly_bareiss():
+    for n in (2, 3, 4):
+        assert join_table_det(n) == det_bareiss(chromatic_join_matrix(n))
+
+
+def test_chromatic_join_det_matches_join_table_oracle():
+    for n in (2, 3, 4, 5):
+        assert chromatic_join_det(n) == join_table_det(n)
+
+
+def falling(x, k):
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out
+
+
+def test_join_matrix_is_an_incidence_product_over_the_partition_lattice():
+    # M(x) = Z D Z^T: Z[a, sigma] = [a refines sigma] over NC(n) x Pi_n and
+    # D = diag((x)_blocks(sigma)), so the chromatic join matrix is the main
+    # theorem's incidence-product matrix on the dual of Pi_n
+    for n in (2, 3, 4, 5):
+        ncs = noncrossing_partitions(n)
+        parts = all_partitions(n)
+        z = [[int(refines(a, s)) for s in parts] for a in ncs]
+        m = chromatic_join_matrix(n)
+        for x in (7, -3):
+            d = [falling(x, s.num_blocks) for s in parts]
+            for i in range(len(ncs)):
+                for j in range(len(ncs)):
+                    zdz = sum(z[i][k] * d[k] * z[j][k] for k in range(len(parts)))
+                    assert m[i, j].evaluate(x) == zdz
+
+
 def test_chromatic_join_det_degree_and_lowest_power():
     # degree is the diagonal's block sum, the interpolation bound plus one q
     # per row, and the lowest nonzero power is exactly q^rows
@@ -207,6 +258,7 @@ def test_out_of_range_raises_before_any_evaluation(monkeypatch):
     def forbidden(*args):
         raise AssertionError("evaluated an out-of-range chromatic join matrix")
 
+    monkeypatch.setattr(chromatic, "all_partitions", forbidden)
     monkeypatch.setattr(chromatic, "noncrossing_partitions", forbidden)
     monkeypatch.setattr(chromatic, "det_bareiss", forbidden)
     for n in (1, 7):

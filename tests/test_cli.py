@@ -1,6 +1,7 @@
 import functools
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -390,10 +391,27 @@ def test_divisor_order_above_poset_cap_exits_two(capsys, argv):
 def test_semilattice_sampler_giving_up_exits_two(capsys, monkeypatch):
     sampler = functools.partial(cli.randgen.random_meet_semilattice, max_tries=1)
     monkeypatch.setattr(cli.randgen, "random_meet_semilattice", sampler)
-    code, out, err = run(capsys, "verify", "lindstrom", "--max-size", "40", "--cases", "20")
+    # only sizes up to REJECTION_MAX_SIZE are drawn by rejection; at seed 42
+    # the 50 draws include a 5-element one that one try does not accept
+    code, out, err = run(capsys, "verify", "lindstrom", "--max-size", "6", "--cases", "50")
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: could not sample a meet semilattice on ")
+
+
+def test_verify_lindstrom_at_the_poset_cap_is_grown_not_rejected(capsys, monkeypatch):
+    sampler = cli.randgen.random_meet_semilattice
+
+    def rejection(rng, n, max_tries=5000):
+        assert n <= cli.randgen.REJECTION_MAX_SIZE, f"rejection sampling {n} elements"
+        return sampler(rng, n, max_tries)
+
+    monkeypatch.setattr(cli.randgen, "random_meet_semilattice", rejection)
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "lindstrom", "--max-size", "64", "--cases", "5")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 5
+    assert time.perf_counter() - started < 10
 
 
 # Each mutation breaks one producer of a report; the verifier must then
@@ -454,3 +472,11 @@ def test_verify_output_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "main", "--cases", "10", "--seed", "5")
     _, second, _ = run(capsys, "verify", "main", "--cases", "10", "--seed", "5")
     assert first == second
+
+
+def test_n_help_names_the_enforced_ranges(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "apostol and daniloff 1..64" in text
+    assert "tutte 2..6" in text

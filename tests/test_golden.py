@@ -38,6 +38,9 @@ GOLDEN = [
     ("verify tutte --n 4 --machine", "00850bc12b4c5215f7573ffc89806ef146841f05e0495b30328e70ea4586358b"),
     ("verify tutte --n 5", "4914e287f5c8ea26aa18177aa5ae7dfff3303387451154a8173336d21dccccac"),
     ("verify tutte --n 5 --machine", "e37bfa79de629815cb1b14bf9f83128e42274e44135810affc733dfb91992753"),
+    # recorded from the C_n x C_n join-table evaluation (about 9 min); plain
+    # output only, so the suite runs n = 6 once
+    ("verify tutte --n 6", "9d200b1c06b144f2ea674c5d4b50489036e75c29473e4c88e34b29139bb1dcbb"),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

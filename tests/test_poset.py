@@ -17,7 +17,13 @@ from posetdet.poset import (
     poset_to_dict,
     zeta_function,
 )
-from posetdet.randgen import random_meet_semilattice, random_poset
+from posetdet.randgen import (
+    REJECTION_MAX_SIZE,
+    grown_meet_semilattice,
+    random_meet_semilattice,
+    random_poset,
+    sample_meet_semilattice,
+)
 from posetdet.ring import Poly
 
 
@@ -130,6 +136,27 @@ def test_divisor_poset_checks_the_count_before_building_the_order():
 def test_random_meet_semilattice_gives_up_with_value_error():
     with pytest.raises(ValueError, match="on 40 elements"):
         random_meet_semilattice(random.Random(0), 40, max_tries=3)
+
+
+def test_meet_semilattice_samplers_hit_the_requested_size():
+    rng = random.Random(7)
+    multi_cover = 0
+    for n in list(range(1, 65, 3)) + [64] * 3:
+        for draw in (grown_meet_semilattice, sample_meet_semilattice):
+            p = draw(rng, n)
+            assert p.n == n
+            assert p.is_meet_semilattice()
+            heads = [b for _, b in p.cover_pairs()]
+            multi_cover += len(heads) - len(set(heads))
+    # not only trees: some element covers two others
+    assert multi_cover > 0
+
+
+def test_sample_meet_semilattice_keeps_rejection_draws_up_to_six():
+    for n in range(1, REJECTION_MAX_SIZE + 1):
+        a, b = random.Random(n), random.Random(n)
+        assert sample_meet_semilattice(a, n) == random_meet_semilattice(b, n)
+        assert a.random() == b.random()
 
 
 def test_zeta_and_delta_singleton():
