@@ -49,6 +49,7 @@ from .lgv import (
     family_weight,
     iter_paths,
     nonintersecting_families,
+    nonintersecting_weights,
     path_weight,
     path_weight_sum,
     path_weight_sum_dp,

@@ -2,13 +2,16 @@
 families, and the determinant identity that ties them together.
 
 Path-sum matrices come from dynamic programming over a topological order.
-Nonintersecting families are found by exhaustive enumeration, which is
-also the test oracle for the path sums; graphs here are
-verification-sized.
+The weight of the nonintersecting families, per sink permutation, comes
+from one exhaustive depth-first search that carries each family's weight
+down the trail (``nonintersecting_weights``).  Enumerating every path and
+family (``iter_paths``, ``nonintersecting_families``) is the test oracle
+for both; graphs here are verification-sized.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +56,9 @@ class WeightedDigraph:
                 raise ValueError("arc weights must share one ring tag")
         self._weights = weights
         self._succ = tuple(tuple(sorted(s)) for s in succ)
+        self._weighted_succ = tuple(
+            tuple((v, weights[(u, v)]) for v in s) for u, s in enumerate(self._succ)
+        )
         self._topo = self._topological_order()
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
@@ -72,16 +78,15 @@ class WeightedDigraph:
         indeg = [0] * self.n
         for _, v in self._weights:
             indeg[v] += 1
-        ready = sorted(v for v in range(self.n) if indeg[v] == 0)
+        ready = [v for v in range(self.n) if indeg[v] == 0]
         order = []
         while ready:
-            u = ready.pop(0)
+            u = heapq.heappop(ready)
             order.append(u)
             for v in self._succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    ready.append(v)
-            ready.sort()
+                    heapq.heappush(ready, v)
         if len(order) != self.n:
             raise ValueError("digraph has a directed cycle")
         return tuple(order)
@@ -91,6 +96,10 @@ class WeightedDigraph:
 
     def successors(self, u: int) -> tuple[int, ...]:
         return self._succ[u]
+
+    def weighted_successors(self, u: int) -> tuple[tuple[int, RingValue], ...]:
+        """Pairs (v, weight of arc u -> v), in the order of successors(u)."""
+        return self._weighted_succ[u]
 
     def arc_weight(self, u: int, v: int) -> RingValue:
         try:
@@ -155,8 +164,8 @@ def path_weight_sum_dp(d: WeightedDigraph, u: int, v: int) -> RingValue:
         amount = ways.get(w)
         if amount is None:
             continue
-        for x in d.successors(w):
-            ways[x] = ways.get(x, zero) + amount * d.arc_weight(w, x)
+        for x, weight in d.weighted_successors(w):
+            ways[x] = ways.get(x, zero) + amount * weight
     return ways.get(v, zero)
 
 
@@ -227,19 +236,72 @@ def nonintersecting_families(
     return out
 
 
+def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingValue]:
+    """Sum of family weights per sink permutation, over every vertex-disjoint
+    path family: the per-permutation sums of family_weight over
+    nonintersecting_families(d), without building a path or a family.
+
+    One exhaustive depth-first search places the sources in order.  From
+    each source it walks unused vertices, multiplying the running weight by
+    each arc's weight, and a path ends at the first sink it reaches.  Every
+    source and sink lies on exactly one path of a family, at its end, so no
+    path passes through a terminal: the sources are blocked from the start
+    and a sink is never walked past.  A permutation is a key exactly when
+    some family realises it, even when its weights sum to zero.
+    """
+    k = len(d.sources)
+    if k == 0:
+        raise ValueError("digraph has no designated sources")
+    if d.n > ALL_PERMS_VERTEX_CAP:
+        raise ValueError(
+            f"all-permutation enumeration capped at {ALL_PERMS_VERTEX_CAP} vertices"
+        )
+    sink_index = {t: j for j, t in enumerate(d.sinks)}
+    succ = d._weighted_succ
+    zero = zero_like(d.one)
+    used = [False] * d.n
+    for s in d.sources:
+        used[s] = True
+    perm = [0] * k
+    out: dict[tuple[int, ...], RingValue] = {}
+
+    def place(i: int, acc: RingValue) -> None:
+        if i == k:
+            key = tuple(perm)
+            out[key] = out.get(key, zero) + acc
+        else:
+            walk(i, d.sources[i], acc)
+
+    def walk(i: int, w: int, acc: RingValue) -> None:
+        for x, weight in succ[w]:
+            if used[x]:
+                continue
+            j = sink_index.get(x)
+            used[x] = True
+            if j is None:
+                walk(i, x, acc * weight)
+            else:
+                perm[i] = j
+                place(i + 1, acc * weight)
+            used[x] = False
+
+    place(0, d.one)
+    return out
+
+
 def verify_stembridge(d: WeightedDigraph) -> IdentityReport:
     """Check det of the path-sum matrix against the sum of nonintersecting
     family weights.
 
     The hypothesis that only the identity permutation admits a
-    nonintersecting family is checked by enumeration, not assumed; when it
-    fails the report carries the hypothesis-failed verdict instead of a
-    pass/fail on the identity.
+    nonintersecting family is checked by exhaustive search, not assumed;
+    when it fails the report carries the hypothesis-failed verdict instead
+    of a pass/fail on the identity.
     """
-    families = nonintersecting_families(d)
+    weights = nonintersecting_weights(d)
     n = len(d.sources)
     identity = tuple(range(n))
-    if any(f.perm != identity for f in families):
+    if any(perm != identity for perm in weights):
         return IdentityReport(
             name="stembridge",
             computed=None,
@@ -249,10 +311,7 @@ def verify_stembridge(d: WeightedDigraph) -> IdentityReport:
             detail="(a nonidentity permutation admits a nonintersecting family)",
         )
     det = det_bareiss(stembridge_matrix(d))
-    total = zero_like(d.one)
-    for f in families:
-        total = total + family_weight(d, f)
-    return make_report("stembridge", n, det, total)
+    return make_report("stembridge", n, det, weights.get(identity, zero_like(d.one)))
 
 
 def three_layer_digraph(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .arith import divisors
-from .lgv import WeightedDigraph, nonintersecting_families
+from .lgv import WeightedDigraph, nonintersecting_weights
 from .poset import IncidenceFunction, Poset, divisor_poset
 
 # Largest semilattice size drawn by rejection; see sample_meet_semilattice.
@@ -158,7 +158,7 @@ def random_hypothesis_digraph(
     rng: random.Random, max_tries: int = 2000
 ) -> WeightedDigraph:
     """Small random DAG whose designated terminals satisfy the
-    only-the-identity-permutation hypothesis, checked by enumeration."""
+    only-the-identity-permutation hypothesis, checked by exhaustive search."""
     for _ in range(max_tries):
         n = rng.randint(2, 10)
         k = rng.randint(1, min(3, n // 2))
@@ -175,6 +175,6 @@ def random_hypothesis_digraph(
             sinks=tuple(range(n - k, n)),
         )
         identity = tuple(range(k))
-        if all(f.perm == identity for f in nonintersecting_families(d)):
+        if all(perm == identity for perm in nonintersecting_weights(d)):
             return d
     raise RuntimeError("could not sample a digraph satisfying the hypothesis")

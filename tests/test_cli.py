@@ -319,6 +319,17 @@ def test_mistyped_digraph_file_exits_two(tmp_path, capsys, change):
     assert err.startswith("error: ")
 
 
+def test_stembridge_digraph_above_vertex_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "digraph.json"
+    path.write_text(
+        json.dumps({"vertices": 19, "arcs": [[0, 18, 1]], "sources": [0], "sinks": [18]})
+    )
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: all-permutation enumeration capped at 18 vertices\n"
+
+
 @pytest.mark.parametrize("cases", [None, "0"])
 def test_three_layer_max_size_above_family_cap_is_rejected(capsys, cases):
     argv = ["verify", "three-layer", "--max-size", "7"]
@@ -414,11 +425,17 @@ def test_verify_lindstrom_at_the_poset_cap_is_grown_not_rejected(capsys, monkeyp
     assert time.perf_counter() - started < 10
 
 
+def _bump_identity_weight(d, weights):
+    identity = tuple(range(len(d.sources)))
+    return {**weights, identity: weights.get(identity, 0) + 1}
+
+
 # Each mutation breaks one producer of a report; the verifier must then
-# report FAIL, name a reproduction and exit 1.
+# report FAIL, name a reproduction and exit 1.  A callable bump maps the
+# producer's first argument and result to the mutated result.
 MUTATIONS = [
     (cli, "totient_product", 1, ["verify", "smith", "--set", "1,2,3,4"]),
-    (lgv, "family_weight", 1, ["verify", "stembridge", "--cases", "5"]),
+    (lgv, "nonintersecting_weights", _bump_identity_weight, ["verify", "stembridge", "--cases", "5"]),
     (cli, "family_weight", 1, ["verify", "three-layer"]),
     (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
     (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),
@@ -433,7 +450,12 @@ MUTATIONS = [
 )
 def test_mutation_is_reported_as_a_violation(capsys, monkeypatch, module, attr, bump, argv):
     original = getattr(module, attr)
-    monkeypatch.setattr(module, attr, lambda *args: original(*args) + bump)
+
+    def mutated(*args):
+        out = original(*args)
+        return bump(args[0], out) if callable(bump) else out + bump
+
+    monkeypatch.setattr(module, attr, mutated)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_VIOLATION
     assert any(line.startswith("FAIL ") for line in out.splitlines())

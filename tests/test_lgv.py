@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from posetdet.lgv import (
     digraph_to_dict,
     family_weight,
     nonintersecting_families,
+    nonintersecting_weights,
     path_weight,
     path_weight_sum,
     path_weight_sum_dp,
@@ -23,13 +26,15 @@ from posetdet.lgv import (
     verify_stembridge,
 )
 from posetdet.matrix import SquareMatrix
-from posetdet.poset import Poset, zeta_function
+from posetdet.poset import Poset, poset_from_dict, zeta_function
 from posetdet.randgen import (
     random_hypothesis_digraph,
     random_incidence,
     random_poset,
 )
-from posetdet.ring import Poly
+from posetdet.ring import Poly, zero_like
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def diamond():
@@ -193,6 +198,85 @@ def test_all_permutation_vertex_cap():
     with pytest.raises(ValueError):
         nonintersecting_families(d)
     assert nonintersecting_families(d, perm=(0,)) != []
+
+
+def test_nonintersecting_weights_cap_and_sources():
+    d = WeightedDigraph(19, [(0, 1, 1)], sources=(0,), sinks=(1,))
+    with pytest.raises(ValueError, match="capped at 18 vertices"):
+        nonintersecting_weights(d)
+    with pytest.raises(ValueError, match="no designated sources"):
+        nonintersecting_weights(WeightedDigraph(2, [(0, 1, 1)]))
+
+
+def _family_weight_sums(d):
+    """Per-permutation sums of family_weight over the enumerated families."""
+    sums = {}
+    for f in nonintersecting_families(d):
+        sums[f.perm] = sums.get(f.perm, zero_like(d.one)) + family_weight(d, f)
+    return sums
+
+
+def test_nonintersecting_weights_match_enumeration():
+    rng = random.Random("weights-vs-families")
+    ks, several_perms, zero_sums = set(), 0, 0
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, min(3, n // 2))
+        # sources from the first half and sinks from the second, each in
+        # a random order, so that most draws have paths to cross
+        sources = rng.sample(range(n // 2), k)
+        sinks = rng.sample(range(n - n // 2, n), k)
+        arcs = random_dag(rng, n, density=rng.choice((0.3, 0.5, 0.7))).arcs()
+        d = WeightedDigraph(n, arcs, sources=sources, sinks=sinks)
+        ks.add(k)
+        weights = nonintersecting_weights(d)
+        assert weights == _family_weight_sums(d)
+        poly = _with_poly_weights(d)
+        assert nonintersecting_weights(poly) == _family_weight_sums(poly)
+        several_perms += len(weights) > 1
+        zero_sums += 0 in weights.values()
+    # the draws reach every terminal count, mixed permutations and
+    # permutations whose weights cancel
+    assert ks == {1, 2, 3}
+    assert several_perms >= 20 and zero_sums >= 20
+
+
+def test_nonintersecting_weights_keep_a_cancelled_identity():
+    # two routes from 0 to 3 with weights 1 and -1
+    arcs = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, -1)]
+    d = WeightedDigraph(4, arcs, sources=(0,), sinks=(3,))
+    assert len(nonintersecting_families(d)) == 2
+    assert nonintersecting_weights(d) == {(0,): 0}
+    report = verify_stembridge(d)
+    assert report.passed and report.computed == 0
+
+
+def test_nonintersecting_weights_hand_cases():
+    assert nonintersecting_weights(diamond()) == {(0,): 2}
+    assert nonintersecting_weights(two_paths()) == {(0, 1): 6}
+    assert nonintersecting_weights(shared_middle()) == {}
+    crossed = WeightedDigraph(4, [(0, 3, 2), (1, 2, 5)], sources=(0, 1), sinks=(2, 3))
+    assert nonintersecting_weights(crossed) == {(1, 0): 10}
+
+
+def test_stembridge_builds_no_path_or_family(monkeypatch):
+    def oracle_only(*args):
+        raise AssertionError("path and family enumeration is the test oracle only")
+
+    for name in ("iter_paths", "nonintersecting_families", "family_weight", "path_weight"):
+        monkeypatch.setattr(lgv, name, oracle_only)
+    assert main(["verify", "stembridge", "--cases", "10"]) == EXIT_OK
+
+
+def test_topological_order_takes_smallest_ready_vertex_first():
+    with open(FIXTURES / "bowtie_poset.json") as fh:
+        p = poset_from_dict(json.load(fh))
+    z = zeta_function(p)
+    d = three_layer_digraph(p, z, z)
+    # sources 0-3, sinks 4-7, middle copies 8-11; a middle copy becomes
+    # ready only after every source above it, a sink after every middle
+    # copy below it
+    assert d.topological_order() == (0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7)
 
 
 def test_verify_stembridge_two_paths():
