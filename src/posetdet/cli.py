@@ -42,14 +42,13 @@ from .identities import (
 from .lgv import (
     ALL_PERMS_VERTEX_CAP,
     digraph_from_dict,
-    family_weight,
-    nonintersecting_families,
+    nonintersecting_weights,
     stembridge_matrix,
     three_layer_digraph,
     verify_stembridge,
 )
 from .matrix import det_bareiss, leading_principal_minors
-from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict
+from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict, zeta_function
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -163,6 +162,7 @@ def run_smith(args, rng) -> list[IdentityReport]:
         values = _parse_set(args.value_set)
         if not values:
             raise ValueError("--set must name at least one integer")
+        gcd_matrix(values)  # validates the values, which is_factor_closed assumes
         if not is_factor_closed(values):
             raise ValueError(
                 "set is not factor closed: the totient-product identity needs every divisor present"
@@ -219,15 +219,17 @@ def run_three_layer(args, rng) -> list[IdentityReport]:
     for _ in range(cases):
         p, f, g = _random_case(rng, max_size)
         d = three_layer_digraph(p, f, g)
-        families = nonintersecting_families(d)
         paths_matrix = stembridge_matrix(d)
         det = det_bareiss(paths_matrix)
         predicted = incidence_product_det(p, f, g)
         report = make_report("three-layer", p.n, det, predicted)
+        # The arcs depend on p alone, so with every weight 1 the search
+        # counts the families of d: exactly one, on the identity.
+        zeta = zeta_function(p)
+        identity = tuple(range(p.n))
         structure_ok = (
-            len(families) == 1
-            and families[0].perm == tuple(range(p.n))
-            and family_weight(d, families[0]) == predicted
+            nonintersecting_weights(three_layer_digraph(p, zeta, zeta)) == {identity: 1}
+            and nonintersecting_weights(d) == {identity: predicted}
             and paths_matrix == incidence_product_matrix(p, f, g)
         )
         if report.passed and not structure_ok:

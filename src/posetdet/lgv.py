@@ -4,24 +4,32 @@ families, and the determinant identity that ties them together.
 Path-sum matrices come from dynamic programming over a topological order.
 The weight of the nonintersecting families, per sink permutation, comes
 from one exhaustive depth-first search that carries each family's weight
-down the trail (``nonintersecting_weights``).  Enumerating every path and
-family (``iter_paths``, ``nonintersecting_families``) is the test oracle
-for both; graphs here are verification-sized.
+down the trail (``nonintersecting_weights``); both ``verify stembridge``
+and ``verify three-layer`` use it.  Enumerating every path and family
+(``iter_paths``, ``path_weight``, ``nonintersecting_families``,
+``family_weight``) is the test oracle only; graphs here are
+verification-sized.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .identities import HYPOTHESIS_FAILED, IdentityReport, make_report
 from .matrix import SquareMatrix, det_bareiss
-from .poset import IncidenceFunction, Poset
+from .poset import IncidenceFunction, Poset, _smallest_first_order
 from .ring import RingValue, one_like, ring_value_from_json, zero_like
 
 # Enumerating families over every permutation is exponential; keep it small.
 ALL_PERMS_VERTEX_CAP = 18
+
+
+def _check_vertex_cap(n: int) -> None:
+    if n > ALL_PERMS_VERTEX_CAP:
+        raise ValueError(
+            f"all-permutation enumeration capped at {ALL_PERMS_VERTEX_CAP} vertices"
+        )
 
 
 class WeightedDigraph:
@@ -39,7 +47,7 @@ class WeightedDigraph:
             raise ValueError("digraph needs at least one vertex")
         self.n = n
         weights: dict[tuple[int, int], RingValue] = {}
-        succ: list[list[int]] = [[] for _ in range(n)]
+        succ: list[list[tuple[int, RingValue]]] = [[] for _ in range(n)]
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range")
@@ -48,18 +56,20 @@ class WeightedDigraph:
             if (u, v) in weights:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             weights[(u, v)] = w
-            succ[u].append(v)
+            succ[u].append((v, w))
         first = next(iter(weights.values()), None)
         self.one = 1 if first is None else one_like(first)
         for w in weights.values():
             if type(w) is not type(self.one):
                 raise ValueError("arc weights must share one ring tag")
         self._weights = weights
-        self._succ = tuple(tuple(sorted(s)) for s in succ)
-        self._weighted_succ = tuple(
-            tuple((v, weights[(u, v)]) for v in s) for u, s in enumerate(self._succ)
+        # the heads in one list are distinct, so sorting never compares weights
+        self._weighted_succ = tuple(tuple(sorted(s)) for s in succ)
+        self._topo = _smallest_first_order(
+            n, [[v for v, _ in s] for s in self._weighted_succ]
         )
-        self._topo = self._topological_order()
+        if len(self._topo) != n:
+            raise ValueError("digraph has a directed cycle")
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
         for v in self.sources + self.sinks:
@@ -74,28 +84,11 @@ class WeightedDigraph:
         if len(self.sources) != len(self.sinks):
             raise ValueError("need as many sinks as sources")
 
-    def _topological_order(self) -> tuple[int, ...]:
-        indeg = [0] * self.n
-        for _, v in self._weights:
-            indeg[v] += 1
-        ready = [v for v in range(self.n) if indeg[v] == 0]
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for v in self._succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        if len(order) != self.n:
-            raise ValueError("digraph has a directed cycle")
-        return tuple(order)
-
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
 
     def successors(self, u: int) -> tuple[int, ...]:
-        return self._succ[u]
+        return tuple(v for v, _ in self._weighted_succ[u])
 
     def weighted_successors(self, u: int) -> tuple[tuple[int, RingValue], ...]:
         """Pairs (v, weight of arc u -> v), in the order of successors(u)."""
@@ -185,28 +178,18 @@ def family_weight(d: WeightedDigraph, family: PathFamily) -> RingValue:
     return acc
 
 
-def nonintersecting_families(
-    d: WeightedDigraph, perm: Sequence[int] | None = None
-) -> list[PathFamily]:
-    """All vertex-disjoint path families, either for one fixed permutation
-    of the sinks or (perm=None) across every permutation."""
+def nonintersecting_families(d: WeightedDigraph) -> list[PathFamily]:
+    """All vertex-disjoint path families across every permutation of the
+    sinks; the test oracle for nonintersecting_weights."""
     n = len(d.sources)
     if n == 0:
         raise ValueError("digraph has no designated sources")
-    if perm is not None:
-        perm = tuple(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm must permute 0..n-1")
-    elif d.n > ALL_PERMS_VERTEX_CAP:
-        raise ValueError(
-            f"all-permutation enumeration capped at {ALL_PERMS_VERTEX_CAP} vertices"
-        )
+    _check_vertex_cap(d.n)
     paths = [
         [list(iter_paths(d, s, t)) for t in d.sinks] for s in d.sources
     ]
     out: list[PathFamily] = []
     assignment = [-1] * n
-    taken_sinks = [False] * n
     used: set[int] = set()
     chosen: list[tuple[int, ...]] = []
 
@@ -214,23 +197,17 @@ def nonintersecting_families(
         if i == n:
             out.append(PathFamily(tuple(assignment), tuple(chosen)))
             return
-        if perm is not None:
-            targets = [perm[i]]
-        else:
-            targets = [j for j in range(n) if not taken_sinks[j]]
-        for j in targets:
+        # a taken sink is a used vertex, so each sink serves one path
+        for j in range(n):
             for path in paths[i][j]:
                 if any(x in used for x in path):
                     continue
                 assignment[i] = j
-                taken_sinks[j] = True
                 used.update(path)
                 chosen.append(path)
                 assign(i + 1)
                 chosen.pop()
                 used.difference_update(path)
-                taken_sinks[j] = False
-                assignment[i] = -1
 
     assign(0)
     return out
@@ -252,10 +229,7 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
     k = len(d.sources)
     if k == 0:
         raise ValueError("digraph has no designated sources")
-    if d.n > ALL_PERMS_VERTEX_CAP:
-        raise ValueError(
-            f"all-permutation enumeration capped at {ALL_PERMS_VERTEX_CAP} vertices"
-        )
+    _check_vertex_cap(d.n)
     sink_index = {t: j for j, t in enumerate(d.sinks)}
     succ = d._weighted_succ
     zero = zero_like(d.one)
@@ -358,7 +332,8 @@ def digraph_to_dict(d: WeightedDigraph) -> dict:
 
 
 def digraph_from_dict(doc: dict) -> WeightedDigraph:
-    """Inverse of digraph_to_dict."""
+    """Inverse of digraph_to_dict, for digraphs the family search accepts:
+    the vertex cap is checked before any per-vertex table is built."""
     required = {"vertices", "arcs", "sources", "sinks"}
     if not isinstance(doc, dict) or not required <= set(doc):
         raise ValueError(
@@ -366,6 +341,7 @@ def digraph_from_dict(doc: dict) -> WeightedDigraph:
         )
     if type(doc["vertices"]) is not int:
         raise ValueError('"vertices" must be an integer')
+    _check_vertex_cap(doc["vertices"])
     for key in ("arcs", "sources", "sinks"):
         if not isinstance(doc[key], list):
             raise ValueError(f'"{key}" must be a list')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping, Sequence
 
 from .ring import RingValue, ring_value_from_json, zero_like
@@ -12,6 +13,33 @@ MAX_ELEMENTS = 64
 
 class MeetError(ValueError):
     """A pair has no unique greatest lower bound."""
+
+
+def _check_size(n: int) -> None:
+    if n == 0:
+        raise ValueError("poset needs at least one element")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"poset too large ({n} > {MAX_ELEMENTS})")
+
+
+def _smallest_first_order(n: int, succ: Sequence[Iterable[int]]) -> tuple[int, ...]:
+    """Kahn's algorithm on 0..n-1 with arcs u -> succ[u], taking the
+    smallest ready index first so the order is deterministic.  The result
+    is shorter than n exactly when the arcs contain a directed cycle."""
+    indeg = [0] * n
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return tuple(order)
 
 
 class Poset:
@@ -29,10 +57,7 @@ class Poset:
         host_map: tuple[int, ...] | None = None,
     ):
         n = len(leq)
-        if n == 0:
-            raise ValueError("poset needs at least one element")
-        if n > MAX_ELEMENTS:
-            raise ValueError(f"poset too large ({n} > {MAX_ELEMENTS})")
+        _check_size(n)
         rows = tuple(tuple(bool(x) for x in row) for row in leq)
         if any(len(row) != n for row in rows):
             raise ValueError("relation must be square")
@@ -51,7 +76,9 @@ class Poset:
         self._below = tuple(
             frozenset(a for a in range(n) if rows[a][b]) for b in range(n)
         )
-        self.lin_ext = self._linear_extension()
+        self.lin_ext = _smallest_first_order(
+            n, [self._above[a] - {a} for a in range(n)]
+        )
         self._position = {e: i for i, e in enumerate(self.lin_ext)}
         self._meet_semilattice: bool | None = None
 
@@ -71,22 +98,6 @@ class Poset:
                         if leq[b][c] and not leq[a][c]:
                             raise ValueError("relation is not transitive")
 
-    def _linear_extension(self) -> tuple[int, ...]:
-        # Repeatedly remove a minimal element, lowest index first, so the
-        # output is deterministic.
-        remaining = set(range(self.n))
-        order = []
-        while remaining:
-            minimal = [
-                e
-                for e in remaining
-                if all(x == e or not self._leq[x][e] for x in remaining)
-            ]
-            pick = min(minimal)
-            order.append(pick)
-            remaining.remove(pick)
-        return tuple(order)
-
     @classmethod
     def from_covers(
         cls,
@@ -98,6 +109,7 @@ class Poset:
 
         Raises ValueError when the covers contain a directed cycle.
         """
+        _check_size(n)
         covers = list(covers)
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
@@ -231,8 +243,7 @@ def divisor_poset(values: Sequence[int]) -> Poset:
     vals = list(values)
     if not vals:
         raise ValueError("need at least one value")
-    if len(vals) > MAX_ELEMENTS:
-        raise ValueError(f"poset too large ({len(vals)} > {MAX_ELEMENTS})")
+    _check_size(len(vals))
     if any(v < 1 for v in vals):
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
@@ -269,8 +280,6 @@ class IncidenceFunction:
         self._table = table
 
     def __call__(self, a: int, b: int) -> RingValue:
-        if not self.host.leq(a, b):
-            return self.zero
         return self._table.get((a, b), self.zero)
 
     def items(self):

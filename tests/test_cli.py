@@ -7,6 +7,7 @@ import pytest
 
 from posetdet import chromatic, cli, lgv
 from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from posetdet.poset import IncidenceFunction
 from posetdet.ring import Poly
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -251,6 +252,27 @@ def test_cyclic_poset_file(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", [["mobius"], ["verify", "main", "--poset"]], ids=" ".join)
+def test_oversized_poset_file_is_rejected_before_the_relation(tmp_path, capsys, command):
+    # 65 labels whose covers form one cycle: the size check comes first
+    n = 65
+    doc = {"labels": [f"e{i}" for i in range(n)], "covers": [[i, (i + 1) % n] for i in range(n)]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: poset too large (65 > 64)\n"
+
+
+@pytest.mark.parametrize("value_set", ["0,1", "-2,1"])
+def test_smith_set_with_nonpositive_value_exits_two(capsys, value_set):
+    code, out, err = run(capsys, "verify", "smith", f"--set={value_set}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: values must be positive\n"
+
+
 def test_bad_set_argument(capsys):
     code, out, err = run(capsys, "verify", "smith", "--set", "1,x")
     assert code == EXIT_INPUT
@@ -324,6 +346,19 @@ def test_stembridge_digraph_above_vertex_cap_exits_two(tmp_path, capsys):
     path.write_text(
         json.dumps({"vertices": 19, "arcs": [[0, 18, 1]], "sources": [0], "sinks": [18]})
     )
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: all-permutation enumeration capped at 18 vertices\n"
+
+
+def test_stembridge_digraph_file_is_capped_before_any_vertex_table(tmp_path, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a digraph before checking the vertex count")
+
+    monkeypatch.setattr(lgv, "WeightedDigraph", no_table)
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps({"vertices": 10**9, "arcs": [], "sources": [0], "sinks": [1]}))
     code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
     assert code == EXIT_INPUT
     assert out == ""
@@ -430,13 +465,19 @@ def _bump_identity_weight(d, weights):
     return {**weights, identity: weights.get(identity, 0) + 1}
 
 
+def _double_incidence(p, f):
+    return IncidenceFunction(p, {pair: 2 * v for pair, v in f.items()})
+
+
 # Each mutation breaks one producer of a report; the verifier must then
 # report FAIL, name a reproduction and exit 1.  A callable bump maps the
 # producer's first argument and result to the mutated result.
 MUTATIONS = [
     (cli, "totient_product", 1, ["verify", "smith", "--set", "1,2,3,4"]),
     (lgv, "nonintersecting_weights", _bump_identity_weight, ["verify", "stembridge", "--cases", "5"]),
-    (cli, "family_weight", 1, ["verify", "three-layer"]),
+    (cli, "nonintersecting_weights", _bump_identity_weight, ["verify", "three-layer"]),
+    # breaks only the family count: weight 2 on every arc of the count search
+    (cli, "zeta_function", _double_incidence, ["verify", "three-layer"]),
     (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
     (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),
     (cli, "incidence_product_det", 1, ["random-suite"]),

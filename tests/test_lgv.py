@@ -168,16 +168,6 @@ def test_nonintersecting_families_shared_middle_is_empty():
     assert nonintersecting_families(shared_middle()) == []
 
 
-def test_nonintersecting_families_fixed_permutation():
-    d = two_paths()
-    fams = nonintersecting_families(d, perm=(0, 1))
-    assert len(fams) == 1
-    assert fams[0].paths == ((0, 2), (1, 3))
-    assert nonintersecting_families(d, perm=(1, 0)) == []
-    with pytest.raises(ValueError):
-        nonintersecting_families(d, perm=(0, 0))
-
-
 def test_families_are_vertex_disjoint_and_match_perm():
     rng = random.Random("disjoint")
     for _ in range(20):
@@ -197,7 +187,6 @@ def test_all_permutation_vertex_cap():
     d = WeightedDigraph(n, [(0, 1, 1)], sources=(0,), sinks=(1,))
     with pytest.raises(ValueError):
         nonintersecting_families(d)
-    assert nonintersecting_families(d, perm=(0,)) != []
 
 
 def test_nonintersecting_weights_cap_and_sources():
@@ -266,6 +255,15 @@ def test_stembridge_builds_no_path_or_family(monkeypatch):
     for name in ("iter_paths", "nonintersecting_families", "family_weight", "path_weight"):
         monkeypatch.setattr(lgv, name, oracle_only)
     assert main(["verify", "stembridge", "--cases", "10"]) == EXIT_OK
+
+
+def test_three_layer_builds_no_path_or_family(monkeypatch):
+    def oracle_only(*args):
+        raise AssertionError("path and family enumeration is the test oracle only")
+
+    for name in ("iter_paths", "nonintersecting_families", "family_weight", "path_weight"):
+        monkeypatch.setattr(lgv, name, oracle_only)
+    assert main(["verify", "three-layer", "--cases", "10"]) == EXIT_OK
 
 
 def test_topological_order_takes_smallest_ready_vertex_first():
@@ -376,6 +374,11 @@ def test_three_layer_unique_family_and_weight():
             assert fam.paths[i] == (e, 2 * p.n + e, p.n + e)
         assert family_weight(d, fam) == incidence_product_det(p, f, g)
         assert verify_stembridge(d).passed
+        # the count search that verify three-layer runs agrees with the
+        # enumeration: one family, on the identity, of the product's weight
+        zeta = zeta_function(p)
+        assert nonintersecting_weights(three_layer_digraph(p, zeta, zeta)) == {fam.perm: 1}
+        assert nonintersecting_weights(d) == _family_weight_sums(d)
 
 
 def test_digraph_json_round_trip():

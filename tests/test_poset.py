@@ -104,6 +104,21 @@ def test_linear_extension_is_consistent():
                     assert pos[a] < pos[b]
 
 
+def test_linear_extension_takes_the_smallest_minimal_element_first():
+    rng = random.Random("smallest-minimal")
+    for _ in range(100):
+        p = random_poset(rng, rng.randint(1, 64))
+        remaining = set(range(p.n))
+        expected = []
+        while remaining:
+            pick = min(
+                e for e in remaining if not any(p.leq(x, e) for x in remaining - {e})
+            )
+            expected.append(pick)
+            remaining.remove(pick)
+        assert p.lin_ext == tuple(expected)
+
+
 def test_divisor_poset_small():
     p = divisor_poset([1, 2, 3, 4])
     assert p.leq(0, 1) and p.leq(0, 2) and p.leq(0, 3)
