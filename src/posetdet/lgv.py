@@ -1,11 +1,14 @@
 """Weighted acyclic digraphs, path-weight sums, nonintersecting path
 families, and the determinant identity that ties them together.
 
-Path-sum matrices come from dynamic programming over a topological order.
-The weight of the nonintersecting families, per sink permutation, comes
-from one exhaustive depth-first search that carries each family's weight
-down the trail (``nonintersecting_weights``); both ``verify stembridge``
-and ``verify three-layer`` use it.  Enumerating every path and family
+Path-sum matrices come from dynamic programming over a topological order,
+one pass per source row (``path_weight_sums``).  The weight of the
+nonintersecting families, per sink permutation, comes from one depth-first
+search that carries each family's weight down the trail
+(``nonintersecting_weights``): it is exhaustive over the first k - 1
+paths, and sums the last path per sink with a walk memoised for the
+vertices those paths use.  Both ``verify stembridge`` and
+``verify three-layer`` use it.  Enumerating every path and family
 (``iter_paths``, ``path_weight``, ``nonintersecting_families``,
 ``family_weight``) is the test oracle only; graphs here are
 verification-sized.
@@ -145,11 +148,13 @@ def path_weight_sum(d: WeightedDigraph, u: int, v: int) -> RingValue:
     return acc
 
 
-def path_weight_sum_dp(d: WeightedDigraph, u: int, v: int) -> RingValue:
-    """Sum of path weights over every directed path from u to v.
+def path_weight_sums(d: WeightedDigraph, u: int) -> dict[int, RingValue]:
+    """Sum of path weights from u to every vertex that u reaches (u itself
+    included, with weight one); unreached vertices are not keys.
 
     Finite because the digraph is finite and acyclic; computed by dynamic
-    programming over a topological order, in O(V + E).
+    programming over a topological order, in O(V + E).  Paths may pass
+    through any vertex, other sources and sinks included.
     """
     zero = zero_like(d.one)
     ways = {u: d.one}
@@ -159,16 +164,22 @@ def path_weight_sum_dp(d: WeightedDigraph, u: int, v: int) -> RingValue:
             continue
         for x, weight in d.weighted_successors(w):
             ways[x] = ways.get(x, zero) + amount * weight
-    return ways.get(v, zero)
+    return ways
+
+
+def path_weight_sum_dp(d: WeightedDigraph, u: int, v: int) -> RingValue:
+    """Sum of path weights over every directed path from u to v."""
+    return path_weight_sums(d, u).get(v, zero_like(d.one))
 
 
 def stembridge_matrix(d: WeightedDigraph) -> SquareMatrix:
-    """Matrix of path-weight sums from source i to sink j."""
+    """Matrix of path-weight sums from source i to sink j, one
+    path_weight_sums pass per source."""
     if not d.sources:
         raise ValueError("digraph has no designated sources")
-    return SquareMatrix(
-        [[path_weight_sum_dp(d, s, t) for t in d.sinks] for s in d.sources]
-    )
+    zero = zero_like(d.one)
+    rows = [path_weight_sums(d, s) for s in d.sources]
+    return SquareMatrix([[row.get(t, zero) for t in d.sinks] for row in rows])
 
 
 def family_weight(d: WeightedDigraph, family: PathFamily) -> RingValue:
@@ -218,13 +229,16 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
     path family: the per-permutation sums of family_weight over
     nonintersecting_families(d), without building a path or a family.
 
-    One exhaustive depth-first search places the sources in order.  From
-    each source it walks unused vertices, multiplying the running weight by
-    each arc's weight, and a path ends at the first sink it reaches.  Every
-    source and sink lies on exactly one path of a family, at its end, so no
-    path passes through a terminal: the sources are blocked from the start
-    and a sink is never walked past.  A permutation is a key exactly when
-    some family realises it, even when its weights sum to zero.
+    An exhaustive depth-first search places the first k - 1 sources in
+    order.  From each source it walks unused vertices, multiplying the
+    running weight by each arc's weight, and a path ends at the first sink
+    it reaches.  Every source and sink lies on exactly one path of a
+    family, at its end, so no path passes through a terminal: the sources
+    are blocked from the start and a sink is never walked past.  The last
+    source's paths are not walked one at a time: once the first k - 1
+    paths are fixed, a walk memoised for that used-vertex set sums them per
+    sink.  A permutation is a key exactly when some family realises it,
+    even when its weights sum to zero.
     """
     k = len(d.sources)
     if k == 0:
@@ -240,11 +254,13 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
     out: dict[tuple[int, ...], RingValue] = {}
 
     def place(i: int, acc: RingValue) -> None:
-        if i == k:
-            key = tuple(perm)
-            out[key] = out.get(key, zero) + acc
-        else:
+        if i < k - 1:
             walk(i, d.sources[i], acc)
+            return
+        for j, total in ends(d.sources[i], {}).items():
+            perm[i] = j
+            key = tuple(perm)
+            out[key] = out.get(key, zero) + acc * total
 
     def walk(i: int, w: int, acc: RingValue) -> None:
         for x, weight in succ[w]:
@@ -258,6 +274,25 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
                 perm[i] = j
                 place(i + 1, acc * weight)
             used[x] = False
+
+    def ends(w: int, memo: dict) -> dict[int, RingValue]:
+        # sink index -> weight of the paths from w over unused vertices
+        # that stop at the first sink they reach; a reached sink is a key
+        # even when its weights cancel
+        if w in memo:
+            return memo[w]
+        got: dict[int, RingValue] = {}
+        for x, weight in succ[w]:
+            if used[x]:
+                continue
+            j = sink_index.get(x)
+            if j is not None:
+                got[j] = got.get(j, zero) + weight
+                continue
+            for j, total in ends(x, memo).items():
+                got[j] = got.get(j, zero) + weight * total
+        memo[w] = got
+        return got
 
     place(0, d.one)
     return out

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import pathlib
 import time
@@ -165,6 +166,32 @@ def test_verify_stembridge_digraph_file(capsys):
     )
     assert code == EXIT_OK
     assert out.splitlines() == ["PASS stembridge det=6 predicted=6"]
+
+
+def test_verify_stembridge_complete_dag_at_vertex_cap(capsys):
+    # one source, one sink, an arc between every ordered pair: 2**16 paths
+    path = fixture("complete18_digraph.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    n = doc["vertices"]
+    indegree = [0] * n
+    weight = {}
+    for u, v, w in doc["arcs"]:
+        indegree[v] += 1
+        weight[(u, v)] = w
+    # in a complete DAG the vertex of in-degree i is i-th in the order
+    order = sorted(range(n), key=indegree.__getitem__)
+    assert order[0] == doc["sources"][0] and order[-1] == doc["sinks"][0]
+    ways = {order[0]: 1}
+    for i, v in enumerate(order[1:], start=1):
+        ways[v] = sum(ways[u] * weight[(u, v)] for u in order[:i])
+    total = ways[order[-1]]
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", path)
+    assert code == EXIT_OK
+    assert out == f"PASS stembridge det={total} predicted={total}\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "15c5f96b69814c21ece488fa6a633e2d257abab199929e67d73ce83cefa830c9"
+    )
 
 
 def test_verify_stembridge_hypothesis_failure(capsys):

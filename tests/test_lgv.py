@@ -21,6 +21,7 @@ from posetdet.lgv import (
     path_weight,
     path_weight_sum,
     path_weight_sum_dp,
+    path_weight_sums,
     stembridge_matrix,
     three_layer_digraph,
     verify_stembridge,
@@ -109,6 +110,46 @@ def test_path_weight_sum_matches_dp():
         for u in range(d.n):
             for v in range(d.n):
                 assert path_weight_sum(d, u, v) == path_weight_sum_dp(d, u, v)
+
+
+def test_path_weight_sums_count_paths_through_other_terminals():
+    rng = random.Random("row-dp")
+    through = 0
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        k = rng.randint(1, n // 2)
+        terminals = rng.sample(range(n), 2 * k)
+        arcs = random_dag(rng, n, density=0.5).arcs()
+        d = WeightedDigraph(n, arcs, sources=terminals[:k], sinks=terminals[k:])
+        for s in d.sources:
+            sums = path_weight_sums(d, s)
+            for t in range(d.n):
+                if t in sums:
+                    assert sums[t] == path_weight_sum(d, s, t)
+                else:
+                    # an unreached vertex is not a key
+                    assert not list(lgv.iter_paths(d, s, t))
+            for t in d.sinks:
+                through += any(
+                    x in terminals for path in lgv.iter_paths(d, s, t) for x in path[1:-1]
+                )
+    # the draws have paths that pass through another source or sink
+    assert through >= 20
+
+
+def test_stembridge_matrix_runs_one_pass_per_source(monkeypatch):
+    passes = []
+    real = lgv.path_weight_sums
+
+    def counted(d, u):
+        passes.append(u)
+        return real(d, u)
+
+    monkeypatch.setattr(lgv, "path_weight_sums", counted)
+    p = random_poset(random.Random("rows"), 6)
+    d = three_layer_digraph(p, zeta_function(p), zeta_function(p))
+    stembridge_matrix(d)
+    assert passes == list(d.sources)
 
 
 def _enumerated_matrix(d):
@@ -238,6 +279,58 @@ def test_nonintersecting_weights_keep_a_cancelled_identity():
     assert nonintersecting_weights(d) == {(0,): 0}
     report = verify_stembridge(d)
     assert report.passed and report.computed == 0
+
+
+def _scaled_by_q(d):
+    """Same digraph with each integer weight w replaced by w * q, so a path
+    of length m carries q**m times its integer weight."""
+    arcs = [(u, v, Poly((0, w))) for u, v, w in d.arcs()]
+    return WeightedDigraph(d.n, arcs, sources=d.sources, sinks=d.sinks)
+
+
+def blocked_by_first_route():
+    """Source 0 reaches sink 4 through 2 (weight 2) or 3 (weight 3); the
+    last source 1 reaches sink 5 only through 3 (weight 5).  Only the route
+    through 2 leaves 3 free, so the families weigh 2 * 5 = 10; a last-source
+    walk remembered from the first partial family would add 3 * 5."""
+    arcs = [(0, 2, 2), (0, 3, 3), (2, 4, 1), (3, 4, 1), (1, 3, 5), (3, 5, 1)]
+    return WeightedDigraph(6, arcs, sources=(0, 1), sinks=(4, 5))
+
+
+def cancelling_last_source():
+    """The last source 1 reaches sink 6 along two routes of weight +1 and
+    -1, and sink 5 along one of weight 3; source 0 has direct arcs to both
+    sinks."""
+    arcs = [
+        (0, 5, 2),
+        (0, 6, 7),
+        (1, 2, 1),
+        (1, 3, 1),
+        (2, 6, 1),
+        (3, 6, -1),
+        (1, 4, 3),
+        (4, 5, 1),
+    ]
+    return WeightedDigraph(7, arcs, sources=(0, 1), sinks=(5, 6))
+
+
+def test_last_source_walk_is_not_reused_across_partial_families():
+    d = blocked_by_first_route()
+    assert nonintersecting_weights(d) == _family_weight_sums(d) == {(0, 1): 10}
+    poly = _scaled_by_q(d)
+    assert nonintersecting_weights(poly) == _family_weight_sums(poly) == {
+        (0, 1): Poly((0, 0, 0, 0, 10))
+    }
+
+
+def test_last_source_keeps_a_reached_sink_whose_weights_cancel():
+    d = cancelling_last_source()
+    assert nonintersecting_weights(d) == _family_weight_sums(d) == {(0, 1): 0, (1, 0): 21}
+    poly = _scaled_by_q(d)
+    assert nonintersecting_weights(poly) == _family_weight_sums(poly) == {
+        (0, 1): Poly(),
+        (1, 0): Poly((0, 0, 0, 21)),
+    }
 
 
 def test_nonintersecting_weights_hand_cases():
