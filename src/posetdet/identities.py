@@ -89,22 +89,22 @@ def incidence_product_matrix(
 ) -> SquareMatrix:
     """Matrix with entry (a, b) = sum over c of f(c, a) * g(c, b).
 
-    Only c below both a and b can contribute, so the sum is restricted to
-    common lower bounds.
+    Only c below both a and b can contribute, so the matrix is F^T G with
+    F[c, a] = f(c, a) and G[c, b] = g(c, b): each c adds the outer product
+    of its nonzero entries over its up-set.
     """
     _check_host(p, f, g)
+    n = p.n
     zero = zero_like(f.zero)
-    lin = p.lin_ext
-    rows = []
-    for a in lin:
-        below_a = p.below(a)
-        row = []
-        for b in lin:
-            acc = zero
-            for c in below_a & p.below(b):
-                acc = acc + f(c, a) * g(c, b)
-            row.append(acc)
-        rows.append(row)
+    rows = [[zero] * n for _ in range(n)]
+    for c in p.lin_ext:
+        terms = [(p.position(a), f(c, a), g(c, a)) for a in p.above(c)]
+        for i, fa, _ in terms:
+            if not fa:
+                continue
+            row = rows[i]
+            for j, _, gb in terms:
+                row[j] = row[j] + fa * gb
     return SquareMatrix(rows)
 
 

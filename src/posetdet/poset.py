@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .ring import RingValue, ring_value_from_json, zero_like
@@ -46,8 +47,10 @@ class Poset:
     """Finite partially ordered set on indices 0..n-1.
 
     The relation is validated at construction (reflexive, antisymmetric,
-    transitive) and a fixed linear extension is computed so that matrix
-    rows and columns are reproducible.
+    and transitive as up-set inclusion: b in above(a) implies
+    above(b) <= above(a)) and a fixed linear extension is computed so
+    that matrix rows and columns are reproducible.  The up-set and
+    down-set tables built then answer every later query.
     """
 
     def __init__(
@@ -58,45 +61,45 @@ class Poset:
     ):
         n = len(leq)
         _check_size(n)
-        rows = tuple(tuple(bool(x) for x in row) for row in leq)
+        rows = tuple(tuple(map(bool, row)) for row in leq)
         if any(len(row) != n for row in rows):
             raise ValueError("relation must be square")
         self.n = n
         self._leq = rows
-        self._validate_partial_order()
+        self._above = self._validate_partial_order()
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         if len(labels) != n:
             raise ValueError("need one label per element")
         self.labels = tuple(str(x) for x in labels)
         self.host_map = host_map
-        self._above = tuple(
-            frozenset(b for b in range(n) if rows[a][b]) for a in range(n)
-        )
-        self._below = tuple(
-            frozenset(a for a in range(n) if rows[a][b]) for b in range(n)
-        )
+        below: list[list[int]] = [[] for _ in range(n)]
+        for a, up in enumerate(self._above):
+            for b in up:
+                below[b].append(a)
+        self._below = tuple(map(frozenset, below))
         self.lin_ext = _smallest_first_order(
             n, [self._above[a] - {a} for a in range(n)]
         )
         self._position = {e: i for i, e in enumerate(self.lin_ext)}
         self._meet_semilattice: bool | None = None
 
-    def _validate_partial_order(self) -> None:
+    def _validate_partial_order(self) -> tuple[frozenset[int], ...]:
+        """Check the relation and return its up-sets, above[a] = {b : a <= b}."""
         n, leq = self.n, self._leq
+        above = tuple(frozenset(compress(range(n), row)) for row in leq)
         for a in range(n):
             if not leq[a][a]:
                 raise ValueError("relation is not reflexive")
         for a in range(n):
-            for b in range(n):
-                if a != b and leq[a][b] and leq[b][a]:
+            for b in above[a]:
+                if a != b and leq[b][a]:
                     raise ValueError("relation is not antisymmetric")
-        for a in range(n):
-            for b in range(n):
-                if leq[a][b]:
-                    for c in range(n):
-                        if leq[b][c] and not leq[a][c]:
-                            raise ValueError("relation is not transitive")
+        for up in above:
+            for b in up:
+                if not above[b] <= up:
+                    raise ValueError("relation is not transitive")
+        return above
 
     @classmethod
     def from_covers(
@@ -105,7 +108,8 @@ class Poset:
         covers: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> Poset:
-        """Poset whose order is the reflexive-transitive closure of covers.
+        """Poset whose order is the reflexive-transitive closure of covers,
+        built in one pass over a topological order of the cover digraph.
 
         Raises ValueError when the covers contain a directed cycle.
         """
@@ -117,20 +121,17 @@ class Poset:
         adj = [set() for _ in range(n)]
         for a, b in covers:
             adj[a].add(b)
-        reach = [set() for _ in range(n)]
-        for start in range(n):
-            stack = [start]
-            seen = reach[start]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        for a in range(n):
-            if a in reach[a]:
-                raise ValueError("covers contain a directed cycle")
-        leq = [[a == b or b in reach[a] for b in range(n)] for a in range(n)]
+        order = _smallest_first_order(n, adj)
+        if len(order) < n:
+            raise ValueError("covers contain a directed cycle")
+        # Reverse topological order: every cover target's up-set is done.
+        above: list[set[int]] = [set() for _ in range(n)]
+        for a in reversed(order):
+            up = above[a]
+            up.add(a)
+            for b in adj[a]:
+                up |= above[b]
+        leq = [[b in up for b in range(n)] for up in above]
         return cls(leq, labels=labels)
 
     def leq(self, a: int, b: int) -> bool:
@@ -151,36 +152,37 @@ class Poset:
     def cover_pairs(self) -> list[tuple[int, int]]:
         """Hasse diagram arcs (a, b): a < b with nothing strictly between."""
         out = []
-        for a in range(self.n):
-            for b in self._above[a]:
-                if b == a:
-                    continue
-                between = any(
-                    c != a and c != b and self.leq(a, c) and self.leq(c, b)
-                    for c in range(self.n)
-                )
-                if not between:
+        for a, up in enumerate(self._above):
+            for b in up:
+                if b != a and up & self._below[b] == {a, b}:
                     out.append((a, b))
         return sorted(out)
 
     def meet(self, a: int, b: int) -> int:
-        """Greatest lower bound of a and b; MeetError when it is not unique."""
-        common = self._below[a] & self._below[b]
+        """Greatest lower bound of a and b; MeetError when it is not unique.
+
+        The common lower bounds form a down-set, so they have a greatest
+        element exactly when one of them has a down-set of the same size.
+        """
+        below = self._below
+        common = below[a] & below[b]
         if not common:
             raise MeetError(
                 f"{self.labels[a]} and {self.labels[b]} have no common lower bound"
             )
+        size = len(common)
+        for c in common:
+            if len(below[c]) == size:
+                return c
         maximal = [
             c
             for c in common
             if all(d == c or not self.leq(c, d) for d in common)
         ]
-        if len(maximal) != 1:
-            names = ", ".join(self.labels[c] for c in sorted(maximal))
-            raise MeetError(
-                f"{self.labels[a]} and {self.labels[b]} have maximal lower bounds {names}"
-            )
-        return maximal[0]
+        names = ", ".join(self.labels[c] for c in sorted(maximal))
+        raise MeetError(
+            f"{self.labels[a]} and {self.labels[b]} have maximal lower bounds {names}"
+        )
 
     def is_meet_semilattice(self) -> bool:
         """True when every pair of elements has a meet."""

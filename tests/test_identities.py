@@ -148,6 +148,56 @@ def test_product_entries_match_full_sum():
                 assert m[i, j] == total
 
 
+def product_matrix_oracle(p, f, g):
+    """Entry (a, b) summed over the common lower bounds of a and b."""
+    zero = f.zero
+    rows = []
+    for a in p.lin_ext:
+        row = []
+        for b in p.lin_ext:
+            acc = zero
+            for c in p.below(a) & p.below(b):
+                acc = acc + f(c, a) * g(c, b)
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(rows)
+
+
+def sparse_incidence(rng, p, value):
+    """Incidence function with about a third of its related pairs zero."""
+    return IncidenceFunction(
+        p,
+        {
+            (a, b): value(rng) if rng.random() < 0.7 else value(None)
+            for a in range(p.n)
+            for b in p.above(a)
+        },
+        zero=value(None),
+    )
+
+
+def test_product_matrix_matches_the_common_lower_bound_sum():
+    rng = random.Random("product-oracle")
+
+    def int_value(r):
+        return 0 if r is None else r.randint(-3, 3)
+
+    def poly_value(r):
+        if r is None:
+            return Poly()
+        return Poly([r.randint(-2, 2) for _ in range(r.randint(0, 3))])
+
+    for value in (int_value, poly_value):
+        zero_entries = 0
+        for _ in range(60):
+            p = random_poset(rng, rng.randint(1, 8))
+            f = sparse_incidence(rng, p, value)
+            g = sparse_incidence(rng, p, value)
+            zero_entries += sum(not f(a, b) for a in range(p.n) for b in p.above(a))
+            assert incidence_product_matrix(p, f, g) == product_matrix_oracle(p, f, g)
+        assert zero_entries > 100
+
+
 def test_main_identity_random_campaign():
     rng = random.Random(7)
     for _ in range(80):

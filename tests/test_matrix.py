@@ -109,6 +109,11 @@ def test_multilinearity_in_a_row():
         ) + det_bareiss(SquareMatrix(rows_s))
 
 
+def leading_minors_oracle(m):
+    """One Bareiss determinant per leading block: the minors by definition."""
+    return [det_bareiss(m.leading(k)) for k in range(1, m.n + 1)]
+
+
 def test_leading_principal_minors():
     assert leading_principal_minors(SquareMatrix.identity(3)) == [1, 1, 1]
     vals = [1, 2, 4]
@@ -122,6 +127,47 @@ def test_leading_principal_minors():
         assert leading_principal_minors(m)[-1] == det_bareiss(m)
     with pytest.raises(ValueError):
         SquareMatrix.identity(2).leading(0)
+
+
+def test_leading_minors_after_a_zero_pivot():
+    # minors 1, 0 (singular 2 x 2 block), then a nonzero 3 x 3 minor that
+    # the elimination cannot reach without a row swap
+    m = SquareMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert leading_principal_minors(m) == [1, 0, -1]
+    # a zero first entry and a nonzero full determinant
+    m = SquareMatrix([[0, 1], [1, 0]])
+    assert leading_principal_minors(m) == [0, -1]
+
+
+def test_leading_minors_match_the_oracle_on_random_integer_matrices():
+    rng = random.Random("minors-oracle")
+    zero_leads = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = random_int_matrix(rng, n, lo=-2, hi=2)
+        rows = [list(m.row(i)) for i in range(n)]
+        shape = rng.randrange(3)
+        if shape == 1:
+            rows[0][0] = 0  # zero leading entry
+        elif shape == 2 and n > 1:
+            k = rng.randint(2, n)  # singular k x k leading block
+            rows[k - 1][:k] = rows[rng.randrange(k - 1)][:k]
+        m = SquareMatrix(rows)
+        expected = leading_minors_oracle(m)
+        zero_leads += 0 in expected[:-1]
+        assert leading_principal_minors(m) == expected
+    assert zero_leads > 50
+
+
+def test_leading_minors_match_the_oracle_on_random_polynomial_matrices():
+    rng = random.Random("minors-poly")
+    for _ in range(40):
+        m = random_poly_matrix(rng, rng.randint(1, 5), max_deg=2)
+        assert leading_principal_minors(m) == leading_minors_oracle(m)
+    zero_lead = SquareMatrix(
+        [[Poly(), Poly((1,))], [Poly((0, 1)), Poly((2, 3))]]
+    )
+    assert leading_principal_minors(zero_lead) == [Poly(), Poly((0, -1))]
 
 
 def test_matmul_and_transpose():
@@ -142,12 +188,14 @@ def test_constructor_validation():
         SquareMatrix([])
     with pytest.raises(ValueError):
         SquareMatrix([[1, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must share one ring tag"):
         SquareMatrix([[1, Poly((1,))], [1, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must share one ring tag"):
         SquareMatrix([[1, True], [1, 1]])
+    with pytest.raises(ValueError, match="must share one ring tag"):
+        SquareMatrix([[Poly((1,)), Poly()], [Poly(), 0]])
     for not_a_ring_value in (True, 1.5):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be int or Poly, not"):
             SquareMatrix([[not_a_ring_value]])
 
 

@@ -5,7 +5,9 @@ import pytest
 from posetdet.arith import mobius
 from posetdet.identities import incidence_matrix
 from posetdet.matrix import SquareMatrix
+from posetdet import poset as poset_module
 from posetdet.poset import (
+    MAX_ELEMENTS,
     IncidenceFunction,
     MeetError,
     Poset,
@@ -60,17 +62,17 @@ def test_singleton():
 
 
 def test_cycle_is_rejected():
-    with pytest.raises(ValueError):
-        Poset.from_covers(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
-        Poset.from_covers(1, [(0, 0)])
-    with pytest.raises(ValueError):
-        Poset.from_covers(3, [(0, 1), (1, 2), (2, 0)])
+    for n, covers in ((2, [(0, 1), (1, 0)]), (1, [(0, 0)]), (3, [(0, 1), (1, 2), (2, 0)])):
+        with pytest.raises(ValueError, match="covers contain a directed cycle"):
+            Poset.from_covers(n, covers)
 
 
 def test_cover_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cover \(0, 2\) out of range"):
         Poset.from_covers(2, [(0, 2)])
+    # the range check comes before the cycle check
+    with pytest.raises(ValueError, match="out of range"):
+        Poset.from_covers(2, [(0, 1), (1, 0), (1, 5)])
 
 
 def test_size_cap():
@@ -78,18 +80,129 @@ def test_size_cap():
         Poset.from_covers(65, [])
 
 
+def validation_oracle(leq):
+    """First failing check of the relation by the defining triple loop
+    (reflexive, then antisymmetric, then transitive), or None."""
+    n = len(leq)
+    for a in range(n):
+        if not leq[a][a]:
+            return "relation is not reflexive"
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                return "relation is not antisymmetric"
+    for a in range(n):
+        for b in range(n):
+            if leq[a][b]:
+                for c in range(n):
+                    if leq[b][c] and not leq[a][c]:
+                        return "relation is not transitive"
+    return None
+
+
+def validation_outcome(leq):
+    try:
+        Poset(leq)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_relation_validation():
-    with pytest.raises(ValueError):
-        Poset([[False]])  # not reflexive
-    with pytest.raises(ValueError):
-        Poset([[True, True], [True, True]])  # not antisymmetric
+    with pytest.raises(ValueError, match="not reflexive"):
+        Poset([[False]])
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Poset([[True, True], [True, True]])
     leq = [
         [True, True, False],
         [False, True, True],
         [False, False, True],
     ]
-    with pytest.raises(ValueError):
-        Poset(leq)  # not transitive
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset(leq)
+    # 0 <= 1 <= 0 and 1 <= 2 without 0 <= 2: antisymmetry is reported first
+    both = [
+        [True, True, False],
+        [True, True, True],
+        [False, False, True],
+    ]
+    assert validation_oracle(both) == "relation is not antisymmetric"
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Poset(both)
+
+
+def test_validation_matches_the_triple_loop_on_random_relations():
+    rng = random.Random("validation")
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        leq = [[a == b or rng.random() < 0.3 for b in range(n)] for a in range(n)]
+        expected = validation_oracle(leq)
+        outcomes.add(expected)
+        assert validation_outcome(leq) == expected
+    assert outcomes == {
+        None,
+        "relation is not antisymmetric",
+        "relation is not transitive",
+    }
+
+
+def test_validation_matches_the_triple_loop_on_one_flipped_bit():
+    rng = random.Random("flipped")
+    outcomes = set()
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(1, 7))
+        a, b = rng.randrange(p.n), rng.randrange(p.n)
+        leq = [[p.leq(x, y) for y in range(p.n)] for x in range(p.n)]
+        leq[a][b] = not leq[a][b]
+        expected = validation_oracle(leq)
+        outcomes.add(expected)
+        assert validation_outcome(leq) == expected
+    assert len(outcomes) == 4
+
+
+def chain_covers(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def test_chain_at_the_size_cap():
+    p = Poset.from_covers(MAX_ELEMENTS, chain_covers(MAX_ELEMENTS))
+    assert p.lin_ext == tuple(range(MAX_ELEMENTS))
+    for a in range(MAX_ELEMENTS):
+        for b in range(MAX_ELEMENTS):
+            assert p.meet(a, b) == min(a, b)
+    assert p.is_meet_semilattice()
+    assert p.cover_pairs() == chain_covers(MAX_ELEMENTS)
+
+
+def test_atoms_over_a_bottom_at_the_size_cap():
+    p = Poset.from_covers(MAX_ELEMENTS, [(0, j) for j in range(1, MAX_ELEMENTS)])
+    assert p.lin_ext == tuple(range(MAX_ELEMENTS))
+    for a in range(1, MAX_ELEMENTS):
+        for b in range(a + 1, MAX_ELEMENTS):
+            assert p.meet(a, b) == 0
+    assert p.is_meet_semilattice()
+
+
+def test_back_cover_on_a_chain_at_the_size_cap_is_a_cycle():
+    covers = chain_covers(MAX_ELEMENTS) + [(MAX_ELEMENTS - 1, 0)]
+    with pytest.raises(ValueError, match="covers contain a directed cycle"):
+        Poset.from_covers(MAX_ELEMENTS, covers)
+
+
+def test_oversize_from_covers_fails_before_reading_covers(monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("closure work before the size check")
+
+    def covers():
+        raise AssertionError("covers read before the size check")
+        yield
+
+    monkeypatch.setattr(poset_module, "_smallest_first_order", no_closure)
+    with pytest.raises(ValueError, match=r"poset too large \(65 > 64\)"):
+        Poset.from_covers(MAX_ELEMENTS + 1, covers())
+    with pytest.raises(ValueError, match=r"poset too large \(65 > 64\)"):
+        Poset.from_covers(MAX_ELEMENTS + 1, chain_covers(MAX_ELEMENTS + 1))
 
 
 def test_linear_extension_is_consistent():
@@ -276,10 +389,46 @@ def test_meet_is_gcd_on_divisor_posets():
 
 def test_meet_errors():
     two = Poset.from_covers(2, [])
-    with pytest.raises(MeetError):
+    with pytest.raises(MeetError, match="^0 and 1 have no common lower bound$"):
         two.meet(0, 1)
-    with pytest.raises(MeetError):
+    with pytest.raises(MeetError, match="^2 and 3 have maximal lower bounds 0, 1$"):
         bowtie().meet(2, 3)
+
+
+def meet_oracle(p, a, b):
+    """Meet by scanning the common lower bounds for maximal ones."""
+    common = p.below(a) & p.below(b)
+    if not common:
+        raise MeetError(f"{p.labels[a]} and {p.labels[b]} have no common lower bound")
+    maximal = [
+        c for c in common if all(d == c or not p.leq(c, d) for d in common)
+    ]
+    if len(maximal) != 1:
+        names = ", ".join(p.labels[c] for c in sorted(maximal))
+        raise MeetError(
+            f"{p.labels[a]} and {p.labels[b]} have maximal lower bounds {names}"
+        )
+    return maximal[0]
+
+
+def meet_outcome(meet, p, a, b):
+    try:
+        return meet(p, a, b)
+    except MeetError as exc:
+        return str(exc)
+
+
+def test_meet_matches_the_scan_on_random_posets():
+    rng = random.Random("meet-oracle")
+    kinds = set()
+    for _ in range(150):
+        p = random_poset(rng, rng.randint(1, 8))
+        for a in range(p.n):
+            for b in range(p.n):
+                expected = meet_outcome(meet_oracle, p, a, b)
+                assert meet_outcome(Poset.meet, p, a, b) == expected
+                kinds.add(type(expected) if type(expected) is int else expected.split()[4])
+    assert kinds == {int, "no", "maximal"}
 
 
 def test_meet_properties_where_defined():
@@ -369,6 +518,27 @@ def test_poset_json_round_trip():
     ):
         with pytest.raises(ValueError):
             poset_from_dict(doc)
+
+
+def cover_pairs_oracle(p):
+    """Hasse arcs by scanning every element for one strictly between."""
+    out = []
+    for a in range(p.n):
+        for b in p.above(a):
+            if b != a and not any(
+                c not in (a, b) and p.leq(a, c) and p.leq(c, b) for c in range(p.n)
+            ):
+                out.append((a, b))
+    return sorted(out)
+
+
+def test_cover_pairs_match_the_scan_on_random_posets():
+    rng = random.Random("covers-oracle")
+    for _ in range(100):
+        p = random_poset(rng, rng.randint(1, 10))
+        assert p.cover_pairs() == cover_pairs_oracle(p)
+    p = grown_meet_semilattice(rng, MAX_ELEMENTS)
+    assert p.cover_pairs() == cover_pairs_oracle(p)
 
 
 def test_incidence_function_contract():
