@@ -80,6 +80,9 @@ def kth_root(m: int, k: int) -> int | None:
         raise ValueError("kth_root needs positive arguments")
     if m == 1 or k == 1:
         return m if k == 1 else 1
+    if k >= m.bit_length():
+        # a root r >= 2 has r**k >= 2**k, so m would need k + 1 bits
+        return None
     r = round(m ** (1.0 / k))
     for cand in (r - 1, r, r + 1):
         if cand >= 1 and cand**k == m:

@@ -53,10 +53,16 @@ from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict, zeta_f
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+# Trial factorisation (arith) is meant for values up to about 10**6.
+SET_VALUE_MAX = 10**6
+
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_poset(path: str) -> Poset:
@@ -163,6 +169,8 @@ def run_smith(args, rng) -> list[IdentityReport]:
         if not values:
             raise ValueError("--set must name at least one integer")
         gcd_matrix(values)  # validates the values, which is_factor_closed assumes
+        if max(values) > SET_VALUE_MAX:
+            raise ValueError(f"--set values must be at most {SET_VALUE_MAX}")
         if not is_factor_closed(values):
             raise ValueError(
                 "set is not factor closed: the totient-product identity needs every divisor present"
@@ -364,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set",
         dest="value_set",
         default=None,
-        help="comma-separated positive integers",
+        help=f"comma-separated positive integers up to {SET_VALUE_MAX}",
     )
     verify.add_argument("--poset", default=None, help="poset JSON file")
     verify.add_argument("--digraph", default=None, help="digraph JSON file")

@@ -37,7 +37,9 @@ def _check_vertex_cap(n: int) -> None:
 
 class WeightedDigraph:
     """Finite acyclic digraph with exact arc weights and designated,
-    disjoint source and sink vertex lists."""
+    disjoint source and sink vertex lists.  ``succ[u]`` holds the pairs
+    (v, weight of arc u -> v) sorted by v; ``topo`` is the smallest-first
+    topological order."""
 
     def __init__(
         self,
@@ -49,29 +51,24 @@ class WeightedDigraph:
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
         self.n = n
-        weights: dict[tuple[int, int], RingValue] = {}
-        succ: list[list[tuple[int, RingValue]]] = [[] for _ in range(n)]
+        arcs = list(arcs)
+        succ: list[dict[int, RingValue]] = [{} for _ in range(n)]
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if (u, v) in weights:
+            if v in succ[u]:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            weights[(u, v)] = w
-            succ[u].append((v, w))
-        first = next(iter(weights.values()), None)
+            succ[u][v] = w
+        first = arcs[0][2] if arcs else None
         self.one = 1 if first is None else one_like(first)
-        for w in weights.values():
+        for _, _, w in arcs:
             if type(w) is not type(self.one):
                 raise ValueError("arc weights must share one ring tag")
-        self._weights = weights
-        # the heads in one list are distinct, so sorting never compares weights
-        self._weighted_succ = tuple(tuple(sorted(s)) for s in succ)
-        self._topo = _smallest_first_order(
-            n, [[v for v, _ in s] for s in self._weighted_succ]
-        )
-        if len(self._topo) != n:
+        self.succ = tuple(tuple(sorted(s.items())) for s in succ)
+        self.topo = _smallest_first_order(n, succ)
+        if len(self.topo) != n:
             raise ValueError("digraph has a directed cycle")
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
@@ -87,24 +84,8 @@ class WeightedDigraph:
         if len(self.sources) != len(self.sinks):
             raise ValueError("need as many sinks as sources")
 
-    def topological_order(self) -> tuple[int, ...]:
-        return self._topo
-
-    def successors(self, u: int) -> tuple[int, ...]:
-        return tuple(v for v, _ in self._weighted_succ[u])
-
-    def weighted_successors(self, u: int) -> tuple[tuple[int, RingValue], ...]:
-        """Pairs (v, weight of arc u -> v), in the order of successors(u)."""
-        return self._weighted_succ[u]
-
-    def arc_weight(self, u: int, v: int) -> RingValue:
-        try:
-            return self._weights[(u, v)]
-        except KeyError:
-            raise ValueError(f"no arc from {u} to {v}") from None
-
     def arcs(self) -> list[tuple[int, int, RingValue]]:
-        return [(u, v, w) for (u, v), w in sorted(self._weights.items())]
+        return [(u, v, w) for u, s in enumerate(self.succ) for v, w in s]
 
 
 @dataclass(frozen=True)
@@ -119,7 +100,10 @@ def path_weight(d: WeightedDigraph, path: Sequence[int]) -> RingValue:
     """Product of arc weights along a path; a single vertex has weight one."""
     acc = d.one
     for u, v in zip(path, path[1:]):
-        acc = acc * d.arc_weight(u, v)
+        weight = dict(d.succ[u]).get(v) if 0 <= u < d.n else None
+        if weight is None:
+            raise ValueError(f"no arc from {u} to {v}")
+        acc = acc * weight
     return acc
 
 
@@ -131,7 +115,7 @@ def iter_paths(d: WeightedDigraph, u: int, v: int) -> Iterator[tuple[int, ...]]:
         if w == v:
             yield tuple(trail)
             return
-        for x in d.successors(w):
+        for x, _ in d.succ[w]:
             trail.append(x)
             yield from walk(x)
             trail.pop()
@@ -158,11 +142,11 @@ def path_weight_sums(d: WeightedDigraph, u: int) -> dict[int, RingValue]:
     """
     zero = zero_like(d.one)
     ways = {u: d.one}
-    for w in d.topological_order():
+    for w in d.topo:
         amount = ways.get(w)
         if amount is None:
             continue
-        for x, weight in d.weighted_successors(w):
+        for x, weight in d.succ[w]:
             ways[x] = ways.get(x, zero) + amount * weight
     return ways
 
@@ -245,7 +229,7 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
         raise ValueError("digraph has no designated sources")
     _check_vertex_cap(d.n)
     sink_index = {t: j for j, t in enumerate(d.sinks)}
-    succ = d._weighted_succ
+    succ = d.succ
     zero = zero_like(d.one)
     used = [False] * d.n
     for s in d.sources:

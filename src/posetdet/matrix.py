@@ -31,11 +31,8 @@ class SquareMatrix:
         self.n = n
 
     @classmethod
-    def identity(cls, n: int, one: RingValue = 1) -> SquareMatrix:
-        zero = zero_like(one)
-        return cls(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
+    def identity(cls, n: int) -> SquareMatrix:
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> RingValue:
         i, j = key
@@ -157,32 +154,5 @@ def det_cofactor(m: SquareMatrix) -> RingValue:
 
 
 def leading_principal_minors(m: SquareMatrix) -> list[RingValue]:
-    """Determinants of the k x k top-left submatrices, k = 1..n.
-
-    Bareiss elimination without row swaps leaves the k-th leading
-    principal minor as its k-th pivot, so one elimination gives every
-    minor up to and including the first zero pivot.  The step after a
-    zero pivot would divide by zero; each remaining minor is then its
-    own det_bareiss.
-    """
-    n = m.n
-    zero = zero_like(m[0, 0])
-    prev = one_like(m[0, 0])
-    exact_div = _exact_int_div if type(zero) is int else Poly.exact_div
-    a = [list(m.row(i)) for i in range(n)]
-    minors = []
-    for k in range(n):
-        pivot = a[k][k]
-        minors.append(pivot)
-        if not pivot:
-            break
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = exact_div(pivot * row_i[j] - head * row_k[j], prev)
-            row_i[k] = zero
-        prev = pivot
-    minors += [det_bareiss(m.leading(k)) for k in range(len(minors) + 1, n + 1)]
-    return minors
+    """Determinants of the k x k top-left submatrices, k = 1..n."""
+    return [det_bareiss(m.leading(k)) for k in range(1, m.n + 1)]

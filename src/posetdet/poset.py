@@ -356,6 +356,8 @@ def poset_from_dict(doc: dict) -> Poset:
     labels = doc["labels"]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ValueError("labels must be a list of strings")
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
     covers = doc["covers"]
     if not isinstance(covers, list) or not all(
         isinstance(c, list) and len(c) == 2 for c in covers

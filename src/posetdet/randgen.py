@@ -15,6 +15,9 @@ from .poset import IncidenceFunction, Poset, divisor_poset
 
 # Largest semilattice size drawn by rejection; see sample_meet_semilattice.
 REJECTION_MAX_SIZE = 6
+# Draws before a rejection sampler gives up.
+SEMILATTICE_TRIES = 5000
+HYPOTHESIS_TRIES = 2000
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:
@@ -27,30 +30,24 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     return Poset.from_covers(n, covers)
 
 
-def random_incidence(
-    rng: random.Random, p: Poset, lo: int = -5, hi: int = 5
-) -> IncidenceFunction:
+def random_incidence(rng: random.Random, p: Poset) -> IncidenceFunction:
     values = {}
     for a in range(p.n):
         for b in sorted(p.above(a)):
-            values[(a, b)] = rng.randint(lo, hi)
+            values[(a, b)] = rng.randint(-5, 5)
     return IncidenceFunction(p, values, zero=0)
 
 
-def random_weights(
-    rng: random.Random, n: int, lo: int = -5, hi: int = 5
-) -> list[int]:
-    return [rng.randint(lo, hi) for _ in range(n)]
+def random_weights(rng: random.Random, n: int) -> list[int]:
+    return [rng.randint(-5, 5) for _ in range(n)]
 
 
-def random_meet_semilattice(
-    rng: random.Random, n: int, max_tries: int = 5000
-) -> Poset:
+def random_meet_semilattice(rng: random.Random, n: int) -> Poset:
     """Random poset with a forced bottom element, resampled until every
     pair has a meet."""
     if n == 1:
         return Poset.from_covers(1, [])
-    for _ in range(max_tries):
+    for _ in range(SEMILATTICE_TRIES):
         covers = [(0, j) for j in range(1, n)]
         covers += [
             (i, j)
@@ -100,21 +97,17 @@ def sample_meet_semilattice(rng: random.Random, n: int) -> Poset:
     return grown_meet_semilattice(rng, n)
 
 
-def random_factor_closed_set(
-    rng: random.Random, max_seed: int = 60, max_seeds: int = 3
-) -> list[int]:
+def random_factor_closed_set(rng: random.Random) -> list[int]:
     """Divisor closure of a few random seeds, sorted ascending."""
-    k = rng.randint(1, max_seeds)
-    seeds = [rng.randint(1, max_seed) for _ in range(k)]
+    k = rng.randint(1, 3)
+    seeds = [rng.randint(1, 60) for _ in range(k)]
     return sorted({d for a in seeds for d in divisors(a)})
 
 
-def random_meet_closed_instance(
-    rng: random.Random, max_int: int = 60
-) -> tuple[Poset, list[int]]:
+def random_meet_closed_instance(rng: random.Random) -> tuple[Poset, list[int]]:
     """Divisor lattice of a random integer plus a random gcd-closed subset
     of it (closed by saturating under pairwise meets)."""
-    m = rng.randint(2, max_int)
+    m = rng.randint(2, 60)
     vals = divisors(m)
     lattice = divisor_poset(vals)
     k = rng.randint(1, len(vals))
@@ -154,12 +147,10 @@ def random_symmetric_pair(
     return f, g
 
 
-def random_hypothesis_digraph(
-    rng: random.Random, max_tries: int = 2000
-) -> WeightedDigraph:
+def random_hypothesis_digraph(rng: random.Random) -> WeightedDigraph:
     """Small random DAG whose designated terminals satisfy the
     only-the-identity-permutation hypothesis, checked by exhaustive search."""
-    for _ in range(max_tries):
+    for _ in range(HYPOTHESIS_TRIES):
         n = rng.randint(2, 10)
         k = rng.randint(1, min(3, n // 2))
         arcs = [

@@ -53,10 +53,10 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> Poly:
+    def monomial(cls, power: int) -> Poly:
         if power < 0:
             raise ValueError("power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * power + (1,))
 
     @classmethod
     def interpolate(cls, xs, ys) -> Poly:

@@ -91,6 +91,19 @@ def test_kth_root():
         kth_root(0, 2)
 
 
+def test_kth_root_of_a_huge_exponent_computes_no_power():
+    class NoPower(int):
+        def __rpow__(self, base):
+            raise AssertionError(f"computed {base} ** {int(self)}")
+
+    # m < 2**k, so no root r >= 2 exists and no power is needed
+    assert kth_root(2**20, NoPower(10**12)) is None
+    assert kth_root(3, NoPower(2)) is None
+    assert kth_root(2**20, 20) == 2
+    assert kth_root(2**20, 21) is None
+    assert kth_root(2**20 + 1, 20) is None
+
+
 def test_factorize_and_divisors():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import pathlib
@@ -7,6 +6,7 @@ import time
 import pytest
 
 from posetdet import chromatic, cli, lgv
+from posetdet.arith import divisors
 from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from posetdet.poset import IncidenceFunction
 from posetdet.ring import Poly
@@ -36,11 +36,30 @@ def test_verify_smith_rejects_open_set(capsys):
     assert "factor closed" in err
 
 
+def test_smith_set_value_above_the_factorisation_range_exits_two(capsys):
+    # 1000003 is prime and quick to factorise: the bound, not the cost,
+    # rejects it; the divisors of 10**6 sit at the bound and pass
+    code, out, err = run(capsys, "verify", "smith", "--set", "1,1000003")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --set values must be at most 1000000\n"
+    code, out, err = run(capsys, "verify", "smith", "--set", ",".join(map(str, divisors(10**6))))
+    assert code == EXIT_OK
+    assert out.startswith("PASS smith")
+
+
 def test_verify_smith_random_campaign(capsys):
     code, out, err = run(capsys, "verify", "smith", "--cases", "5")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 5
     assert all(line.startswith("PASS smith") for line in out.splitlines())
+
+
+def test_verify_daniloff_with_a_huge_exponent(capsys):
+    # only the trivial quotient 1 has a k-th root, so det = 1 * 2 * 3 * 4
+    code, out, err = run(capsys, "verify", "daniloff", "--n", "4", "--k", "1000000000000")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["PASS daniloff det=24 predicted=24"]
 
 
 def test_verify_apostol(capsys):
@@ -320,8 +339,9 @@ def test_empty_set_argument_is_rejected(capsys, value_set):
         {"labels": ["a", "b"], "covers": [["0", 1]]},
         {"labels": ["a", "b"], "covers": [[True, 1]]},
         {"labels": "ab", "covers": []},
+        {"labels": ["a", "a"], "covers": []},
     ],
-    ids=["string-index", "bool-index", "string-labels"],
+    ids=["string-index", "bool-index", "string-labels", "repeated-labels"],
 )
 def test_mistyped_poset_file_exits_two(tmp_path, capsys, doc):
     path = tmp_path / "poset.json"
@@ -331,6 +351,20 @@ def test_mistyped_poset_file_exits_two(tmp_path, capsys, doc):
         assert code == EXIT_INPUT
         assert out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mobius"], ["verify", "main", "--poset"], ["verify", "stembridge", "--digraph"]],
+    ids=" ".join,
+)
+def test_deeply_nested_json_file_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: {path}: JSON nested too deeply\n"
 
 
 GOOD_DIGRAPH = {
@@ -462,8 +496,7 @@ def test_divisor_order_above_poset_cap_exits_two(capsys, argv):
 
 
 def test_semilattice_sampler_giving_up_exits_two(capsys, monkeypatch):
-    sampler = functools.partial(cli.randgen.random_meet_semilattice, max_tries=1)
-    monkeypatch.setattr(cli.randgen, "random_meet_semilattice", sampler)
+    monkeypatch.setattr(cli.randgen, "SEMILATTICE_TRIES", 1)
     # only sizes up to REJECTION_MAX_SIZE are drawn by rejection; at seed 42
     # the 50 draws include a 5-element one that one try does not accept
     code, out, err = run(capsys, "verify", "lindstrom", "--max-size", "6", "--cases", "50")
@@ -475,9 +508,9 @@ def test_semilattice_sampler_giving_up_exits_two(capsys, monkeypatch):
 def test_verify_lindstrom_at_the_poset_cap_is_grown_not_rejected(capsys, monkeypatch):
     sampler = cli.randgen.random_meet_semilattice
 
-    def rejection(rng, n, max_tries=5000):
+    def rejection(rng, n):
         assert n <= cli.randgen.REJECTION_MAX_SIZE, f"rejection sampling {n} elements"
-        return sampler(rng, n, max_tries)
+        return sampler(rng, n)
 
     monkeypatch.setattr(cli.randgen, "random_meet_semilattice", rejection)
     started = time.perf_counter()

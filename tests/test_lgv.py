@@ -367,7 +367,7 @@ def test_topological_order_takes_smallest_ready_vertex_first():
     # sources 0-3, sinks 4-7, middle copies 8-11; a middle copy becomes
     # ready only after every source above it, a sink after every middle
     # copy below it
-    assert d.topological_order() == (0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7)
+    assert d.topo == (0, 1, 2, 3, 8, 4, 9, 5, 10, 6, 11, 7)
 
 
 def test_verify_stembridge_two_paths():
@@ -418,13 +418,13 @@ def test_three_layer_vee_structure():
     d = three_layer_digraph(p, z, z)
     n = 3
     # source a' reaches only its own middle copy; b' and c' also reach a'''
-    assert set(d.successors(0)) == {2 * n + 0}
-    assert set(d.successors(1)) == {2 * n + 0, 2 * n + 1}
-    assert set(d.successors(2)) == {2 * n + 0, 2 * n + 2}
+    assert {v for v, _ in d.succ[0]} == {2 * n + 0}
+    assert {v for v, _ in d.succ[1]} == {2 * n + 0, 2 * n + 1}
+    assert {v for v, _ in d.succ[2]} == {2 * n + 0, 2 * n + 2}
     # dual arcs from the middle copies into the sinks
-    assert set(d.successors(2 * n + 0)) == {n + 0, n + 1, n + 2}
-    assert set(d.successors(2 * n + 1)) == {n + 1}
-    assert set(d.successors(2 * n + 2)) == {n + 2}
+    assert {v for v, _ in d.succ[2 * n + 0]} == {n + 0, n + 1, n + 2}
+    assert {v for v, _ in d.succ[2 * n + 1]} == {n + 1}
+    assert {v for v, _ in d.succ[2 * n + 2]} == {n + 2}
     assert d.sources == (0, 1, 2)
     assert d.sinks == (3, 4, 5)
 

@@ -6,6 +6,7 @@ from posetdet.arith import mobius
 from posetdet.identities import incidence_matrix
 from posetdet.matrix import SquareMatrix
 from posetdet import poset as poset_module
+from posetdet import randgen
 from posetdet.poset import (
     MAX_ELEMENTS,
     IncidenceFunction,
@@ -261,9 +262,10 @@ def test_divisor_poset_checks_the_count_before_building_the_order():
         divisor_poset([_NoRelation(v) for v in range(1, 66)])
 
 
-def test_random_meet_semilattice_gives_up_with_value_error():
+def test_random_meet_semilattice_gives_up_with_value_error(monkeypatch):
+    monkeypatch.setattr(randgen, "SEMILATTICE_TRIES", 3)
     with pytest.raises(ValueError, match="on 40 elements"):
-        random_meet_semilattice(random.Random(0), 40, max_tries=3)
+        random_meet_semilattice(random.Random(0), 40)
 
 
 def test_meet_semilattice_samplers_hit_the_requested_size():
