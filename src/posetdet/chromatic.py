@@ -4,11 +4,12 @@ the Beraha-polynomial product formula for its determinant.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from typing import Sequence
 
 from .arith import binomial
-from .identities import FAIL, PASS, IdentityReport
+from .identities import IdentityReport, make_report
 from .matrix import SquareMatrix, det_bareiss
 from .ring import InexactDivisionError, Poly
 
@@ -294,42 +295,31 @@ def _formula_exponents(n: int) -> list[int]:
 def verify_chromatic_join_det(n: int) -> IdentityReport:
     """Verify the Beraha-product formula for the chromatic-join determinant.
 
-    The rational-function product is checked in cross-multiplied
-    polynomial form: det times the product of (q * beraha(m))^e_m must
-    equal q^binomial(2n-1, n) times the product of beraha(m+2)^e_m.
+    The formula is q^binomial(2n-1, n) times the product of
+    (beraha(m+2) / (q * beraha(m)))^e_m.  Every beraha(m) is monic, so the
+    denominator is a nonzero monic polynomial, and the prediction is the
+    numerator divided by it exactly in Z[q]; an inexact division leaves no
+    prediction and the check fails.
     """
     det = chromatic_join_det(n)
-    exponents = _formula_exponents(n)
     q = Poly.variable()
     corner = binomial(2 * n - 1, n)
-    lhs = det
-    rhs = Poly.monomial(corner)
+    denominator = Poly.const(1)
+    numerator = Poly.monomial(corner)
     denominator_parts = []
     numerator_parts = [f"q^{corner}"]
-    for m, e in enumerate(exponents, start=1):
+    for m, e in enumerate(_formula_exponents(n), start=1):
         low = q * beraha(m)
         high = beraha(m + 2)
-        lhs = lhs * low**e
-        rhs = rhs * high**e
+        denominator = denominator * low**e
+        numerator = numerator * high**e
         denominator_parts.append(f"({low})^{e}")
         numerator_parts.append(f"({high})^{e}")
-    verdict = PASS if lhs == rhs else FAIL
-    predicted = None
     try:
-        acc = rhs
-        for m, e in enumerate(exponents, start=1):
-            acc = acc.exact_div((q * beraha(m)) ** e)
-        predicted = acc
+        predicted = numerator.exact_div(denominator)
     except InexactDivisionError:
-        pass
+        predicted = None
     detail = "factored: {} / {}".format(
         " ".join(numerator_parts), " ".join(denominator_parts)
     )
-    return IdentityReport(
-        name="tutte",
-        computed=det,
-        predicted=predicted,
-        verdict=verdict,
-        size=n,
-        detail=detail,
-    )
+    return dataclasses.replace(make_report("tutte", n, det, predicted), detail=detail)

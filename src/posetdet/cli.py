@@ -32,6 +32,7 @@ from .identities import (
     meet_closed_matrix,
     meet_matrix,
     meet_matrix_det,
+    product_matrix_invertible,
     product_matrix_positive_definite,
     ramanujan_matrix,
     ramanujan_matrix_det,
@@ -55,6 +56,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 # Trial factorisation (arith) is meant for values up to about 10**6.
 SET_VALUE_MAX = 10**6
+# The most divisors of any value up to SET_VALUE_MAX (720720 has 240), so
+# the divisor set of every value in range fits; the GCD matrix det is cubic.
+SET_SIZE_MAX = 240
 
 
 def _load_json(path: str):
@@ -85,7 +89,10 @@ def _fail(report: IdentityReport, note: str) -> IdentityReport:
 def _check_product(p: Poset, f, g, name: str = "main") -> IdentityReport:
     det = det_bareiss(incidence_product_matrix(p, f, g))
     predicted = incidence_product_det(p, f, g)
-    return make_report(name, p.n, det, predicted)
+    report = make_report(name, p.n, det, predicted)
+    if report.passed and product_matrix_invertible(p, f, g) != (det != 0):
+        report = _fail(report, "(invertibility predicate disagrees with det)")
+    return report
 
 
 def _check_meet(p: Poset, f, name: str = "lindstrom") -> IdentityReport:
@@ -154,9 +161,7 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
             alt = meet_matrix_det(sub, f.restrict(sub))
             if alt != det:
                 report = dataclasses.replace(
-                    report,
-                    verdict=FAIL,
-                    predicted=alt,
+                    make_report("meet-closed", len(subset), det, alt),
                     detail="(lower-closed cross-check mismatch)",
                 )
         reports.append(report)
@@ -168,20 +173,23 @@ def run_smith(args, rng) -> list[IdentityReport]:
         values = _parse_set(args.value_set)
         if not values:
             raise ValueError("--set must name at least one integer")
-        gcd_matrix(values)  # validates the values, which is_factor_closed assumes
+        if len(values) > SET_SIZE_MAX:
+            raise ValueError(f"--set must name at most {SET_SIZE_MAX} integers")
+        matrix = gcd_matrix(values)  # validates the values, which is_factor_closed assumes
         if max(values) > SET_VALUE_MAX:
             raise ValueError(f"--set values must be at most {SET_VALUE_MAX}")
         if not is_factor_closed(values):
             raise ValueError(
                 "set is not factor closed: the totient-product identity needs every divisor present"
             )
-        sets = [values]
+        sets, matrices = [values], [matrix]
     else:
         cases = 50 if args.cases is None else args.cases
         sets = [randgen.random_factor_closed_set(rng) for _ in range(cases)]
+        matrices = [gcd_matrix(s) for s in sets]
     return [
-        make_report("smith", len(s), det_bareiss(gcd_matrix(s)), totient_product(s))
-        for s in sets
+        make_report("smith", len(s), det_bareiss(m), totient_product(s))
+        for s, m in zip(sets, matrices)
     ]
 
 
@@ -198,7 +206,7 @@ def run_daniloff(args, rng) -> list[IdentityReport]:
     ks = [args.k] if args.k is not None else (1, 2, 3)
     reports = []
     for n in ns:
-        weights = list(range(1, n + 1))
+        weights = range(1, n + 1)
         for k in ks:
             det = det_bareiss(kth_root_matrix(n, k, weights))
             predicted = kth_root_matrix_det(n, k, weights)
@@ -372,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--set",
         dest="value_set",
         default=None,
-        help=f"comma-separated positive integers up to {SET_VALUE_MAX}",
+        help=f"at most {SET_SIZE_MAX} comma-separated positive integers up to {SET_VALUE_MAX}",
     )
     verify.add_argument("--poset", default=None, help="poset JSON file")
     verify.add_argument("--digraph", default=None, help="digraph JSON file")

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from .matrix import SquareMatrix
-from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function, zeta_function
+from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function
 from .ring import RingValue, TagMismatchError, one_like, zero_like
 
 PASS = "pass"
@@ -34,18 +34,18 @@ class IdentityReport:
     def passed(self) -> bool:
         return self.verdict == PASS
 
+    def _sides(self) -> tuple[str, str]:
+        return tuple("-" if v is None else str(v) for v in (self.computed, self.predicted))
+
     def line(self) -> str:
-        c = "-" if self.computed is None else str(self.computed)
-        p = "-" if self.predicted is None else str(self.predicted)
+        c, p = self._sides()
         out = f"{self.verdict.upper()} {self.name} det={c} predicted={p}"
         if self.detail:
             out = f"{out} {self.detail}"
         return out
 
     def machine_line(self) -> str:
-        c = "-" if self.computed is None else str(self.computed)
-        p = "-" if self.predicted is None else str(self.predicted)
-        return "\t".join([self.name, str(self.size), c, p, self.verdict])
+        return "\t".join([self.name, str(self.size), *self._sides(), self.verdict])
 
 
 def make_report(
@@ -163,30 +163,21 @@ def _ramanujan_config(n: int):
     if n < 1:
         raise ValueError("need n >= 1")
     p = divisor_poset(range(1, n + 1))
-    zeta = zeta_function(p)
-    g = IncidenceFunction(
-        p,
-        {
-            (a, b): mobius((b + 1) // (a + 1))
-            for a in range(n)
-            for b in p.above(a)
-        },
-        zero=0,
-    )
-    f_weights = [a + 1 for a in range(n)]
-    g_weights = [1] * n
-    return p, zeta, f_weights, g, g_weights
+    pairs = [(a, b) for a in range(n) for b in p.above(a)]
+    f = IncidenceFunction(p, {(a, b): a + 1 for a, b in pairs}, zero=0)
+    g = IncidenceFunction(p, {(a, b): mobius((b + 1) // (a + 1)) for a, b in pairs}, zero=0)
+    return p, f, g
 
 
 def ramanujan_matrix(n: int) -> SquareMatrix:
     """Matrix of Ramanujan sums c(a, b) for a, b in 1..n.
 
-    Built through the weighted incidence construction on the divisor
-    order, then cross-checked entry by entry against the independent
-    divisor-sum formula before being returned.
+    Built through the incidence construction on the divisor order, with
+    f(c, a) = c and g(c, b) = mu(b / c), then cross-checked entry by entry
+    against the independent divisor-sum formula before being returned.
     """
-    p, zeta, f_weights, g, g_weights = _ramanujan_config(n)
-    m = weighted_product_matrix(p, zeta, f_weights, g, g_weights)
+    p, f, g = _ramanujan_config(n)
+    m = incidence_product_matrix(p, f, g)
     vals = [a + 1 for a in p.lin_ext]
     for i, a in enumerate(vals):
         for j, b in enumerate(vals):
@@ -199,7 +190,7 @@ def ramanujan_matrix(n: int) -> SquareMatrix:
 
 def ramanujan_matrix_det(n: int) -> int:
     """Predicted determinant of the Ramanujan-sum matrix (n factorial)."""
-    return weighted_product_det(*_ramanujan_config(n))
+    return incidence_product_det(*_ramanujan_config(n))
 
 
 # -- Exact k-th-root matrices on the divisor order --
@@ -217,20 +208,19 @@ def _kth_root_config(n: int, k: int, f_weights: Sequence[RingValue]):
             root = kth_root((b + 1) // (a + 1), k)
             values[(a, b)] = root if root is not None else 0
     omega = IncidenceFunction(p, values, zero=0)
-    g_weights = [1] * n
-    return p, omega, list(f_weights), omega, g_weights
+    return p, scale_by_source(omega, f_weights), omega
 
 
 def kth_root_matrix(n: int, k: int, f_weights: Sequence[RingValue]) -> SquareMatrix:
     """Matrix whose (a, b) entry sums exact k-th roots of quotients b/c and
     a/c over common divisors c, each weighted by f(c)."""
-    return weighted_product_matrix(*_kth_root_config(n, k, f_weights))
+    return incidence_product_matrix(*_kth_root_config(n, k, f_weights))
 
 
 def kth_root_matrix_det(n: int, k: int, f_weights: Sequence[RingValue]) -> RingValue:
     """Predicted determinant: the product of the weights, since the root of
     the trivial quotient is 1 on the diagonal."""
-    return weighted_product_det(*_kth_root_config(n, k, f_weights))
+    return incidence_product_det(*_kth_root_config(n, k, f_weights))
 
 
 # -- Meet matrices on a meet semilattice --

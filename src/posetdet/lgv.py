@@ -52,6 +52,7 @@ class WeightedDigraph:
             raise ValueError("digraph needs at least one vertex")
         self.n = n
         arcs = list(arcs)
+        self.one = one_like(arcs[0][2]) if arcs else 1
         succ: list[dict[int, RingValue]] = [{} for _ in range(n)]
         for u, v, w in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -60,12 +61,9 @@ class WeightedDigraph:
                 raise ValueError(f"loop at vertex {u}")
             if v in succ[u]:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            succ[u][v] = w
-        first = arcs[0][2] if arcs else None
-        self.one = 1 if first is None else one_like(first)
-        for _, _, w in arcs:
             if type(w) is not type(self.one):
                 raise ValueError("arc weights must share one ring tag")
+            succ[u][v] = w
         self.succ = tuple(tuple(sorted(s.items())) for s in succ)
         self.topo = _smallest_first_order(n, succ)
         if len(self.topo) != n:

@@ -61,12 +61,11 @@ class Poset:
     ):
         n = len(leq)
         _check_size(n)
-        rows = tuple(tuple(map(bool, row)) for row in leq)
-        if any(len(row) != n for row in rows):
+        if any(len(row) != n for row in leq):
             raise ValueError("relation must be square")
         self.n = n
-        self._leq = rows
-        self._above = self._validate_partial_order()
+        self._above = tuple(frozenset(compress(range(n), row)) for row in leq)
+        self._check_partial_order()
         if labels is None:
             labels = tuple(str(i) for i in range(n))
         if len(labels) != n:
@@ -84,22 +83,20 @@ class Poset:
         self._position = {e: i for i, e in enumerate(self.lin_ext)}
         self._meet_semilattice: bool | None = None
 
-    def _validate_partial_order(self) -> tuple[frozenset[int], ...]:
-        """Check the relation and return its up-sets, above[a] = {b : a <= b}."""
-        n, leq = self.n, self._leq
-        above = tuple(frozenset(compress(range(n), row)) for row in leq)
-        for a in range(n):
-            if not leq[a][a]:
+    def _check_partial_order(self) -> None:
+        """Check the up-sets, above[a] = {b : a <= b}, as a partial order."""
+        above = self._above
+        for a, up in enumerate(above):
+            if a not in up:
                 raise ValueError("relation is not reflexive")
-        for a in range(n):
-            for b in above[a]:
-                if a != b and leq[b][a]:
+        for a, up in enumerate(above):
+            for b in up:
+                if a != b and a in above[b]:
                     raise ValueError("relation is not antisymmetric")
         for up in above:
             for b in up:
                 if not above[b] <= up:
                     raise ValueError("relation is not transitive")
-        return above
 
     @classmethod
     def from_covers(
@@ -232,7 +229,7 @@ class Poset:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poset)
-            and self._leq == other._leq
+            and self._above == other._above
             and self.labels == other.labels
         )
 
@@ -242,10 +239,10 @@ class Poset:
 
 def divisor_poset(values: Sequence[int]) -> Poset:
     """Poset on the given distinct positive integers ordered by divisibility."""
-    vals = list(values)
-    if not vals:
+    if not values:
         raise ValueError("need at least one value")
-    _check_size(len(vals))
+    _check_size(len(values))
+    vals = list(values)
     if any(v < 1 for v in vals):
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
@@ -264,7 +261,8 @@ class IncidenceFunction:
         zero: RingValue | None = None,
     ):
         self.host = host
-        table = {}
+        if zero is None:
+            zero = zero_like(next(iter(values.values()), 0))
         for (a, b), v in values.items():
             if not (0 <= a < host.n and 0 <= b < host.n):
                 raise ValueError(f"entry ({a}, {b}) out of range")
@@ -272,14 +270,10 @@ class IncidenceFunction:
                 raise ValueError(
                     f"entry on pair ({host.labels[a]}, {host.labels[b]}) without {host.labels[a]} <= {host.labels[b]}"
                 )
-            table[(a, b)] = v
-        if zero is None:
-            zero = zero_like(next(iter(table.values()))) if table else 0
-        for v in table.values():
             if type(v) is not type(zero):
                 raise ValueError("incidence function values must share one ring tag")
         self.zero = zero
-        self._table = table
+        self._table = dict(values)
 
     def __call__(self, a: int, b: int) -> RingValue:
         return self._table.get((a, b), self.zero)

@@ -129,10 +129,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        if len(a) == 1:
-            return Poly(tuple(a[0] * c for c in b))
-        if len(b) == 1:
-            return Poly(tuple(b[0] * c for c in a))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:

@@ -319,3 +319,19 @@ def test_verify_chromatic_join_det_small():
         verify_chromatic_join_det(1)
     with pytest.raises(ValueError):
         verify_chromatic_join_det(7)
+
+
+def test_inexact_formula_quotient_fails_without_a_prediction(monkeypatch):
+    import posetdet.chromatic as chromatic
+
+    # with beraha(1) = 1 + q the denominator has the factor q + 1, which
+    # does not divide the numerator: no prediction exists in Z[q]
+    original = chromatic.beraha
+    monkeypatch.setattr(chromatic, "beraha", lambda m: Poly((1, 1)) if m == 1 else original(m))
+    for n in (2, 3, 4):
+        report = verify_chromatic_join_det(n)
+        assert report.verdict == "fail"
+        assert report.predicted is None
+        assert report.computed == chromatic_join_det(n)
+        assert " predicted=- " in report.line()
+        assert report.line().startswith("FAIL tutte det=")

@@ -48,6 +48,19 @@ def test_smith_set_value_above_the_factorisation_range_exits_two(capsys):
     assert out.startswith("PASS smith")
 
 
+def test_smith_set_above_the_size_bound_exits_two_before_any_matrix(capsys, monkeypatch):
+    # {1..241} is factor closed and its values are in range: only the count
+    # rejects it, before the GCD matrix is built
+    def no_matrix(values):
+        raise AssertionError("built a GCD matrix before checking the --set size")
+
+    monkeypatch.setattr(cli, "gcd_matrix", no_matrix)
+    code, out, err = run(capsys, "verify", "smith", "--set", ",".join(map(str, range(1, 242))))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: --set must name at most 240 integers\n"
+
+
 def test_verify_smith_random_campaign(capsys):
     code, out, err = run(capsys, "verify", "smith", "--cases", "5")
     assert code == EXIT_OK
@@ -485,6 +498,9 @@ def test_max_size_above_poset_cap_is_rejected_before_any_draw(capsys, monkeypatc
     [
         ["verify", "apostol", "--n", "1000"],
         ["verify", "daniloff", "--n", "65", "--k", "2"],
+        # rejected before any O(n) table is built
+        ["verify", "apostol", "--n", "1000000000000"],
+        ["verify", "daniloff", "--n", "1000000000", "--k", "2"],
     ],
     ids=" ".join,
 )
@@ -541,6 +557,7 @@ MUTATIONS = [
     (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
     (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),
     (cli, "incidence_product_det", 1, ["random-suite"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "main"]),
 ]
 
 

@@ -260,6 +260,9 @@ def test_divisor_poset_checks_the_count_before_building_the_order():
     assert divisor_poset(range(1, 65)).n == 64
     with pytest.raises(ValueError, match=r"poset too large \(65 > 64\)"):
         divisor_poset([_NoRelation(v) for v in range(1, 66)])
+    # a range is counted, not listed
+    with pytest.raises(ValueError, match=r"poset too large \(1000000000000 > 64\)"):
+        divisor_poset(range(1, 10**12 + 1))
 
 
 def test_random_meet_semilattice_gives_up_with_value_error(monkeypatch):
