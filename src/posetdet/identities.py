@@ -12,7 +12,7 @@ from typing import Sequence
 from .arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from .matrix import SquareMatrix
 from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function
-from .ring import RingValue, TagMismatchError, one_like, zero_like
+from .ring import RingValue, TagMismatchError, one_like, ring_text, zero_like
 
 PASS = "pass"
 FAIL = "fail"
@@ -35,7 +35,7 @@ class IdentityReport:
         return self.verdict == PASS
 
     def _sides(self) -> tuple[str, str]:
-        return tuple("-" if v is None else str(v) for v in (self.computed, self.predicted))
+        return tuple("-" if v is None else ring_text(v) for v in (self.computed, self.predicted))
 
     def line(self) -> str:
         c, p = self._sides()

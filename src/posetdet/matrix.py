@@ -2,10 +2,17 @@
 
 det_bareiss is the workhorse; det_cofactor is a deliberately independent
 slow oracle used to cross-check it.
+
+On a symmetric input det_bareiss updates only the upper triangle: each
+Bareiss intermediate is a bordered minor, symmetric in (i, j) until a row
+is swapped (Bareiss, Math. Comp. 22, 1968).  At the first zero pivot it
+mirrors the upper triangle into the lower one and goes on as for any
+matrix.  GCD matrices are positive definite, so they never get there.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .ring import InexactDivisionError, Poly, RingValue, one_like, zero_like
@@ -70,11 +77,9 @@ class SquareMatrix:
         return SquareMatrix([row[:k] for row in self._rows[:k]])
 
     def is_symmetric(self) -> bool:
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        # Row i against column i; zip reuses its one column tuple, so the
+        # check allocates nothing per row and stops at the first mismatch.
+        return all(map(operator.eq, self._rows, zip(*self._rows)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SquareMatrix) and self._rows == other._rows
@@ -99,15 +104,27 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     Every division is by the previous pivot and is exact in the entry
     domain; an inexact division raises InexactDivisionError, which means
     the invariant was broken, not that the input was bad.
+
+    While the matrix is symmetric, so is every intermediate, and only
+    entries with j >= i are updated; row i's multiplier is read from
+    row k.  That is about half the multiplications and divisions.  The
+    first zero pivot copies the upper triangle of rows k..n-1 into the
+    lower one, and from there every entry is updated and rows may swap.
     """
     n = m.n
     zero = zero_like(m[0, 0])
     prev = one_like(m[0, 0])
     exact_div = _exact_int_div if type(zero) is int else Poly.exact_div
     a = [list(m.row(i)) for i in range(n)]
+    symmetric = m.is_symmetric()
     negate = False
     for k in range(n - 1):
         if not a[k][k]:
+            if symmetric:
+                for i in range(k + 1, n):
+                    for j in range(k, i):
+                        a[i][j] = a[j][i]
+                symmetric = False
             # Deterministic pivot: first lower row with a nonzero entry.
             for r in range(k + 1, n):
                 if a[r][k]:
@@ -120,8 +137,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
+            head = row_k[i] if symmetric else row_i[k]
+            for j in range(i if symmetric else k + 1, n):
                 row_i[j] = exact_div(pivot * row_i[j] - head * row_k[j], prev)
             row_i[k] = zero
         prev = pivot

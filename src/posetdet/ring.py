@@ -8,6 +8,8 @@ determinant identities stay exact.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 
 class TagMismatchError(TypeError):
     """An integer and a polynomial were combined."""
@@ -19,6 +21,17 @@ class InexactDivisionError(ArithmeticError):
     Inside fraction-free elimination this signals a broken invariant, not
     bad user input.
     """
+
+
+def ring_text(v: RingValue) -> str:
+    """str(v) for an int or Poly of any size.  str of an int raises
+    ValueError past sys.get_int_max_str_digits() (4300 digits by default);
+    Decimal gives the same text with no limit and no global state, at
+    twice the cost, and Poly.__str__ renders its coefficients here."""
+    try:
+        return str(v)
+    except ValueError:
+        return str(Decimal(v))
 
 
 def _require_poly(other) -> None:
@@ -196,12 +209,13 @@ class Poly:
             if c == 0:
                 continue
             mag = abs(c)
+            digits = "" if mag == 1 and power else ring_text(mag)
             if power == 0:
-                body = str(mag)
+                body = digits
             elif power == 1:
-                body = "q" if mag == 1 else f"{mag}q"
+                body = f"{digits}q"
             else:
-                body = f"q^{power}" if mag == 1 else f"{mag}q^{power}"
+                body = f"{digits}q^{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import pathlib
@@ -437,6 +438,29 @@ def test_stembridge_digraph_file_is_capped_before_any_vertex_table(tmp_path, cap
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "error: all-permutation enumeration capped at 18 vertices\n"
+
+
+def test_det_above_the_int_to_str_digit_limit_is_printed(tmp_path, capsys):
+    # five arcs of weight 10**4000 (4001 digits each, inside the parse
+    # limit) on a chain: the det 10**20000 is longer than str(int) renders
+    path = tmp_path / "digraph.json"
+    arcs = [[i, i + 1, 10**4000] for i in range(5)]
+    path.write_text(json.dumps({"vertices": 6, "arcs": arcs, "sources": [0], "sinks": [5]}))
+    det = str(decimal.Decimal(10**20000))
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_OK
+    assert out == f"PASS stembridge det={det} predicted={det}\n"
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path), "--machine")
+    assert code == EXIT_OK
+    assert out == f"stembridge\t1\t{det}\t{det}\tpass\n"
+    # the parse side keeps its limit: a 5000-digit weight is bad input
+    path.write_text(
+        '{"vertices": 2, "arcs": [[0, 1, %s]], "sources": [0], "sinks": [1]}' % ("7" * 5000)
+    )
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit (4300 digits)")
 
 
 @pytest.mark.parametrize("cases", [None, "0"])

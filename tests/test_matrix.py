@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from posetdet import matrix
+from posetdet.identities import gcd_matrix, totient_product
 from posetdet.matrix import (
     SquareMatrix,
     det_bareiss,
@@ -26,6 +28,17 @@ def random_poly_matrix(rng, n, max_deg=3):
             for _ in range(n)
         ]
     )
+
+
+def symmetrized(rng, m):
+    """m with its lower triangle replaced by the upper one and about a
+    third of its diagonal set to zero, so that the symmetric elimination
+    meets zero pivots at any step."""
+    rows = [[m[min(i, j), max(i, j)] for j in range(m.n)] for i in range(m.n)]
+    for i in range(m.n):
+        if rng.random() < 0.35:
+            rows[i][i] = m[i, i] - m[i, i]
+    return SquareMatrix(rows)
 
 
 def test_identity_determinant():
@@ -55,6 +68,13 @@ def test_bareiss_equals_cofactor_on_random_integer_matrices():
     for _ in range(300):
         m = random_int_matrix(rng, rng.randint(1, 6))
         assert det_bareiss(m) == det_cofactor(m)
+    zero_diagonals = 0
+    for _ in range(300):
+        m = symmetrized(rng, random_int_matrix(rng, rng.randint(1, 8), lo=-3, hi=3))
+        assert m.is_symmetric()
+        zero_diagonals += any(not m[i, i] for i in range(m.n))
+        assert det_bareiss(m) == det_cofactor(m)
+    assert zero_diagonals > 150
 
 
 def test_bareiss_equals_cofactor_on_random_polynomial_matrices():
@@ -62,6 +82,13 @@ def test_bareiss_equals_cofactor_on_random_polynomial_matrices():
     for _ in range(100):
         m = random_poly_matrix(rng, rng.randint(1, 5))
         assert det_bareiss(m) == det_cofactor(m)
+    zero_diagonals = 0
+    for _ in range(100):
+        m = symmetrized(rng, random_poly_matrix(rng, rng.randint(1, 8), max_deg=2))
+        assert m.is_symmetric()
+        zero_diagonals += any(not m[i, i] for i in range(m.n))
+        assert det_bareiss(m) == det_cofactor(m)
+    assert zero_diagonals > 50
 
 
 def test_zero_pivot_handling():
@@ -70,6 +97,15 @@ def test_zero_pivot_handling():
     assert det_bareiss(SquareMatrix([[0, 1], [0, 2]])) == 0
     m = SquareMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
     assert det_bareiss(m) == det_cofactor(m) == 30
+    # symmetric inputs: a zero pivot at k = 0 mirrors the whole matrix
+    m = SquareMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    assert det_bareiss(m) == det_cofactor(m) == 12
+    # the first zero pivot at k = 1: the lower row that supplies the swap
+    # is read from the mirrored upper triangle, not from stale entries
+    m = SquareMatrix([[1, 1, 2], [1, 1, 3], [2, 3, 0]])
+    assert det_bareiss(m) == det_cofactor(m) == -1
+    m = SquareMatrix([[1, 1, 2], [1, 1, 2], [2, 2, 5]])
+    assert det_bareiss(m) == det_cofactor(m) == 0
 
 
 def test_transpose_preserves_determinant():
@@ -207,3 +243,29 @@ def test_cofactor_size_cap():
 def test_is_symmetric():
     assert SquareMatrix([[1, 2], [2, 3]]).is_symmetric()
     assert not SquareMatrix([[1, 2], [4, 3]]).is_symmetric()
+    assert SquareMatrix([[7]]).is_symmetric()
+    q = Poly((0, 1))
+    assert SquareMatrix([[q, Poly((1,))], [Poly((1,)), q]]).is_symmetric()
+    assert not SquareMatrix([[q, q], [Poly((1,)), q]]).is_symmetric()
+
+
+def test_symmetric_elimination_halves_the_divisions(monkeypatch):
+    # a symmetric input updates only j >= i at each step, any other input
+    # the whole (n - k - 1) x (n - k - 1) block; neither meets a zero pivot
+    divisions = 0
+
+    def counting_div(a, b):
+        nonlocal divisions
+        divisions += 1
+        return divmod(a, b)[0]
+
+    monkeypatch.setattr(matrix, "_exact_int_div", counting_div)
+    n = 10
+    g = gcd_matrix(range(1, n + 1))
+    scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
+    assert g.is_symmetric() and not scaled.is_symmetric()
+    assert det_bareiss(g) == totient_product(range(1, n + 1))
+    assert divisions == sum((n - k - 1) * (n - k) // 2 for k in range(n - 1))
+    divisions = 0
+    assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
+    assert divisions == sum((n - k - 1) ** 2 for k in range(n - 1))

@@ -1,3 +1,4 @@
+import decimal
 import random
 
 import pytest
@@ -135,6 +136,9 @@ def test_rendering():
     assert str(Poly((0, -2, 3))) == "3q^2 - 2q"
     assert str(Poly((-1,))) == "-1"
     assert str(Poly((0, 1))) == "q"
+    # coefficients past the int-to-str digit limit still render
+    big = 10**5000
+    assert str(Poly((-big, 0, big))) == f"{decimal.Decimal(big)}q^2 - {decimal.Decimal(big)}"
 
 
 def test_evaluate():

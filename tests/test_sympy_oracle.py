@@ -1,17 +1,21 @@
-"""sympy as a third, independent determinant oracle for Poly matrices.
+"""sympy as an independent determinant oracle, for Poly matrices and for
+integer matrices too large for det_cofactor.
 
 Optional: the module is skipped when sympy is not installed, and sympy is
-not a dependency.  The det comes from the characteristic polynomial of a
-DomainMatrix over ZZ[q] (Berkowitz, division free), as (-1)^n times its
+not a dependency.  A Poly det comes from the characteristic polynomial of
+a DomainMatrix over ZZ[q] (Berkowitz, division free), as (-1)^n times its
 constant term; it shares no code with Bareiss elimination or with the
-evaluation and interpolation behind chromatic_join_det.
+evaluation and interpolation behind chromatic_join_det.  An int det is
+sympy's own DomainMatrix det over ZZ.
 """
 
 import random
 
 import pytest
 
+from posetdet.arith import divisors
 from posetdet.chromatic import chromatic_join_det, chromatic_join_matrix
+from posetdet.identities import gcd_matrix, kth_root_matrix, ramanujan_matrix
 from posetdet.lgv import WeightedDigraph, stembridge_matrix
 from posetdet.matrix import det_bareiss
 from posetdet.randgen import random_hypothesis_digraph
@@ -57,3 +61,23 @@ def test_poly_weighted_stembridge_det_matches_sympy_berkowitz():
         sizes.append(m.n)
         assert det_bareiss(m) == _berkowitz_det(m)
     assert set(sizes) == {1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "build, symmetric",
+    [
+        (lambda: gcd_matrix(divisors(720)), True),
+        (lambda: kth_root_matrix(24, 2, range(1, 25)), True),
+        (lambda: ramanujan_matrix(24), False),
+    ],
+    ids=["gcd-divisors-720", "kth-root-24", "ramanujan-24"],
+)
+def test_large_integer_det_matches_sympy(build, symmetric):
+    # above det_cofactor's size cap, on both elimination paths
+    m = build()
+    assert m.is_symmetric() is symmetric
+    rows = [[sympy.ZZ(m[i, j]) for j in range(m.n)] for i in range(m.n)]
+    expected = DomainMatrix(rows, (m.n, m.n), sympy.ZZ).det()
+    det = det_bareiss(m)
+    assert det != 0
+    assert det == int(expected)
