@@ -32,8 +32,8 @@ from .identities import (
     meet_closed_matrix,
     meet_matrix,
     meet_matrix_det,
+    positive_definite_by_diagonal,
     product_matrix_invertible,
-    product_matrix_positive_definite,
     ramanujan_matrix,
     ramanujan_matrix_det,
     totient_product,
@@ -266,8 +266,9 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
         f, g = randgen.random_symmetric_pair(rng, p)
-        minors = leading_principal_minors(incidence_product_matrix(p, f, g))
-        predicate = product_matrix_positive_definite(p, f, g)
+        m = incidence_product_matrix(p, f, g)
+        minors = leading_principal_minors(m)
+        predicate = positive_definite_by_diagonal(m, p, f, g)
         det = minors[-1]
         predicted = incidence_product_det(p, f, g)
         report = make_report("definiteness", p.n, det, predicted)

@@ -347,9 +347,17 @@ def product_matrix_positive_definite(
     Only meaningful for symmetric matrices over the integers; anything
     else is rejected rather than guessed at.
     """
+    return positive_definite_by_diagonal(incidence_product_matrix(p, f, g), p, f, g)
+
+
+def positive_definite_by_diagonal(
+    m: SquareMatrix, p: Poset, f: IncidenceFunction, g: IncidenceFunction
+) -> bool:
+    """product_matrix_positive_definite for m, the product matrix of p, f
+    and g that the caller has already built."""
     _check_host(p, f, g)
     if type(f.zero) is not int:
         raise ValueError("positive definiteness needs integer entries")
-    if not incidence_product_matrix(p, f, g).is_symmetric():
+    if not m.is_symmetric():
         raise ValueError("matrix is not symmetric")
     return all(f(a, a) * g(a, a) > 0 for a in range(p.n))

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from posetdet import chromatic, cli, lgv
+from posetdet import chromatic, cli, identities, lgv
 from posetdet.arith import divisors
 from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from posetdet.poset import IncidenceFunction
@@ -251,6 +251,22 @@ def test_verify_definiteness(capsys):
     code, out, err = run(capsys, "verify", "definiteness", "--cases", "6")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 9  # 6 predicate cases plus 3 singular
+
+
+def test_verify_definiteness_builds_each_product_matrix_once(capsys, monkeypatch):
+    builds = 0
+    build = identities.incidence_product_matrix
+
+    def counting_build(p, f, g):
+        nonlocal builds
+        builds += 1
+        return build(p, f, g)
+
+    monkeypatch.setattr(identities, "incidence_product_matrix", counting_build)
+    monkeypatch.setattr(cli, "incidence_product_matrix", counting_build)
+    code, out, err = run(capsys, "verify", "definiteness")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == builds == 150  # 100 predicate cases plus 50 singular
 
 
 def test_machine_mode_fields(capsys):

@@ -33,11 +33,24 @@ def random_poly_matrix(rng, n, max_deg=3):
 def symmetrized(rng, m):
     """m with its lower triangle replaced by the upper one and about a
     third of its diagonal set to zero, so that the symmetric elimination
-    meets zero pivots at any step."""
+    meets zero diagonal entries, and some zero 2 x 2 pivots, at any step."""
     rows = [[m[min(i, j), max(i, j)] for j in range(m.n)] for i in range(m.n)]
     for i in range(m.n):
         if rng.random() < 0.35:
             rows[i][i] = m[i, i] - m[i, i]
+    return SquareMatrix(rows)
+
+
+def degenerate_lead(m):
+    """m with its leading 2 x 2 block replaced by the rank-1 block
+    (x, y)^T (u, v), symmetric when m is: the first two-column step must
+    swap rows or find those columns of rank at most 1.  A zero x and y
+    give the zero block."""
+    x, y = m[0, 0], m[0, 1]
+    u, v = (x, y) if m.is_symmetric() else (m[1, 0], m[1, 1])
+    rows = [list(m.row(i)) for i in range(m.n)]
+    rows[0][:2] = [x * u, x * v]
+    rows[1][:2] = [y * u, y * v]
     return SquareMatrix(rows)
 
 
@@ -75,6 +88,16 @@ def test_bareiss_equals_cofactor_on_random_integer_matrices():
         zero_diagonals += any(not m[i, i] for i in range(m.n))
         assert det_bareiss(m) == det_cofactor(m)
     assert zero_diagonals > 150
+    nonsingular = 0
+    for _ in range(200):
+        m = random_int_matrix(rng, rng.randint(2, 8), lo=-3, hi=3)
+        if rng.random() < 0.5:
+            m = symmetrized(rng, m)
+        m = degenerate_lead(m)
+        det = det_cofactor(m)
+        nonsingular += det != 0
+        assert det_bareiss(m) == det
+    assert nonsingular > 100
 
 
 def test_bareiss_equals_cofactor_on_random_polynomial_matrices():
@@ -89,23 +112,87 @@ def test_bareiss_equals_cofactor_on_random_polynomial_matrices():
         zero_diagonals += any(not m[i, i] for i in range(m.n))
         assert det_bareiss(m) == det_cofactor(m)
     assert zero_diagonals > 50
+    nonsingular = 0
+    for _ in range(60):
+        m = random_poly_matrix(rng, rng.randint(2, 7), max_deg=2)
+        if rng.random() < 0.5:
+            m = symmetrized(rng, m)
+        m = degenerate_lead(m)
+        det = det_cofactor(m)
+        nonsingular += bool(det)
+        assert det_bareiss(m) == det
+    assert nonsingular > 30
+
+
+def as_poly(m):
+    """m with each entry x replaced by x * (1 + q): the determinant is
+    multiplied by (1 + q)^n and every zero stays where it was."""
+    return SquareMatrix([[Poly((x, x)) for x in m.row(i)] for i in range(m.n)])
+
+
+def check_both_tags(rows, expected):
+    m = SquareMatrix(rows)
+    assert det_bareiss(m) == expected
+    assert det_cofactor(m) == expected
+    pm = as_poly(m)
+    expected_poly = Poly((expected,)) * Poly((1, 1)) ** m.n
+    assert det_bareiss(pm) == det_cofactor(pm) == expected_poly
+
+
+def congruent(rng, m):
+    """U^T m U for a random upper unitriangular U: a dense matrix with the
+    leading principal minors, determinant and symmetry of m."""
+    n = m.n
+    u = SquareMatrix(
+        [[int(i == j) or rng.randint(-2, 2) * (i < j) for j in range(n)] for i in range(n)]
+    )
+    return u.transpose() @ m @ u
 
 
 def test_zero_pivot_handling():
-    assert det_bareiss(SquareMatrix([[0, 1], [1, 0]])) == -1
-    assert det_bareiss(SquareMatrix([[0, 0], [0, 0]])) == 0
-    assert det_bareiss(SquareMatrix([[0, 1], [0, 2]])) == 0
-    m = SquareMatrix([[0, 2, 1], [0, 0, 3], [5, 0, 0]])
-    assert det_bareiss(m) == det_cofactor(m) == 30
-    # symmetric inputs: a zero pivot at k = 0 mirrors the whole matrix
-    m = SquareMatrix([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
-    assert det_bareiss(m) == det_cofactor(m) == 12
-    # the first zero pivot at k = 1: the lower row that supplies the swap
-    # is read from the mirrored upper triangle, not from stale entries
-    m = SquareMatrix([[1, 1, 2], [1, 1, 3], [2, 3, 0]])
-    assert det_bareiss(m) == det_cofactor(m) == -1
-    m = SquareMatrix([[1, 1, 2], [1, 1, 2], [2, 2, 5]])
-    assert det_bareiss(m) == det_cofactor(m) == 0
+    # n = 1 needs no elimination step
+    check_both_tags([[0]], 0)
+    check_both_tags([[-7]], -7)
+    # a zero a_00 under a nonzero 2 x 2 leading minor needs no swap
+    check_both_tags([[0, 1], [1, 0]], -1)
+    check_both_tags([[0, 1, 2], [1, 0, 3], [2, 3, 0]], 12)
+    check_both_tags([[0, 2, 1], [2, 1, 0], [1, 0, 5]], -21)
+    check_both_tags([[0, 2, 1], [3, 1, 0], [1, 0, 5]], -31)
+    check_both_tags([[0, 0], [0, 0]], 0)
+    check_both_tags([[0, 1], [0, 2]], 0)
+    check_both_tags([[0, 2, 1], [0, 0, 3], [5, 0, 0]], 30)
+    # a zero 2 x 2 leading minor: rows 0 and 2 have the first nonzero
+    # minor on columns 0 and 1, so row 2 moves up and the sign flips
+    check_both_tags([[1, 2, 0], [2, 4, 1], [0, 1, 0]], -1)
+    # rows 2 and 3 move up into rows 0 and 1: two swaps, sign kept
+    check_both_tags([[0, 0, 1, 2], [0, 0, 3, 1], [1, 2, 0, 0], [3, 4, 0, 0]], 10)
+    # symmetric inputs: the zero minor at k = 0 mirrors the whole matrix,
+    # and the row that supplies the swap is read from the mirrored
+    # upper triangle, not from stale entries
+    check_both_tags([[1, 1, 2], [1, 1, 3], [2, 3, 0]], -1)
+    check_both_tags([[1, 1, 2], [1, 1, 2], [2, 2, 5]], 0)
+    # columns k and k + 1 of rank 1 under a nonzero diagonal return 0,
+    # at k = 0 and at k = 2
+    check_both_tags([[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 9], [4, 8, 1, 2]], 0)
+    check_both_tags([[2, 1, 1, 2], [1, 3, 2, 4], [1, 1, 3, 6], [5, 2, 1, 2]], 0)
+    # a dense symmetric 5 x 5 whose leading 4 x 4 minor is 0: the first
+    # step runs on the upper triangle, the zero minor at k = 2 mirrors
+    # it, and rows 2 and 4 supply the swap
+    rng = random.Random("pivot-congruent")
+    block = SquareMatrix(
+        [
+            [1, 0, 0, 0, 0],
+            [0, 1, 0, 0, 0],
+            [0, 0, 1, 1, 0],
+            [0, 0, 1, 1, 1],
+            [0, 0, 0, 1, 1],
+        ]
+    )
+    for _ in range(5):
+        m = congruent(rng, block)
+        assert m.is_symmetric()
+        assert leading_minors_oracle(m) == [1, 1, 1, 0, -1]
+        check_both_tags([list(m.row(i)) for i in range(m.n)], -1)
 
 
 def test_transpose_preserves_determinant():
@@ -249,9 +336,11 @@ def test_is_symmetric():
     assert not SquareMatrix([[q, q], [Poly((1,)), q]]).is_symmetric()
 
 
-def test_symmetric_elimination_halves_the_divisions(monkeypatch):
-    # a symmetric input updates only j >= i at each step, any other input
-    # the whole (n - k - 1) x (n - k - 1) block; neither meets a zero pivot
+def test_two_step_elimination_division_counts(monkeypatch):
+    # each two-column step divides once for its pivot, twice per row for
+    # that row's multipliers and once per updated entry: a symmetric input
+    # updates only j >= i, any other input the whole block below row k + 1;
+    # neither meets a zero pivot
     divisions = 0
 
     def counting_div(a, b):
@@ -265,7 +354,10 @@ def test_symmetric_elimination_halves_the_divisions(monkeypatch):
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
     assert g.is_symmetric() and not scaled.is_symmetric()
     assert det_bareiss(g) == totient_product(range(1, n + 1))
-    assert divisions == sum((n - k - 1) * (n - k) // 2 for k in range(n - 1))
+    steps = range(0, n - 1, 2)
+    assert divisions == sum(1 + sum(n - i + 2 for i in range(k + 2, n)) for k in steps)
+    assert divisions == 115
     divisions = 0
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert divisions == sum((n - k - 1) ** 2 for k in range(n - 1))
+    assert divisions == sum(1 + (n - k - 2) * (n - k) for k in steps)
+    assert divisions == 165

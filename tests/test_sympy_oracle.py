@@ -17,7 +17,7 @@ from posetdet.arith import divisors
 from posetdet.chromatic import chromatic_join_det, chromatic_join_matrix
 from posetdet.identities import gcd_matrix, kth_root_matrix, ramanujan_matrix
 from posetdet.lgv import WeightedDigraph, stembridge_matrix
-from posetdet.matrix import det_bareiss
+from posetdet.matrix import SquareMatrix, det_bareiss
 from posetdet.randgen import random_hypothesis_digraph
 from posetdet.ring import Poly
 
@@ -63,17 +63,86 @@ def test_poly_weighted_stembridge_det_matches_sympy_berkowitz():
     assert set(sizes) == {1, 2, 3}
 
 
+def _dense(n):
+    rng = random.Random(f"dense-{n}")
+    return SquareMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+
+
+def _pivot_heavy(n, symmetric):
+    """A nonsingular integer matrix on which elimination meets many zero
+    2 x 2 pivots.  A sparse unit lower triangular L times a sparse upper
+    triangular U with a nonzero diagonal has its rows shuffled; for a
+    symmetric matrix, L H L^T with H made of 2 x 2 blocks [[0, c], [c, 0]]
+    (and a last 1 x 1 block when n is odd) has its rows and columns
+    shuffled alike."""
+    rng = random.Random(f"pivot-heavy-{n}-{symmetric}")
+
+    def sparse():
+        return rng.choice((-2, -1, 1, 2)) if rng.random() < 0.15 else 0
+
+    def nonzero():
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    lower = SquareMatrix(
+        [[1 if i == j else sparse() if j < i else 0 for j in range(n)] for i in range(n)]
+    )
+    if symmetric:
+        middle = [[0] * n for _ in range(n)]
+        for i in range(0, n - 1, 2):
+            middle[i][i + 1] = middle[i + 1][i] = nonzero()
+        if n % 2:
+            middle[n - 1][n - 1] = nonzero()
+        b = lower @ SquareMatrix(middle) @ lower.transpose()
+    else:
+        upper = SquareMatrix(
+            [
+                [nonzero() if i == j else sparse() if j > i else 0 for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        b = lower @ upper
+    perm = rng.sample(range(n), n)
+    return SquareMatrix(
+        [[b[perm[i], perm[j] if symmetric else j] for j in range(n)] for i in range(n)]
+    )
+
+
 @pytest.mark.parametrize(
     "build, symmetric",
     [
         (lambda: gcd_matrix(divisors(720)), True),
         (lambda: kth_root_matrix(24, 2, range(1, 25)), True),
         (lambda: ramanujan_matrix(24), False),
+        (lambda: _dense(9), False),
+        (lambda: _dense(40), False),
+        (lambda: _pivot_heavy(9, False), False),
+        (lambda: _pivot_heavy(16, False), False),
+        (lambda: _pivot_heavy(25, False), False),
+        (lambda: _pivot_heavy(40, False), False),
+        (lambda: _pivot_heavy(9, True), True),
+        (lambda: _pivot_heavy(16, True), True),
+        (lambda: _pivot_heavy(25, True), True),
+        (lambda: _pivot_heavy(40, True), True),
     ],
-    ids=["gcd-divisors-720", "kth-root-24", "ramanujan-24"],
+    ids=[
+        "gcd-divisors-720",
+        "kth-root-24",
+        "ramanujan-24",
+        "dense-9",
+        "dense-40",
+        "pivot-heavy-9",
+        "pivot-heavy-16",
+        "pivot-heavy-25",
+        "pivot-heavy-40",
+        "pivot-heavy-symmetric-9",
+        "pivot-heavy-symmetric-16",
+        "pivot-heavy-symmetric-25",
+        "pivot-heavy-symmetric-40",
+    ],
 )
 def test_large_integer_det_matches_sympy(build, symmetric):
-    # above det_cofactor's size cap, on both elimination paths
+    # above det_cofactor's size cap, on both elimination paths and through
+    # the 2 x 2 pivot search
     m = build()
     assert m.is_symmetric() is symmetric
     rows = [[sympy.ZZ(m[i, j]) for j in range(m.n)] for i in range(m.n)]
