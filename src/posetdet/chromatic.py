@@ -5,13 +5,12 @@ the Beraha-polynomial product formula for its determinant.
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from typing import Sequence
 
 from .arith import binomial
 from .identities import IdentityReport, make_report
 from .matrix import SquareMatrix, det_bareiss
-from .ring import InexactDivisionError, Poly
+from .ring import InexactDivisionError, Poly, exact_int_div
 
 # Bell numbers explode; B_9 = 21147 is the most we ever materialize.
 MAX_GROUND = 9
@@ -253,10 +252,7 @@ def chromatic_join_det(n: int) -> Poly:
             value *= det_bareiss(SquareMatrix([[h[i][j] for j in block] for i in block]))
         for a in parts:
             value *= _falling(x, a.num_blocks)
-        y, r = divmod(value, _falling(x, n) ** size * x ** len(ncs))
-        if r:
-            raise InexactDivisionError(f"det M({x}) / (x^rows L^|X|) is not an integer")
-        ys.append(y)
+        ys.append(exact_int_div(value, _falling(x, n) ** size * x ** len(ncs)))
     return Poly.monomial(len(ncs)) * Poly.interpolate(xs, ys)
 
 
@@ -280,16 +276,8 @@ def beraha(n: int) -> Poly:
 
 def _formula_exponents(n: int) -> list[int]:
     """Exponents of the Beraha factors; each is (m+1)/n * binomial(2n, n-m-1)
-    for m = 1..n-1 and must come out a nonnegative integer."""
-    out = []
-    for m in range(1, n):
-        e = Fraction(m + 1, n) * binomial(2 * n, n - m - 1)
-        if e.denominator != 1 or e < 0:
-            raise ArithmeticError(
-                f"formula exponent for m={m} is not a nonnegative integer: {e}"
-            )
-        out.append(int(e))
-    return out
+    for m = 1..n-1, nonnegative, and must divide out exactly."""
+    return [exact_int_div((m + 1) * binomial(2 * n, n - m - 1), n) for m in range(1, n)]
 
 
 def verify_chromatic_join_det(n: int) -> IdentityReport:

@@ -32,8 +32,8 @@ from .identities import (
     meet_closed_matrix,
     meet_matrix,
     meet_matrix_det,
-    positive_definite_by_diagonal,
     product_matrix_invertible,
+    product_matrix_positive_definite,
     ramanujan_matrix,
     ramanujan_matrix_det,
     totient_product,
@@ -268,7 +268,7 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         f, g = randgen.random_symmetric_pair(rng, p)
         m = incidence_product_matrix(p, f, g)
         minors = leading_principal_minors(m)
-        predicate = positive_definite_by_diagonal(m, p, f, g)
+        predicate = product_matrix_positive_definite(m, p, f, g)
         det = minors[-1]
         predicted = incidence_product_det(p, f, g)
         report = make_report("definiteness", p.n, det, predicted)
@@ -317,7 +317,7 @@ def _emit(reports: list[IdentityReport], machine: bool, seed) -> int:
 
 
 def run_mobius(args) -> int:
-    p = poset_from_dict(_load_json(args.poset_file))
+    p = _load_poset(args.poset_file)
     mu = mobius_function(p)
     for a in p.lin_ext:
         for b in sorted(p.above(a), key=p.position):

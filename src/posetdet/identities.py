@@ -312,16 +312,13 @@ def meet_closed_det(
     _check_semilattice(semilattice, f)
     s = _ordered_subset(semilattice, subset)
     mu = mobius_function(semilattice)
-    owner: dict[int, int] = {}
-    for i, a in enumerate(s):
-        for d in sorted(semilattice.below(a)):
-            owner.setdefault(d, i)
+    charged: set[int] = set()
     acc = one_like(f.zero)
-    for i, a in enumerate(s):
+    for a in s:
+        mine = semilattice.below(a) - charged
+        charged |= mine
         factor = zero_like(f.zero)
-        for d, j in owner.items():
-            if j != i:
-                continue
+        for d in mine:
             for c in semilattice.below(d):
                 factor = factor + f(c, a) * mu(c, d)
         acc = acc * factor
@@ -340,21 +337,14 @@ def product_matrix_invertible(
 
 
 def product_matrix_positive_definite(
-    p: Poset, f: IncidenceFunction, g: IncidenceFunction
+    m: SquareMatrix, p: Poset, f: IncidenceFunction, g: IncidenceFunction
 ) -> bool:
-    """True exactly when every diagonal product f(a,a) g(a,a) is positive.
+    """True exactly when every diagonal product f(a,a) g(a,a) is positive,
+    for m the product matrix of p, f and g, built by the caller.
 
     Only meaningful for symmetric matrices over the integers; anything
     else is rejected rather than guessed at.
     """
-    return positive_definite_by_diagonal(incidence_product_matrix(p, f, g), p, f, g)
-
-
-def positive_definite_by_diagonal(
-    m: SquareMatrix, p: Poset, f: IncidenceFunction, g: IncidenceFunction
-) -> bool:
-    """product_matrix_positive_definite for m, the product matrix of p, f
-    and g that the caller has already built."""
     _check_host(p, f, g)
     if type(f.zero) is not int:
         raise ValueError("positive definiteness needs integer entries")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .identities import HYPOTHESIS_FAILED, IdentityReport, make_report
+from .identities import HYPOTHESIS_FAILED, IdentityReport, _check_host, make_report
 from .matrix import SquareMatrix, det_bareiss
 from .poset import IncidenceFunction, Poset, _smallest_first_order
 from .ring import RingValue, one_like, ring_value_from_json, zero_like
@@ -316,8 +316,7 @@ def three_layer_digraph(
     middle vertex, a common lower bound of its endpoints, and the matrix
     of path-weight sums reproduces the incidence product matrix.
     """
-    if f.host != p or g.host != p:
-        raise ValueError("incidence function lives on a different poset")
+    _check_host(p, f, g)
     n = p.n
     arcs: list[tuple[int, int, RingValue]] = []
     for a in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from typing import Sequence
 
-from .ring import InexactDivisionError, Poly, RingValue, one_like, zero_like
+from .ring import Poly, RingValue, exact_int_div, one_like, zero_like
 
 COFACTOR_MAX = 8  # Laplace expansion is factorial; keep the oracle small.
 
@@ -87,13 +87,6 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
-def _exact_int_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise InexactDivisionError(f"{a} is not divisible by {b}")
-    return q
-
-
 def det_bareiss(m: SquareMatrix) -> RingValue:
     """Exact determinant by two-step fraction-free elimination.
 
@@ -123,7 +116,7 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     n = m.n
     zero = zero_like(m[0, 0])
     prev = one_like(m[0, 0])
-    exact_div = _exact_int_div if type(zero) is int else Poly.exact_div
+    exact_div = exact_int_div if type(zero) is int else Poly.exact_div
     a = [list(m.row(i)) for i in range(n)]
     symmetric = m.is_symmetric()
     negate = False

@@ -155,22 +155,30 @@ class Poset:
                     out.append((a, b))
         return sorted(out)
 
-    def meet(self, a: int, b: int) -> int:
-        """Greatest lower bound of a and b; MeetError when it is not unique.
+    def _meet(self, a: int, b: int) -> int | None:
+        """Greatest lower bound of a and b, or None when there is none.
 
         The common lower bounds form a down-set, so they have a greatest
         element exactly when one of them has a down-set of the same size.
         """
         below = self._below
         common = below[a] & below[b]
-        if not common:
-            raise MeetError(
-                f"{self.labels[a]} and {self.labels[b]} have no common lower bound"
-            )
         size = len(common)
         for c in common:
             if len(below[c]) == size:
                 return c
+        return None
+
+    def meet(self, a: int, b: int) -> int:
+        """Greatest lower bound of a and b; MeetError when it is not unique."""
+        c = self._meet(a, b)
+        if c is not None:
+            return c
+        common = self._below[a] & self._below[b]
+        if not common:
+            raise MeetError(
+                f"{self.labels[a]} and {self.labels[b]} have no common lower bound"
+            )
         maximal = [
             c
             for c in common
@@ -184,17 +192,11 @@ class Poset:
     def is_meet_semilattice(self) -> bool:
         """True when every pair of elements has a meet."""
         if self._meet_semilattice is None:
-            result = True
-            for a in range(self.n):
-                for b in range(a + 1, self.n):
-                    try:
-                        self.meet(a, b)
-                    except MeetError:
-                        result = False
-                        break
-                if not result:
-                    break
-            self._meet_semilattice = result
+            self._meet_semilattice = all(
+                self._meet(a, b) is not None
+                for a in range(self.n)
+                for b in range(a + 1, self.n)
+            )
         return self._meet_semilattice
 
     def is_lower_closed(self, subset: Iterable[int]) -> bool:

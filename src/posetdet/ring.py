@@ -23,6 +23,15 @@ class InexactDivisionError(ArithmeticError):
     """
 
 
+def exact_int_div(a: int, b: int) -> int:
+    """a // b when b divides a; InexactDivisionError otherwise.  The
+    message names no operand: str of an int past 4300 digits raises."""
+    q, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError("integer division is not exact")
+    return q
+
+
 def ring_text(v: RingValue) -> str:
     """str(v) for an int or Poly of any size.  str of an int raises
     ValueError past sys.get_int_max_str_digits() (4300 digits by default);
@@ -90,10 +99,7 @@ class Poly:
             raise TypeError("interpolation nodes and values must be ints")
         for j in range(1, len(xs)):
             for i in range(len(xs) - 1, j - 1, -1):
-                t, r = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
-                if r:
-                    raise InexactDivisionError("divided difference is not an integer")
-                diffs[i] = t
+                diffs[i] = exact_int_div(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
         # Horner on the Newton form d0 + (q - x0)(d1 + (q - x1)(d2 + ...)).
         out: list[int] = []
         for x, d in zip(reversed(xs), reversed(diffs)):
@@ -183,10 +189,7 @@ class Poly:
             c = rem[k + width - 1]
             if c == 0:
                 continue
-            t, r = divmod(c, lead)
-            if r != 0:
-                raise InexactDivisionError("polynomial division is not exact")
-            quot[k] = t
+            quot[k] = t = exact_int_div(c, lead)
             for j, bj in enumerate(b):
                 rem[k + j] -= t * bj
         if any(rem):

@@ -215,9 +215,9 @@ def test_criterion_10_definiteness():
             p = random_poset(rng, rng.randint(1, 6))
             f, g = random_symmetric_pair(rng, p)
             minors = leading_principal_minors(incidence_product_matrix(p, f, g))
-            assert product_matrix_positive_definite(p, f, g) == all(
-                m > 0 for m in minors
-            )
+            assert product_matrix_positive_definite(
+                incidence_product_matrix(p, f, g), p, f, g
+            ) == all(m > 0 for m in minors)
         for _ in range(50):
             p = random_poset(rng, rng.randint(1, 6))
             f, g = random_symmetric_pair(rng, p, force_zero_diag=True)

@@ -476,6 +476,39 @@ def test_meet_closed_random_campaign():
         assert meet_closed_det(lattice, subset, f) == det
 
 
+def meet_closed_det_oracle(semilattice, subset, f):
+    """meet_closed_det with each ambient element's owning member kept in a
+    dict that is scanned once per member."""
+    s = sorted(set(subset), key=semilattice.position)
+    mu = mobius_function(semilattice)
+    owner = {}
+    for i, a in enumerate(s):
+        for d in sorted(semilattice.below(a)):
+            owner.setdefault(d, i)
+    acc = 1
+    for i, a in enumerate(s):
+        factor = 0
+        for d, j in owner.items():
+            if j != i:
+                continue
+            for c in semilattice.below(d):
+                factor = factor + f(c, a) * mu(c, d)
+        acc = acc * factor
+    return acc
+
+
+def test_meet_closed_det_matches_the_owner_scan():
+    rng = random.Random("meetclosed-oracle")
+    nonzero = 0
+    for _ in range(300):
+        lattice, subset = random_meet_closed_instance(rng)
+        f = random_incidence(rng, lattice)
+        expected = meet_closed_det_oracle(lattice, subset, f)
+        assert meet_closed_det(lattice, subset, f) == expected
+        nonzero += expected != 0
+    assert nonzero > 150
+
+
 def test_meet_closed_agrees_with_meet_matrix_on_lower_closed_subsets():
     rng = random.Random("meetlower")
     found = 0
@@ -518,7 +551,9 @@ def test_positive_definite_zeta_case():
     for _ in range(15):
         p = random_poset(rng, rng.randint(1, 6))
         z = zeta_function(p)
-        assert product_matrix_positive_definite(p, z, z)
+        assert product_matrix_positive_definite(
+            incidence_product_matrix(p, z, z), p, z, z
+        )
         minors = leading_principal_minors(incidence_product_matrix(p, z, z))
         assert all(m == 1 for m in minors)
 
@@ -530,7 +565,7 @@ def test_single_negative_diagonal_is_invertible_but_not_definite():
         p, {(0, 0): 1, (1, 1): -1, (2, 2): 1}
     )
     assert product_matrix_invertible(p, f, g)
-    assert not product_matrix_positive_definite(p, f, g)
+    assert not product_matrix_positive_definite(incidence_product_matrix(p, f, g), p, f, g)
     minors = leading_principal_minors(incidence_product_matrix(p, f, g))
     assert [m > 0 for m in minors] == [True, False, False]
 
@@ -541,9 +576,9 @@ def test_positive_definite_predicate_matches_minors():
         p = random_poset(rng, rng.randint(1, 6))
         f, g = random_symmetric_pair(rng, p)
         minors = leading_principal_minors(incidence_product_matrix(p, f, g))
-        assert product_matrix_positive_definite(p, f, g) == all(
-            m > 0 for m in minors
-        )
+        assert product_matrix_positive_definite(
+            incidence_product_matrix(p, f, g), p, f, g
+        ) == all(m > 0 for m in minors)
 
 
 def test_zero_diagonal_symmetric_instances_are_singular():
@@ -560,7 +595,7 @@ def test_positive_definite_rejects_asymmetric_and_polynomial_input():
     f = IncidenceFunction(p, {(0, 0): 1, (0, 1): 2, (1, 1): 1, (2, 2): 1})
     g = zeta_function(p)
     with pytest.raises(ValueError):
-        product_matrix_positive_definite(p, f, g)
+        product_matrix_positive_definite(incidence_product_matrix(p, f, g), p, f, g)
     fq = IncidenceFunction(p, {(a, a): Poly((1,)) for a in range(3)})
     with pytest.raises(ValueError):
-        product_matrix_positive_definite(p, fq, fq)
+        product_matrix_positive_definite(incidence_product_matrix(p, fq, fq), p, fq, fq)

@@ -27,13 +27,13 @@ from posetdet.lgv import (
     verify_stembridge,
 )
 from posetdet.matrix import SquareMatrix
-from posetdet.poset import Poset, poset_from_dict, zeta_function
+from posetdet.poset import IncidenceFunction, Poset, poset_from_dict, zeta_function
 from posetdet.randgen import (
     random_hypothesis_digraph,
     random_incidence,
     random_poset,
 )
-from posetdet.ring import Poly, zero_like
+from posetdet.ring import Poly, TagMismatchError, zero_like
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -427,6 +427,16 @@ def test_three_layer_vee_structure():
     assert {v for v, _ in d.succ[2 * n + 2]} == {n + 2}
     assert d.sources == (0, 1, 2)
     assert d.sinks == (3, 4, 5)
+
+
+def test_three_layer_checks_the_host_and_the_ring_tags():
+    p = Poset.from_covers(2, [(0, 1)])
+    z = zeta_function(p)
+    with pytest.raises(ValueError, match="different poset"):
+        three_layer_digraph(p, zeta_function(Poset.from_covers(2, [])), z)
+    zq = IncidenceFunction(p, {(a, b): Poly((1,)) for a in range(2) for b in p.above(a)})
+    with pytest.raises(TagMismatchError):
+        three_layer_digraph(p, z, zq)
 
 
 def test_three_layer_path_weights_pick_up_both_factors():

@@ -348,7 +348,7 @@ def test_two_step_elimination_division_counts(monkeypatch):
         divisions += 1
         return divmod(a, b)[0]
 
-    monkeypatch.setattr(matrix, "_exact_int_div", counting_div)
+    monkeypatch.setattr(matrix, "exact_int_div", counting_div)
     n = 10
     g = gcd_matrix(range(1, n + 1))
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])

@@ -455,6 +455,30 @@ def test_is_meet_semilattice():
     assert divisor_poset([1, 2, 3, 4, 6, 12]).is_meet_semilattice()
 
 
+def meet_semilattice_oracle(p):
+    """is_meet_semilattice as a scan that calls meet on every pair and
+    stops at the first MeetError."""
+    for a in range(p.n):
+        for b in range(a + 1, p.n):
+            try:
+                p.meet(a, b)
+            except MeetError:
+                return False
+    return True
+
+
+def test_is_meet_semilattice_matches_the_meet_error_scan():
+    rng = random.Random("semilattice-oracle")
+    posets = [vee(), bowtie()] + [random_poset(rng, rng.randint(1, 7)) for _ in range(300)]
+    verdicts = []
+    for p in posets:
+        expected = meet_semilattice_oracle(p)
+        assert p.is_meet_semilattice() == expected
+        verdicts.append(expected)
+    assert verdicts[:2] == [True, False]
+    assert 30 < sum(verdicts) < 270
+
+
 def test_lower_and_meet_closed():
     vals = [1, 2, 3, 4, 6, 12]
     p = divisor_poset(vals)

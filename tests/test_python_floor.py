@@ -1,0 +1,48 @@
+"""The oldest Python that pyproject.toml accepts reproduces the pinned output.
+
+pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
+on PATH reports version 3.10, three pinned invocations run under it in a
+subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of each
+stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
+test is skipped; put a 3.10 interpreter first on PATH to run it.
+"""
+
+import hashlib
+import os
+import pathlib
+import shutil
+import subprocess
+
+import pytest
+
+from test_golden import GOLDEN
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FLOOR = "python3.10"
+PINNED = ("verify main", "verify tutte --n 5", "random-suite")
+
+
+@pytest.fixture(scope="module")
+def floor_python():
+    exe = shutil.which(FLOOR)
+    if exe is not None:
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+            capture_output=True,
+            text=True,
+        )
+        if probe.returncode == 0 and probe.stdout.strip() == "3.10":
+            return exe
+    pytest.skip(f"no {FLOOR} on PATH that reports version 3.10")
+
+
+@pytest.mark.parametrize("argv", PINNED)
+def test_floor_python_matches_golden_digest(floor_python, argv):
+    run = subprocess.run(
+        [floor_python, "-m", "posetdet.cli", *argv.split()],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    assert hashlib.sha256(run.stdout).hexdigest() == dict(GOLDEN)[argv]

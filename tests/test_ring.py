@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from posetdet.matrix import _exact_int_div
 from posetdet.ring import (
     InexactDivisionError,
     Poly,
     TagMismatchError,
+    exact_int_div,
     one_like,
     ring_value_from_json,
     zero_like,
@@ -32,14 +32,22 @@ def test_poly_product_expanded_by_hand():
 
 def test_exact_div_int():
     # the integer division det_bareiss uses: a remainder is a broken invariant
-    assert _exact_int_div(12, 4) == 3
-    assert _exact_int_div(-12, 4) == -3
+    assert exact_int_div(12, 4) == 3
+    assert exact_int_div(-12, 4) == -3
     with pytest.raises(InexactDivisionError):
-        _exact_int_div(7, 2)
+        exact_int_div(7, 2)
     with pytest.raises(InexactDivisionError):
-        _exact_int_div(-7, 2)
+        exact_int_div(-7, 2)
     with pytest.raises(ZeroDivisionError):
-        _exact_int_div(7, 0)
+        exact_int_div(7, 0)
+
+
+def test_exact_int_div_of_big_ints_raises_inexact_division():
+    # str of an int past 4300 digits raises ValueError, which the CLI
+    # reports as bad input; a broken division invariant on a big det must
+    # still raise InexactDivisionError
+    with pytest.raises(InexactDivisionError, match="^integer division is not exact$"):
+        exact_int_div(10**5000 + 1, 10)
 
 
 def test_exact_div_poly():
@@ -89,7 +97,7 @@ def test_ring_axioms_on_random_triples():
 @pytest.mark.parametrize("tag", ["int", "poly"])
 def test_exact_div_inverts_multiplication(tag):
     rng = random.Random(f"divs-{tag}")
-    exact_div = _exact_int_div if tag == "int" else Poly.exact_div
+    exact_div = exact_int_div if tag == "int" else Poly.exact_div
     checked = 0
     while checked < 500:
         x = _random_value(rng, tag)
