@@ -41,7 +41,6 @@ from .identities import (
     weighted_product_matrix,
 )
 from .lgv import (
-    ALL_PERMS_VERTEX_CAP,
     digraph_from_dict,
     nonintersecting_weights,
     stembridge_matrix,
@@ -227,10 +226,6 @@ def run_stembridge(args, rng) -> list[IdentityReport]:
 def run_three_layer(args, rng) -> list[IdentityReport]:
     cases = 30 if args.cases is None else args.cases
     max_size = 5 if args.max_size is None else args.max_size
-    if 3 * max_size > ALL_PERMS_VERTEX_CAP:
-        raise ValueError(
-            f"--max-size must be at most {ALL_PERMS_VERTEX_CAP // 3} for three-layer"
-        )
     reports = []
     for _ in range(cases):
         p, f, g = _random_case(rng, max_size)
@@ -239,7 +234,7 @@ def run_three_layer(args, rng) -> list[IdentityReport]:
         det = det_bareiss(paths_matrix)
         predicted = incidence_product_det(p, f, g)
         report = make_report("three-layer", p.n, det, predicted)
-        # The arcs depend on p alone, so with every weight 1 the search
+        # The arcs depend on p alone, so with every weight 1 the sweep
         # counts the families of d: exactly one, on the identity.
         zeta = zeta_function(p)
         identity = tuple(range(p.n))
@@ -392,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="max_size",
         type=int,
         default=None,
-        help=f"largest random poset (at most {ALL_PERMS_VERTEX_CAP // 3} for three-layer)",
+        help=f"largest random poset (at most {MAX_ELEMENTS})",
     )
     verify.add_argument("--machine", action="store_true", help="tab-separated output")
 

@@ -3,11 +3,10 @@ families, and the determinant identity that ties them together.
 
 Path-sum matrices come from dynamic programming over a topological order,
 one pass per source row (``path_weight_sums``).  The weight of the
-nonintersecting families, per sink permutation, comes from one depth-first
-search that carries each family's weight down the trail
-(``nonintersecting_weights``): it is exhaustive over the first k - 1
-paths, and sums the last path per sink with a walk memoised for the
-vertices those paths use.  Both ``verify stembridge`` and
+nonintersecting families, per sink permutation, comes from one sweep over
+the same order that keeps the k path heads and the summed weight reaching
+them (``nonintersecting_weights``), a frontier-based search for the
+families of the Lindström-Gessel-Viennot lemma.  Both ``verify stembridge`` and
 ``verify three-layer`` use it.  Enumerating every path and family
 (``iter_paths``, ``path_weight``, ``nonintersecting_families``,
 ``family_weight``) is the test oracle only; graphs here are
@@ -24,7 +23,8 @@ from .matrix import SquareMatrix, det_bareiss
 from .poset import IncidenceFunction, Poset, _smallest_first_order
 from .ring import RingValue, one_like, ring_value_from_json, zero_like
 
-# Enumerating families over every permutation is exponential; keep it small.
+# Enumerating every path and family is exponential: the oracle stops here,
+# and so, as input policy, do digraph files.
 ALL_PERMS_VERTEX_CAP = 18
 
 
@@ -211,73 +211,52 @@ def nonintersecting_weights(d: WeightedDigraph) -> dict[tuple[int, ...], RingVal
     path family: the per-permutation sums of family_weight over
     nonintersecting_families(d), without building a path or a family.
 
-    An exhaustive depth-first search places the first k - 1 sources in
-    order.  From each source it walks unused vertices, multiplying the
-    running weight by each arc's weight, and a path ends at the first sink
-    it reaches.  Every source and sink lies on exactly one path of a
-    family, at its end, so no path passes through a terminal: the sources
-    are blocked from the start and a sink is never walked past.  The last
-    source's paths are not walked one at a time: once the first k - 1
-    paths are fixed, a walk memoised for that used-vertex set sums them per
-    sink.  A permutation is a key exactly when some family realises it,
-    even when its weights sum to zero.
+    One sweep over the topological order.  A state is the tuple of the k
+    path heads: a vertex, or ~j once that path has ended at sink j.  Its
+    value is the summed weight of the partial families that reach it.  At
+    each vertex v, one head with an arc into v may move there, multiplying
+    by that arc's weight; no source is ever entered.  At a sink some head
+    must move in, so a state that skips a sink is dropped, and after the
+    position of a head's last successor a state still holding that head is
+    dropped.  A head moves only into the vertex the sweep is at, so the
+    paths stay disjoint, and when the sweep ends every head has ended.  A
+    permutation is a key exactly when some family realises it, even when
+    its weights sum to zero.
     """
-    k = len(d.sources)
-    if k == 0:
+    if not d.sources:
         raise ValueError("digraph has no designated sources")
-    _check_vertex_cap(d.n)
-    sink_index = {t: j for j, t in enumerate(d.sinks)}
-    succ = d.succ
+    ends = {t: ~j for j, t in enumerate(d.sinks)}
+    position = {v: p for p, v in enumerate(d.topo)}
+    # into[v]: the arcs a head may take into v; dies[p]: no such arc out after p
+    into: list[dict[int, RingValue]] = [{} for _ in d.topo]
+    dies: list[set[int]] = [set() for _ in d.topo]
+    for u, out in enumerate(d.succ):
+        if u not in ends:
+            last = position[u]
+            for v, weight in out:
+                if v not in d.sources:
+                    into[v][u] = weight
+                    if position[v] > last:
+                        last = position[v]
+            dies[last].add(u)
     zero = zero_like(d.one)
-    used = [False] * d.n
-    for s in d.sources:
-        used[s] = True
-    perm = [0] * k
-    out: dict[tuple[int, ...], RingValue] = {}
-
-    def place(i: int, acc: RingValue) -> None:
-        if i < k - 1:
-            walk(i, d.sources[i], acc)
-            return
-        for j, total in ends(d.sources[i], {}).items():
-            perm[i] = j
-            key = tuple(perm)
-            out[key] = out.get(key, zero) + acc * total
-
-    def walk(i: int, w: int, acc: RingValue) -> None:
-        for x, weight in succ[w]:
-            if used[x]:
-                continue
-            j = sink_index.get(x)
-            used[x] = True
-            if j is None:
-                walk(i, x, acc * weight)
-            else:
-                perm[i] = j
-                place(i + 1, acc * weight)
-            used[x] = False
-
-    def ends(w: int, memo: dict) -> dict[int, RingValue]:
-        # sink index -> weight of the paths from w over unused vertices
-        # that stop at the first sink they reach; a reached sink is a key
-        # even when its weights cancel
-        if w in memo:
-            return memo[w]
-        got: dict[int, RingValue] = {}
-        for x, weight in succ[w]:
-            if used[x]:
-                continue
-            j = sink_index.get(x)
-            if j is not None:
-                got[j] = got.get(j, zero) + weight
-                continue
-            for j, total in ends(x, memo).items():
-                got[j] = got.get(j, zero) + weight * total
-        memo[w] = got
-        return got
-
-    place(0, d.one)
-    return out
+    states = {d.sources: d.one}
+    for p, v in enumerate(d.topo):
+        arcs = into[v]
+        head = ends.get(v, v)
+        if arcs or head < 0:
+            # a state that no head moves from is kept, except at a sink
+            grown = {} if head < 0 else states
+            for heads, acc in list(states.items()):
+                for i, h in enumerate(heads):
+                    weight = arcs.get(h)
+                    if weight is not None:
+                        key = heads[:i] + (head,) + heads[i + 1 :]
+                        grown[key] = grown.get(key, zero) + acc * weight
+            states = grown
+        if dies[p]:
+            states = {heads: acc for heads, acc in states.items() if dies[p].isdisjoint(heads)}
+    return {tuple(~h for h in heads): acc for heads, acc in states.items()}
 
 
 def verify_stembridge(d: WeightedDigraph) -> IdentityReport:
@@ -285,7 +264,7 @@ def verify_stembridge(d: WeightedDigraph) -> IdentityReport:
     family weights.
 
     The hypothesis that only the identity permutation admits a
-    nonintersecting family is checked by exhaustive search, not assumed;
+    nonintersecting family is checked by nonintersecting_weights, not assumed;
     when it fails the report carries the hypothesis-failed verdict instead
     of a pass/fail on the identity.
     """
@@ -348,8 +327,8 @@ def digraph_to_dict(d: WeightedDigraph) -> dict:
 
 
 def digraph_from_dict(doc: dict) -> WeightedDigraph:
-    """Inverse of digraph_to_dict, for digraphs the family search accepts:
-    the vertex cap is checked before any per-vertex table is built."""
+    """Inverse of digraph_to_dict; the vertex cap, an input policy, is
+    checked before any per-vertex table is built."""
     required = {"vertices", "arcs", "sources", "sinks"}
     if not isinstance(doc, dict) or not required <= set(doc):
         raise ValueError(

@@ -205,11 +205,11 @@ class Poset:
         return all(self._below[a] <= s for a in s)
 
     def is_meet_closed(self, subset: Iterable[int]) -> bool:
-        """True when the subset is closed under pairwise meets."""
+        """True when every pair in the subset has its meet in the subset."""
         s = sorted(set(subset))
         for i, a in enumerate(s):
             for b in s[i:]:
-                if self.meet(a, b) not in s:
+                if self._meet(a, b) not in s:
                     return False
         return True
 

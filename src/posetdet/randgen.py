@@ -149,7 +149,7 @@ def random_symmetric_pair(
 
 def random_hypothesis_digraph(rng: random.Random) -> WeightedDigraph:
     """Small random DAG whose designated terminals satisfy the
-    only-the-identity-permutation hypothesis, checked by exhaustive search."""
+    only-the-identity-permutation hypothesis, checked by nonintersecting_weights."""
     for _ in range(HYPOTHESIS_TRIES):
         n = rng.randint(2, 10)
         k = rng.randint(1, min(3, n // 2))

@@ -456,6 +456,21 @@ def test_stembridge_digraph_file_is_capped_before_any_vertex_table(tmp_path, cap
     assert err == "error: all-permutation enumeration capped at 18 vertices\n"
 
 
+def test_stembridge_dense_digraph_at_the_vertex_cap_fails_the_hypothesis(tmp_path, capsys):
+    # every forward arc on 18 vertices, four sources and four sinks: the
+    # families of every sink permutation, found in one sweep
+    arcs = [[u, v, 1] for u in range(18) for v in range(u + 1, 18)]
+    doc = {"vertices": 18, "arcs": arcs, "sources": [0, 1, 2, 3], "sinks": [14, 15, 16, 17]}
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert time.perf_counter() - started < 10
+    assert code == EXIT_INPUT
+    assert out.startswith("HYPOTHESIS-FAILED stembridge")
+    assert err == ""
+
+
 def test_det_above_the_int_to_str_digit_limit_is_printed(tmp_path, capsys):
     # five arcs of weight 10**4000 (4001 digits each, inside the parse
     # limit) on a chain: the det 10**20000 is longer than str(int) renders
@@ -481,14 +496,14 @@ def test_det_above_the_int_to_str_digit_limit_is_printed(tmp_path, capsys):
 
 @pytest.mark.parametrize("cases", [None, "0"])
 def test_three_layer_max_size_above_family_cap_is_rejected(capsys, cases):
-    argv = ["verify", "three-layer", "--max-size", "7"]
+    argv = ["verify", "three-layer", "--max-size", "65"]
     if cases is not None:
         argv += ["--cases", cases]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT
     assert out == ""
-    assert err == "error: --max-size must be at most 6 for three-layer\n"
-    code, out, err = run(capsys, "verify", "three-layer", "--max-size", "6", "--cases", "2")
+    assert err == "error: --max-size must be at most 64\n"
+    code, out, err = run(capsys, "verify", "three-layer", "--max-size", "64", "--cases", "2")
     assert code == EXIT_OK
     assert len(out.splitlines()) == 2
 
@@ -592,7 +607,7 @@ MUTATIONS = [
     (cli, "totient_product", 1, ["verify", "smith", "--set", "1,2,3,4"]),
     (lgv, "nonintersecting_weights", _bump_identity_weight, ["verify", "stembridge", "--cases", "5"]),
     (cli, "nonintersecting_weights", _bump_identity_weight, ["verify", "three-layer"]),
-    # breaks only the family count: weight 2 on every arc of the count search
+    # breaks only the family count: weight 2 on every arc of the count sweep
     (cli, "zeta_function", _double_incidence, ["verify", "three-layer"]),
     (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
     (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),

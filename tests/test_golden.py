@@ -32,9 +32,14 @@ GOLDEN = [
     ("verify stembridge --machine", "94296c3b496ac785a6ca604faab0275f2dbd1e12bb78649c969401e40b80069c"),
     ("verify three-layer", "c607823683ad813fbb32326742dfe3b5084859bec735491f2e1f5abefc3e64bd"),
     ("verify three-layer --machine", "ec234791cccc224eb1a0eb804ee0c991dd43e16f4ae2243eaa7e4aa37c9a6662"),
-    # the paths benchmark workload's size: 18 vertices, the family search's cap
+    # the paths benchmark workload's size: digraphs of up to 18 vertices
     ("verify three-layer --max-size 6", "6a12557cb8c782a46382ff53efc3d97cd1ac6e7cebf41455b00712185b702f89"),
     ("verify three-layer --max-size 6 --machine", "5edd94a7d9a04cb1fd4fe5838b05176935c9a4161f73fda1a49058a20a70cae8"),
+    # the largest accepted size, digraphs of up to 192 vertices; recorded
+    # from the sweep over path heads, as the depth-first family search it
+    # replaced rejected sizes above 6
+    ("verify three-layer --max-size 64", "63148520495130ab6a76872b4b07969ec2e292ab8c4b4063a735ec68a399a418"),
+    ("verify three-layer --max-size 64 --machine", "863dd685f81557175014ee5fa09cf4747e8eef0d007d492395baaf5ba471034a"),
     ("verify tutte", "eff5d24add421435251fc4d1e4fc406882dc932e0a4548a8301f32654af365c8"),
     ("verify tutte --machine", "8e23707c695502f03aded6a971211d97c0d4bdd03d2985b38f3a562932b9ed2a"),
     ("verify tutte --n 4", "197389a73c46ac310da1e98ff1315727734ed8cf78923d5b24bcc041c21e3fff"),

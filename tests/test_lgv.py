@@ -230,12 +230,18 @@ def test_all_permutation_vertex_cap():
         nonintersecting_families(d)
 
 
-def test_nonintersecting_weights_cap_and_sources():
-    d = WeightedDigraph(19, [(0, 1, 1)], sources=(0,), sinks=(1,))
-    with pytest.raises(ValueError, match="capped at 18 vertices"):
-        nonintersecting_weights(d)
+def test_nonintersecting_weights_need_sources():
     with pytest.raises(ValueError, match="no designated sources"):
         nonintersecting_weights(WeightedDigraph(2, [(0, 1, 1)]))
+
+
+def test_digraph_from_dict_caps_the_vertex_count():
+    # the input policy for digraph files; the sweep itself has no cap
+    doc = {"vertices": 19, "arcs": [[0, 1, 1]], "sources": [0], "sinks": [1]}
+    with pytest.raises(ValueError, match="capped at 18 vertices"):
+        digraph_from_dict(doc)
+    d = WeightedDigraph(19, [(0, 1, 1)], sources=(0,), sinks=(1,))
+    assert nonintersecting_weights(d) == {(0,): 1}
 
 
 def _family_weight_sums(d):
@@ -269,6 +275,61 @@ def test_nonintersecting_weights_match_enumeration():
     # permutations whose weights cancel
     assert ks == {1, 2, 3}
     assert several_perms >= 20 and zero_sums >= 20
+
+
+def test_sweep_matches_enumeration_with_terminals_anywhere():
+    rng = random.Random("sweep-vs-families")
+    ks, sink_first, realised = set(), 0, 0
+    for _ in range(300):
+        n = rng.randint(2, 11)
+        k = rng.randint(1, min(4, n // 2))
+        # relabel the vertices, so the order is not the index order, and
+        # draw the terminals from all of them
+        label = rng.sample(range(n), n)
+        dag = random_dag(rng, n, density=rng.choice((0.5, 0.7, 0.9)))
+        arcs = [(label[u], label[v], w) for u, v, w in dag.arcs()]
+        terminals = rng.sample(range(n), 2 * k)
+        d = WeightedDigraph(n, arcs, sources=terminals[:k], sinks=terminals[k:])
+        weights = nonintersecting_weights(d)
+        assert weights == _family_weight_sums(d)
+        poly = _with_poly_weights(d)
+        assert nonintersecting_weights(poly) == _family_weight_sums(poly)
+        ks.add(k)
+        if weights:
+            realised += 1
+            position = {v: p for p, v in enumerate(d.topo)}
+            sink_first += min(map(position.get, d.sinks)) < max(map(position.get, d.sources))
+    # the draws reach every terminal count, and families that exist with a
+    # sink ahead of a source in the order
+    assert ks == {1, 2, 3, 4}
+    assert realised >= 50 and sink_first >= 10
+
+
+def test_sweep_hand_cases_at_terminals_and_dead_ends():
+    # source 0 reaches sink 3 directly through 2, or through source 1
+    into_source = WeightedDigraph(
+        5,
+        [(0, 1, 2), (0, 2, 7), (2, 3, 1), (1, 3, 3), (1, 4, 5)],
+        sources=(0, 1),
+        sinks=(3, 4),
+    )
+    # a path may not go on past sink 1 to sink 2
+    out_of_sink = WeightedDigraph(
+        4, [(0, 1, 2), (1, 2, 3), (3, 2, 5)], sources=(0, 3), sinks=(1, 2)
+    )
+    # no arc enters sink 3
+    unreachable_sink = WeightedDigraph(4, [(0, 2, 1), (1, 2, 1)], sources=(0, 1), sinks=(2, 3))
+    # vertex 1 has no arc out, and neither has source 4
+    dead_end = WeightedDigraph(5, [(0, 1, 3), (0, 2, 2), (2, 3, 5)], sources=(0,), sinks=(3,))
+    dead_source = WeightedDigraph(5, [(0, 1, 3), (0, 2, 2), (2, 3, 5)], sources=(0, 4), sinks=(3, 1))
+    for d, expected in (
+        (into_source, {(0, 1): 35}),
+        (out_of_sink, {(0, 1): 10}),
+        (unreachable_sink, {}),
+        (dead_end, {(0,): 10}),
+        (dead_source, {}),
+    ):
+        assert nonintersecting_weights(d) == _family_weight_sums(d) == expected
 
 
 def test_nonintersecting_weights_keep_a_cancelled_identity():
@@ -477,7 +538,7 @@ def test_three_layer_unique_family_and_weight():
             assert fam.paths[i] == (e, 2 * p.n + e, p.n + e)
         assert family_weight(d, fam) == incidence_product_det(p, f, g)
         assert verify_stembridge(d).passed
-        # the count search that verify three-layer runs agrees with the
+        # the count sweep that verify three-layer runs agrees with the
         # enumeration: one family, on the identity, of the product's weight
         zeta = zeta_function(p)
         assert nonintersecting_weights(three_layer_digraph(p, zeta, zeta)) == {fam.perm: 1}

@@ -494,6 +494,15 @@ def test_lower_and_meet_closed():
     assert not q.is_meet_closed(s)  # 2 meet 3 = 1 is missing
 
 
+def test_meet_closed_on_a_poset_without_meets_is_a_bool():
+    # the two tops of the bowtie have two maximal lower bounds and no meet
+    p = bowtie()
+    assert p.is_meet_closed([2, 3]) is False
+    assert p.is_meet_closed([0, 1, 2, 3]) is False
+    assert p.is_meet_closed([0, 2, 3]) is False
+    assert p.is_meet_closed([0, 2]) is True
+
+
 def test_lower_closed_implies_meet_closed():
     rng = random.Random("lcmc")
     for _ in range(40):
