@@ -4,7 +4,6 @@ the Beraha-polynomial product formula for its determinant.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Sequence
 
 from .arith import binomial
@@ -310,4 +309,4 @@ def verify_chromatic_join_det(n: int) -> IdentityReport:
     detail = "factored: {} / {}".format(
         " ".join(numerator_parts), " ".join(denominator_parts)
     )
-    return dataclasses.replace(make_report("tutte", n, det, predicted), detail=detail)
+    return make_report("tutte", n, det, predicted, detail)

@@ -159,9 +159,8 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
             sub = lattice.induced(subset)
             alt = meet_matrix_det(sub, f.restrict(sub))
             if alt != det:
-                report = dataclasses.replace(
-                    make_report("meet-closed", len(subset), det, alt),
-                    detail="(lower-closed cross-check mismatch)",
+                report = make_report(
+                    "meet-closed", len(subset), det, alt, "(lower-closed cross-check mismatch)"
                 )
         reports.append(report)
     return reports
@@ -295,15 +294,15 @@ RUNNERS = {
 IDENTITY_NAMES = tuple(RUNNERS)
 
 
-def _emit(reports: list[IdentityReport], machine: bool, seed) -> int:
+def _emit(cases, machine: bool, name: str, seed) -> int:
+    """Print every report, then a reproduce line for each case (a list of
+    reports) with a FAIL; exit 2 on a failed hypothesis, else 1 on a FAIL."""
+    reports = [r for case in cases for r in case]
     for report in reports:
         print(report.machine_line() if machine else report.line())
-    for i, report in enumerate(reports):
-        if report.verdict == FAIL:
-            print(
-                f"reproduce: {report.name} seed={seed} case={i}",
-                file=sys.stderr,
-            )
+    for i, case in enumerate(cases):
+        if any(r.verdict == FAIL for r in case):
+            print(f"reproduce: {name} seed={seed} case={i}", file=sys.stderr)
     if any(r.verdict == HYPOTHESIS_FAILED for r in reports):
         return EXIT_INPUT
     if any(r.verdict == FAIL for r in reports):
@@ -320,14 +319,11 @@ def run_mobius(args) -> int:
     return EXIT_OK
 
 
-def run_suite(args) -> int:
-    rng = random.Random(args.seed)
-    max_size = args.max_size
-    passes = 0
-    lines = []
-    failing = []
-    for case in range(args.cases):
-        p, f, g = _random_case(rng, max_size)
+def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
+    """Per case, the product report and then the meet report."""
+    cases = []
+    for _ in range(args.cases):
+        p, f, g = _random_case(rng, args.max_size)
         product_report = _check_product(p, f, g, name="suite-main")
         factorization_ok = (
             incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
@@ -335,22 +331,11 @@ def run_suite(args) -> int:
         if product_report.passed and not factorization_ok:
             product_report = _fail(product_report, "(transpose factorization mismatch)")
         semilattice = randgen.random_meet_semilattice(
-            rng, rng.randint(1, min(max_size, 6))
+            rng, rng.randint(1, min(args.max_size, 6))
         )
         h = randgen.random_incidence(rng, semilattice)
-        meet_report = _check_meet(semilattice, h, name="suite-lindstrom")
-        for report in (product_report, meet_report):
-            lines.append(report.machine_line() if args.machine else report.line())
-        if product_report.passed and meet_report.passed:
-            passes += 1
-        else:
-            failing.append(case)
-    for line in lines:
-        print(line)
-    print(f"{passes}/{args.cases} pass")
-    for case in failing:
-        print(f"reproduce: random-suite seed={args.seed} case={case}", file=sys.stderr)
-    return EXIT_OK if passes == args.cases else EXIT_VIOLATION
+        cases.append((product_report, _check_meet(semilattice, h, name="suite-lindstrom")))
+    return cases
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -423,11 +408,15 @@ def main(argv=None) -> int:
         _check_sizes(args)
         if args.command == "mobius":
             return run_mobius(args)
-        if args.command == "random-suite":
-            return run_suite(args)
         rng = random.Random(args.seed)
+        if args.command == "random-suite":
+            cases = run_suite(args, rng)
+            code = _emit(cases, args.machine, args.command, args.seed)
+            passes = sum(a.passed and b.passed for a, b in cases)
+            print(f"{passes}/{args.cases} pass")
+            return code
         reports = RUNNERS[args.identity](args, rng)
-        return _emit(reports, args.machine, args.seed)
+        return _emit([[r] for r in reports], args.machine, args.identity, args.seed)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

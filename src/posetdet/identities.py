@@ -49,7 +49,7 @@ class IdentityReport:
 
 
 def make_report(
-    name: str, size: int, computed: RingValue, predicted: RingValue
+    name: str, size: int, computed: RingValue, predicted: RingValue, detail: str = ""
 ) -> IdentityReport:
     """Report whose verdict is pass exactly when computed == predicted."""
     verdict = PASS if computed == predicted else FAIL
@@ -59,6 +59,7 @@ def make_report(
         predicted=predicted,
         verdict=verdict,
         size=size,
+        detail=detail,
     )
 
 

@@ -77,6 +77,7 @@ class Poset:
             for b in up:
                 below[b].append(a)
         self._below = tuple(map(frozenset, below))
+        self._by_below = {d: c for c, d in enumerate(self._below)}
         self.lin_ext = _smallest_first_order(
             n, [self._above[a] - {a} for a in range(n)]
         )
@@ -158,16 +159,10 @@ class Poset:
     def _meet(self, a: int, b: int) -> int | None:
         """Greatest lower bound of a and b, or None when there is none.
 
-        The common lower bounds form a down-set, so they have a greatest
-        element exactly when one of them has a down-set of the same size.
+        The common lower bounds have a greatest element c exactly when
+        they are c's down-set.
         """
-        below = self._below
-        common = below[a] & below[b]
-        size = len(common)
-        for c in common:
-            if len(below[c]) == size:
-                return c
-        return None
+        return self._by_below.get(self._below[a] & self._below[b])
 
     def meet(self, a: int, b: int) -> int:
         """Greatest lower bound of a and b; MeetError when it is not unique."""
@@ -179,12 +174,8 @@ class Poset:
             raise MeetError(
                 f"{self.labels[a]} and {self.labels[b]} have no common lower bound"
             )
-        maximal = [
-            c
-            for c in common
-            if all(d == c or not self.leq(c, d) for d in common)
-        ]
-        names = ", ".join(self.labels[c] for c in sorted(maximal))
+        maximal = sorted(c for c in common if self._above[c] & common == {c})
+        names = ", ".join(self.labels[c] for c in maximal)
         raise MeetError(
             f"{self.labels[a]} and {self.labels[b]} have maximal lower bounds {names}"
         )

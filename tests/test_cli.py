@@ -9,6 +9,7 @@ import pytest
 from posetdet import chromatic, cli, identities, lgv
 from posetdet.arith import divisors
 from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from posetdet.matrix import SquareMatrix
 from posetdet.poset import IncidenceFunction
 from posetdet.ring import Poly
 
@@ -600,6 +601,10 @@ def _double_incidence(p, f):
     return IncidenceFunction(p, {pair: 2 * v for pair, v in f.items()})
 
 
+def _identity_on_three_elements(p, m):
+    return SquareMatrix.identity(p.n) if p.n == 3 else m
+
+
 # Each mutation breaks one producer of a report; the verifier must then
 # report FAIL, name a reproduction and exit 1.  A callable bump maps the
 # producer's first argument and result to the mutated result.
@@ -612,6 +617,8 @@ MUTATIONS = [
     (chromatic, "chromatic_join_det", Poly((1,)), ["verify", "tutte", "--n", "3"]),
     (cli, "meet_matrix_det", 1, ["verify", "meet-closed"]),
     (cli, "incidence_product_det", 1, ["random-suite"]),
+    # reaches only the transpose factorization check
+    (cli, "incidence_matrix", _identity_on_three_elements, ["random-suite"]),
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "main"]),
 ]
 
@@ -633,6 +640,63 @@ def test_mutation_is_reported_as_a_violation(capsys, monkeypatch, module, attr, 
     assert code == EXIT_VIOLATION
     assert any(line.startswith("FAIL ") for line in out.splitlines())
     assert "reproduce: " in err
+
+
+def _meet_det_plus_one_on_odd_sizes(p, det):
+    return det + 1 if p.n % 2 else det
+
+
+# (mutated cli producer, bump, sha256 of stdout, failing cases, summary);
+# both runs are `random-suite --cases 30` at seed 42.
+SUITE_MUTATIONS = [
+    (
+        "meet_matrix_det",
+        _meet_det_plus_one_on_odd_sizes,
+        "33911e2118342b1491551a6845dd0feb71e05423251c0e131ad6d9daaac5c126",
+        (0, 1, 3, 4, 6, 14, 15, 17, 18, 21, 22, 24, 26, 28),
+        "16/30 pass",
+    ),
+    (
+        "incidence_matrix",
+        _identity_on_three_elements,
+        "da759a072756dcdf4c206d831bab04a19e820f68fd50b93ab14e0ac660efeb09",
+        (1, 25),
+        "28/30 pass",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "attr, bump, digest, failing, summary",
+    SUITE_MUTATIONS,
+    ids=[attr for attr, *_ in SUITE_MUTATIONS],
+)
+def test_mutated_random_suite_output_is_pinned(
+    capsys, monkeypatch, attr, bump, digest, failing, summary
+):
+    original = getattr(cli, attr)
+    monkeypatch.setattr(cli, attr, lambda p, x: bump(p, original(p, x)))
+    code, out, err = run(capsys, "random-suite", "--cases", "30")
+    assert code == EXIT_VIOLATION
+    assert out.splitlines()[-1] == summary
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert err == "".join(f"reproduce: random-suite seed=42 case={c}\n" for c in failing)
+
+
+def test_failing_singular_definiteness_case_names_the_family(capsys, monkeypatch):
+    # without the forced zero diagonal entry the singular cases' dets are
+    # nonzero, so they FAIL against the predicted 0
+    draw = cli.randgen.random_symmetric_pair
+    monkeypatch.setattr(
+        cli.randgen, "random_symmetric_pair", lambda rng, p, force_zero_diag=False: draw(rng, p)
+    )
+    code, out, err = run(capsys, "verify", "definiteness", "--cases", "4")
+    assert code == EXIT_VIOLATION
+    assert "FAIL definiteness-singular" in out
+    assert err == (
+        "reproduce: definiteness seed=42 case=4\n"
+        "reproduce: definiteness seed=42 case=5\n"
+    )
 
 
 def test_unknown_identity_exits_two():

@@ -425,9 +425,12 @@ def meet_outcome(meet, p, a, b):
 
 def test_meet_matches_the_scan_on_random_posets():
     rng = random.Random("meet-oracle")
+    posets = [random_poset(rng, rng.randint(1, 8)) for _ in range(150)]
+    # at the size cap too: grown semilattices and one poset with every kind
+    posets += [grown_meet_semilattice(rng, MAX_ELEMENTS) for _ in range(5)]
+    posets.append(random_poset(rng, MAX_ELEMENTS))
     kinds = set()
-    for _ in range(150):
-        p = random_poset(rng, rng.randint(1, 8))
+    for p in posets:
         for a in range(p.n):
             for b in range(p.n):
                 expected = meet_outcome(meet_oracle, p, a, b)
