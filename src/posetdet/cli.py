@@ -85,8 +85,9 @@ def _fail(report: IdentityReport, note: str) -> IdentityReport:
     return dataclasses.replace(report, verdict=FAIL, computed=None, detail=note)
 
 
-def _check_product(p: Poset, f, g, name: str = "main") -> IdentityReport:
-    det = det_bareiss(incidence_product_matrix(p, f, g))
+def _check_product(p: Poset, f, g, m, name: str = "main") -> IdentityReport:
+    """Report on m, the product matrix of f and g on p, built by the caller."""
+    det = det_bareiss(m)
     predicted = incidence_product_det(p, f, g)
     report = make_report(name, p.n, det, predicted)
     if report.passed and product_matrix_invertible(p, f, g) != (det != 0):
@@ -109,11 +110,15 @@ def _random_case(rng, max_size: int, p: Poset | None = None):
 
 
 def run_main(args, rng) -> list[IdentityReport]:
-    p = _load_poset(args.poset) if args.poset is not None else None
-    default_cases = 200 if p is None else 20
+    poset = _load_poset(args.poset) if args.poset is not None else None
+    default_cases = 200 if poset is None else 20
     cases = default_cases if args.cases is None else args.cases
     max_size = 7 if args.max_size is None else args.max_size
-    return [_check_product(*_random_case(rng, max_size, p)) for _ in range(cases)]
+    reports = []
+    for _ in range(cases):
+        p, f, g = _random_case(rng, max_size, poset)
+        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g)))
+    return reports
 
 
 def run_weighted(args, rng) -> list[IdentityReport]:
@@ -324,10 +329,11 @@ def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
     cases = []
     for _ in range(args.cases):
         p, f, g = _random_case(rng, args.max_size)
-        product_report = _check_product(p, f, g, name="suite-main")
+        m = incidence_product_matrix(p, f, g)
+        product_report = _check_product(p, f, g, m, name="suite-main")
         factorization_ok = (
             incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
-        ) == incidence_product_matrix(p, f, g)
+        ) == m
         if product_report.passed and not factorization_ok:
             product_report = _fail(product_report, "(transpose factorization mismatch)")
         semilattice = randgen.random_meet_semilattice(
@@ -391,6 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _check_sizes(args) -> None:
     """Reject out-of-range sizes before any draw; 0 is a value, not "unset"."""
     for flag, low in (("n", 1), ("k", 1), ("max_size", 1), ("cases", 0)):
@@ -403,7 +412,7 @@ def _check_sizes(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_sizes(args)
         if args.command == "mobius":

@@ -63,8 +63,23 @@ class Poset:
         _check_size(n)
         if any(len(row) != n for row in leq):
             raise ValueError("relation must be square")
+        above = tuple(frozenset(compress(range(n), row)) for row in leq)
+        lin_ext = _smallest_first_order(n, [up - {a} for a, up in enumerate(above)])
+        self._build(above, lin_ext, labels, host_map)
+
+    def _build(
+        self,
+        above: tuple[frozenset[int], ...],
+        lin_ext: tuple[int, ...],
+        labels: Sequence[str] | None,
+        host_map: tuple[int, ...] | None,
+    ) -> None:
+        """Validate the up-sets, above[a] = {b : a <= b}, then build every
+        table from them and lin_ext, their smallest-first linear extension
+        (meaningful only once the up-sets pass)."""
+        n = len(above)
         self.n = n
-        self._above = tuple(frozenset(compress(range(n), row)) for row in leq)
+        self._above = above
         self._check_partial_order()
         if labels is None:
             labels = tuple(str(i) for i in range(n))
@@ -73,15 +88,13 @@ class Poset:
         self.labels = tuple(str(x) for x in labels)
         self.host_map = host_map
         below: list[list[int]] = [[] for _ in range(n)]
-        for a, up in enumerate(self._above):
+        for a, up in enumerate(above):
             for b in up:
                 below[b].append(a)
         self._below = tuple(map(frozenset, below))
         self._by_below = {d: c for c, d in enumerate(self._below)}
-        self.lin_ext = _smallest_first_order(
-            n, [self._above[a] - {a} for a in range(n)]
-        )
-        self._position = {e: i for i, e in enumerate(self.lin_ext)}
+        self.lin_ext = lin_ext
+        self._position = {e: i for i, e in enumerate(lin_ext)}
         self._meet_semilattice: bool | None = None
 
     def _check_partial_order(self) -> None:
@@ -123,14 +136,16 @@ class Poset:
         if len(order) < n:
             raise ValueError("covers contain a directed cycle")
         # Reverse topological order: every cover target's up-set is done.
-        above: list[set[int]] = [set() for _ in range(n)]
+        above: list[frozenset[int]] = [frozenset()] * n
         for a in reversed(order):
-            up = above[a]
-            up.add(a)
-            for b in adj[a]:
-                up |= above[b]
-        leq = [[b in up for b in range(n)] for up in above]
-        return cls(leq, labels=labels)
+            above[a] = frozenset({a}.union(*(above[b] for b in adj[a])))
+        # order is also the smallest-first order of the closure, so there is
+        # no second sort: with either arc set, x is ready exactly when all
+        # below x is placed (each y < x lies at or below the tail of an arc
+        # into x), that is, when x is minimal among the elements left.
+        poset = cls.__new__(cls)
+        poset._build(tuple(above), order, labels, None)
+        return poset
 
     def leq(self, a: int, b: int) -> bool:
         return b in self._above[a]

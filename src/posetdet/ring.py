@@ -8,8 +8,6 @@ determinant identities stay exact.
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 
 class TagMismatchError(TypeError):
     """An integer and a polynomial were combined."""
@@ -40,6 +38,10 @@ def ring_text(v: RingValue) -> str:
     try:
         return str(v)
     except ValueError:
+        # Imported here: only values past the digit limit need decimal,
+        # and importing it costs about as much as building the CLI parser.
+        from decimal import Decimal
+
         return str(Decimal(v))
 
 

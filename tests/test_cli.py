@@ -270,6 +270,23 @@ def test_verify_definiteness_builds_each_product_matrix_once(capsys, monkeypatch
     assert len(out.splitlines()) == builds == 150  # 100 predicate cases plus 50 singular
 
 
+def test_random_suite_builds_each_product_matrix_once(capsys, monkeypatch):
+    builds = 0
+    build = identities.incidence_product_matrix
+
+    def counting_build(p, f, g):
+        nonlocal builds
+        builds += 1
+        return build(p, f, g)
+
+    monkeypatch.setattr(identities, "incidence_product_matrix", counting_build)
+    monkeypatch.setattr(cli, "incidence_product_matrix", counting_build)
+    code, out, err = run(capsys, "random-suite", "--cases", "30")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "30/30 pass"
+    assert builds == 30
+
+
 def test_machine_mode_fields(capsys):
     code, out, err = run(
         capsys, "verify", "smith", "--set", "1,2,3,4", "--machine"
@@ -703,6 +720,39 @@ def test_unknown_identity_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-identity"])
     assert exc.value.code == 2
+
+
+def test_main_reuses_the_parser_built_at_import(capsys, monkeypatch):
+    argvs = (
+        ["verify", "no-such-identity"],
+        ["verify", "smith", "--set", "1,2,3,4"],
+        ["random-suite", "--cases", "3"],
+    )
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    imported = cli._PARSER
+    alone = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        alone.append(outcome(argv))
+    assert [code for code, _, _ in alone] == [2, EXIT_OK, EXIT_OK]
+    assert "invalid choice: 'no-such-identity'" in alone[0][2]
+    assert alone[1][1] == "PASS smith det=4 predicted=4\n"
+    assert alone[2][1].endswith("3/3 pass\n")
+
+    def no_parser():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "_PARSER", imported)
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    assert [outcome(argv) for argv in argvs] == alone
 
 
 def test_random_suite(capsys):

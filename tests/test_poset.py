@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -231,6 +233,59 @@ def test_linear_extension_takes_the_smallest_minimal_element_first():
             expected.append(pick)
             remaining.remove(pick)
         assert p.lin_ext == tuple(expected)
+
+
+def closure_oracle(n, covers):
+    """leq of the reflexive-transitive closure of covers, by Warshall."""
+    leq = [[a == b for b in range(n)] for a in range(n)]
+    for a, b in covers:
+        leq[a][b] = True
+    for c in range(n):
+        for a in range(n):
+            if leq[a][c]:
+                for b in range(n):
+                    leq[a][b] = leq[a][b] or leq[c][b]
+    return leq
+
+
+def assert_same_tables(p, q):
+    assert p.lin_ext == q.lin_ext
+    assert p.labels == q.labels
+    for a in range(p.n):
+        assert p.above(a) == q.above(a)
+        assert p.below(a) == q.below(a)
+
+
+def test_from_covers_builds_the_tables_of_the_closure():
+    """from_covers hands its closure and its own order of the covers to the
+    table builder; Poset(leq) sorts the closure.  Both give one poset."""
+    rng = random.Random("closure-tables")
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        topo = rng.sample(range(n), n)
+        density = rng.choice((0.1, 0.3, 0.6, 0.9))
+        covers = [
+            (topo[i], topo[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        rng.shuffle(covers)
+        labels = [f"x{v}" for v in rng.sample(range(100), n)]
+        p = Poset.from_covers(n, covers, labels=labels)
+        assert_same_tables(p, Poset(closure_oracle(n, covers), labels=labels))
+        if covers:
+            a, b = rng.choice(covers)
+            with pytest.raises(ValueError, match="covers contain a directed cycle"):
+                Poset.from_covers(n, covers + [(b, a)])
+        with pytest.raises(ValueError, match="need one label per element"):
+            Poset.from_covers(n, covers, labels=labels + ["extra"])
+    for path in sorted(pathlib.Path(__file__).parent.glob("fixtures/*_poset.json")):
+        doc = json.loads(path.read_text())
+        n = len(doc["labels"])
+        p = poset_from_dict(doc)
+        q = Poset(closure_oracle(n, doc["covers"]), labels=doc["labels"])
+        assert_same_tables(p, q)
 
 
 def test_divisor_poset_small():
