@@ -83,8 +83,11 @@ def kth_root(m: int, k: int) -> int | None:
     if k >= m.bit_length():
         # a root r >= 2 has r**k >= 2**k, so m would need k + 1 bits
         return None
-    r = round(m ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**k == m:
-            return cand
-    return None
+    # Integer Newton from above: 2**ceil(bits / k) exceeds the real root,
+    # and the iterates fall strictly to its floor, then stop falling.
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == m else None
+        r = s

@@ -101,6 +101,10 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     the invariant was broken, not that the input was bad.  Per entry and
     per two columns that is 3 multiplications and 1 division, where
     one-step elimination takes 4 and 2 (Bareiss, Math. Comp. 22, 1968).
+    The entry division is the builtin divmod, with no Python-level call,
+    for int and Poly alike; only a nonzero remainder goes on to the
+    ring's exact division, which raises.  The pivot and the multipliers,
+    O(n) per step, divide through it directly.
 
     The pivot is the 2 x 2 minor, not a_kk.  When it is 0, the first row
     pair r < s of rows k..n-1 with a nonzero minor on columns k and l is
@@ -162,9 +166,13 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
             c1 = exact_div(a_kl * a_ik - a_kk * a_il, prev)
             c2 = exact_div(a_lk * a_il - a_ll * a_ik, prev)
             for j in range(start, n):
-                row_i[j] = exact_div(
+                row_i[j], r = divmod(
                     pivot * row_i[j] + c1 * row_l[j] + c2 * row_k[j], prev
                 )
+                if r:
+                    # 0 < |r| < |prev| (deg r < deg prev for Poly), so
+                    # prev does not divide r and this raises
+                    exact_div(r, prev)
         prev = pivot
     d = a[n - 1][n - 1] if n % 2 else prev
     return -d if negate else d

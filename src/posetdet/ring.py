@@ -172,21 +172,20 @@ class Poly:
                 base = base * base
         return result
 
-    def exact_div(self, other: Poly) -> Poly:
-        """Quotient self / other when the division is exact in Z[q]."""
+    def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
+        """Quotient and remainder of long division in Z[q]; the remainder
+        has degree below other's.  Each quotient coefficient divides by
+        other's leading coefficient through exact_int_div, so one that
+        does not divide raises InexactDivisionError."""
         _require_poly(other)
         b = other.coeffs
         if not b:
             raise ZeroDivisionError("division by zero polynomial")
-        a = self.coeffs
-        if not a:
-            return Poly()
-        if len(a) < len(b):
-            raise InexactDivisionError("degree of dividend below degree of divisor")
-        rem = list(a)
+        rem = list(self.coeffs)
         lead = b[-1]
         width = len(b)
-        quot = [0] * (len(a) - width + 1)
+        # empty when self has the lower degree: then all of it is remainder
+        quot = [0] * (len(rem) - width + 1)
         for k in range(len(quot) - 1, -1, -1):
             c = rem[k + width - 1]
             if c == 0:
@@ -194,9 +193,15 @@ class Poly:
             quot[k] = t = exact_int_div(c, lead)
             for j, bj in enumerate(b):
                 rem[k + j] -= t * bj
-        if any(rem):
+        # the loop cancelled every coefficient from other's degree up
+        return Poly(quot), Poly(rem[: width - 1])
+
+    def exact_div(self, other: Poly) -> Poly:
+        """Quotient self / other when the division is exact in Z[q]."""
+        quot, rem = divmod(self, other)
+        if rem:
             raise InexactDivisionError("polynomial division leaves a remainder")
-        return Poly(quot)
+        return quot
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs

@@ -91,6 +91,18 @@ def test_kth_root():
         kth_root(0, 2)
 
 
+def test_kth_root_is_exact_past_float_range():
+    # a float root overflows past 2**1024 and loses the last digits of a
+    # root above 2**53
+    assert kth_root(2**2000, 2) == 2**1000
+    r = 10**17 + 3
+    assert kth_root(r**2, 2) == r
+    assert kth_root(r**3, 3) == r
+    for k in (2, 3, 5):
+        assert kth_root(r**k + 1, k) is None
+        assert kth_root(r**k - 1, k) is None
+
+
 def test_kth_root_of_a_huge_exponent_computes_no_power():
     class NoPower(int):
         def __rpow__(self, base):

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from posetdet.arith import divisors
 from posetdet.cli import EXIT_OK, IDENTITY_NAMES, main
 
 GOLDEN = [
@@ -49,6 +50,15 @@ GOLDEN = [
     # recorded from the C_n x C_n join-table evaluation (about 9 min); plain
     # output only, so the suite runs n = 6 once
     ("verify tutte --n 6", "9d200b1c06b144f2ea674c5d4b50489036e75c29473e4c88e34b29139bb1dcbb"),
+    # the int-large benchmark workload's sizes, recorded at ec7951d, before
+    # det_bareiss divided its entries with the builtin divmod
+    ("verify apostol --n 64", "77ec86b852ffac6d2a9d51dda2967f8da7cc7c7a4f31396b4482fd55ebc9cefc"),
+    ("verify daniloff --n 64", "307dbcd6987304d41e5c50a7c7ab62012999b49165eaebdccfb6935746778405"),
+    # its slowest invocation: the 120 divisors of 55440
+    (
+        "verify smith --set " + ",".join(map(str, divisors(55440))),
+        "cd3683ce9d0af119f2e85e7a5dbda3eb2ea0920e31d81d3e9e72046727a4e01c",
+    ),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from posetdet.arith import kth_root, ramanujan_sum
+from posetdet import identities
+from posetdet.arith import euler_phi, kth_root, mobius, ramanujan_sum
 from posetdet.identities import (
     gcd_matrix,
     incidence_matrix,
@@ -281,11 +282,37 @@ def test_ramanujan_matrix_small():
 
 
 def test_ramanujan_matrix_entries_match_divisor_sum():
-    for n in (1, 2, 5, 8):
+    for n in (1, 2, 5, 8, 64):
         m = ramanujan_matrix(n)
         for i in range(n):
             for j in range(n):
                 assert m[i, j] == ramanujan_sum(i + 1, j + 1)
+
+
+def test_holder_closed_form_matches_the_divisor_sum():
+    # c(a, b) = mu(b / g) phi(b) / phi(b / g), g = gcd(a, b): the form
+    # ramanujan_matrix checks against, here against the divisor-sum oracle
+    n = 64
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            d = b // math.gcd(a, b)
+            assert euler_phi(b) % euler_phi(d) == 0
+            assert mobius(d) * (euler_phi(b) // euler_phi(d)) == ramanujan_sum(a, b)
+
+
+def test_ramanujan_cross_check_catches_a_bumped_entry(monkeypatch):
+    build = identities.incidence_product_matrix
+
+    def bumped(p, f, g):
+        rows = [list(build(p, f, g).row(i)) for i in range(p.n)]
+        rows[3][7] += 1
+        return SquareMatrix(rows)
+
+    monkeypatch.setattr(identities, "incidence_product_matrix", bumped)
+    vals = [a + 1 for a in divisor_poset(range(1, 13)).lin_ext]
+    message = rf"^ramanujan sum cross-check failed at \({vals[3]}, {vals[7]}\)$"
+    with pytest.raises(RuntimeError, match=message):
+        ramanujan_matrix(12)
 
 
 def test_ramanujan_determinant_is_factorial():

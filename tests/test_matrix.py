@@ -11,7 +11,7 @@ from posetdet.matrix import (
     det_cofactor,
     leading_principal_minors,
 )
-from posetdet.ring import Poly
+from posetdet.ring import InexactDivisionError, Poly
 
 
 def random_int_matrix(rng, n, lo=-9, hi=9):
@@ -340,24 +340,75 @@ def test_two_step_elimination_division_counts(monkeypatch):
     # each two-column step divides once for its pivot, twice per row for
     # that row's multipliers and once per updated entry: a symmetric input
     # updates only j >= i, any other input the whole block below row k + 1;
-    # neither meets a zero pivot
-    divisions = 0
+    # neither meets a zero pivot.  The pivot and the multipliers go through
+    # exact_int_div, each entry through the builtin divmod with no
+    # Python-level call around it
+    calls = {"exact_int_div": 0, "divmod": 0}
 
-    def counting_div(a, b):
-        nonlocal divisions
-        divisions += 1
-        return divmod(a, b)[0]
+    def counting(name, div):
+        def counted(a, b):
+            calls[name] += 1
+            return div(a, b)
 
-    monkeypatch.setattr(matrix, "exact_int_div", counting_div)
+        return counted
+
+    monkeypatch.setattr(matrix, "exact_int_div", counting("exact_int_div", matrix.exact_int_div))
+    monkeypatch.setattr(matrix, "divmod", counting("divmod", divmod), raising=False)
     n = 10
     g = gcd_matrix(range(1, n + 1))
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
     assert g.is_symmetric() and not scaled.is_symmetric()
     assert det_bareiss(g) == totient_product(range(1, n + 1))
     steps = range(0, n - 1, 2)
-    assert divisions == sum(1 + sum(n - i + 2 for i in range(k + 2, n)) for k in steps)
-    assert divisions == 115
-    divisions = 0
+    assert calls["exact_int_div"] == sum(1 + 2 * (n - k - 2) for k in steps) == 45
+    assert calls["divmod"] == sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 70
+    assert sum(calls.values()) == sum(1 + sum(n - i + 2 for i in range(k + 2, n)) for k in steps)
+    assert sum(calls.values()) == 115
+    calls.update(exact_int_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert divisions == sum(1 + (n - k - 2) * (n - k) for k in steps)
-    assert divisions == 165
+    assert calls["exact_int_div"] == 45
+    assert calls["divmod"] == sum((n - k - 2) ** 2 for k in steps) == 120
+    assert sum(calls.values()) == sum(1 + (n - k - 2) * (n - k) for k in steps)
+    assert sum(calls.values()) == 165
+
+
+def _gcd_plus_q(n):
+    # the gcd matrix plus q on the diagonal: each pivot is monic in q, of
+    # positive degree from the second step on
+    q = Poly.variable()
+    return SquareMatrix(
+        [
+            [Poly.const(math.gcd(a, b)) + (q if a == b else Poly()) for b in range(1, n + 1)]
+            for a in range(1, n + 1)
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (gcd_matrix(range(1, 9)), "integer division is not exact"),
+        (_gcd_plus_q(6), "polynomial division leaves a remainder"),
+    ],
+    ids=["int", "poly"],
+)
+def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, message):
+    # one entry numerator off by one, at the first division by a non-unit:
+    # det_bareiss must raise on the remainder, not drop it
+    one = 1 if type(m[0, 0]) is int else Poly.const(1)
+    units = (1, -1, Poly.const(1), Poly.const(-1))
+    injected = []
+
+    def off_by_one(a, b):
+        if not injected and b not in units:
+            injected.append((a, b))
+            return divmod(a + one, b)
+        return divmod(a, b)
+
+    expected = det_bareiss(m)
+    monkeypatch.setattr(matrix, "divmod", off_by_one, raising=False)
+    with pytest.raises(InexactDivisionError, match=f"^{message}$"):
+        det_bareiss(m)
+    assert injected
+    monkeypatch.undo()
+    assert det_bareiss(m) == expected

@@ -62,6 +62,35 @@ def test_exact_div_poly():
         Poly((1,)).exact_div(Poly())
 
 
+def test_divmod_poly():
+    # exact: (q^3 - q^2) = q^2 (q - 1), remainder zero
+    assert divmod(Poly((0, 0, -1, 1)), Poly((0, 0, 1))) == (Poly((-1, 1)), Poly())
+    # q^3 + 2q + 5 = (q - 1)(q^2 + q + 3) + 8
+    assert divmod(Poly((5, 2, 0, 1)), Poly((-1, 1))) == (Poly((3, 1, 1)), Poly((8,)))
+    # a dividend of lower degree is all remainder
+    assert divmod(Poly((1,)), Poly((0, 1))) == (Poly(), Poly((1,)))
+    assert divmod(Poly(), Poly((2, 1))) == (Poly(), Poly())
+    with pytest.raises(InexactDivisionError, match="^integer division is not exact$"):
+        divmod(Poly((1, 1)), Poly((0, 2)))
+    with pytest.raises(ZeroDivisionError):
+        divmod(Poly((1,)), Poly())
+    with pytest.raises(TagMismatchError):
+        divmod(Poly((4,)), 2)
+
+
+def test_divmod_poly_is_long_division():
+    # by a monic divisor every division succeeds: a = q b + r with
+    # deg r < deg b, and the quotient is the one exact_div gives for a - r
+    rng = random.Random("divmod-poly")
+    for _ in range(300):
+        a = _random_value(rng, "poly")
+        b = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [1])
+        quot, rem = divmod(a, b)
+        assert quot * b + rem == a
+        assert rem.degree < b.degree
+        assert (a - rem).exact_div(b) == quot
+
+
 def test_tag_mixing_is_an_error():
     with pytest.raises(TagMismatchError):
         Poly((1,)) + 1
