@@ -2,8 +2,11 @@
 
 det_bareiss is the workhorse: Bareiss's two-step elimination, with one
 exact division per entry per two columns and, on a symmetric input, only
-the upper triangle updated.  det_cofactor is a deliberately independent
-slow oracle used to cross-check it.
+the upper triangle updated.  A row that a step would only rescale, as it
+has zeros in both eliminated columns, is left alone until it is next
+read, so the sparse incidence products Fᵀ G skip most of their rows.
+det_cofactor is a deliberately independent slow oracle used to
+cross-check it.
 """
 
 from __future__ import annotations
@@ -87,6 +90,19 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
+def _rescale(
+    row: list[RingValue], start: int, num: RingValue, den: RingValue, exact_div
+) -> None:
+    """row[j] = num * row[j] / den for every j >= start, in place.  Each
+    division is the builtin divmod, as in det_bareiss's entry loop, and a
+    nonzero remainder goes on to exact_div, which raises."""
+    for j in range(start, len(row)):
+        if row[j]:
+            row[j], r = divmod(num * row[j], den)
+            if r:
+                exact_div(r, den)
+
+
 def det_bareiss(m: SquareMatrix) -> RingValue:
     """Exact determinant by two-step fraction-free elimination.
 
@@ -116,6 +132,21 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     and l.  The first zero pivot copies the upper triangle of rows k..n-1
     into the lower one, and from there every entry is updated and rows
     may swap.  GCD matrices are positive definite, so they never get there.
+
+    A row with a_ik = a_il = 0, and only such a row, has c1 = c2 = 0:
+    (c1, c2) is (a_ik, a_il) times a 2 x 2 matrix of determinant -c0 /
+    prev, which is nonzero.  The step would only rescale it by pivot /
+    prev, so it is left alone, and stale[i] records the pivot its entries
+    were last current at; the rescales of the steps that skip it
+    telescope to prev / stale[i].  A deferred entry is 0 exactly when its
+    current value is, so the zero tests, and the row pair search, read
+    deferred rows as they are.  A deferred row is brought current, one
+    divmod(prev * x, stale[i]) per nonzero live entry x, when it is next
+    read: as a pivot row, before a full update, before the mirror copy,
+    or as the last diagonal entry.  Old and current entries are both
+    bordered minors, so that division is exact too.  The paper's sparse
+    products Fᵀ G skip most of their row-steps; on a dense input stale
+    stays empty.
     """
     n = m.n
     zero = zero_like(m[0, 0])
@@ -124,14 +155,21 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     a = [list(m.row(i)) for i in range(n)]
     symmetric = m.is_symmetric()
     negate = False
+    stale = {}  # deferred row -> the pivot its entries were last current at
     for k in range(0, n - 1, 2):
         l = k + 1
+        if stale:
+            for i in (k, l):
+                if i in stale:
+                    _rescale(a[i], i if symmetric else k, prev, stale.pop(i), exact_div)
         row_k, row_l = a[k], a[l]
         a_kl = row_k[l]
         a_lk = a_kl if symmetric else row_l[k]
         minor = row_k[k] * row_l[l] - a_kl * a_lk
         if not minor:
             if symmetric:
+                for i in list(stale):
+                    _rescale(a[i], i, prev, stale.pop(i), exact_div)
                 for i in range(k + 1, n):
                     for j in range(k, i):
                         a[i][j] = a[j][i]
@@ -139,7 +177,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
             # Deterministic pivot: the first row pair r < s with a nonzero
             # minor.  Rows above the first row r nonzero on columns k and l
             # are zero there, so r is that row and s the first row after
-            # it that is not a multiple of it.
+            # it that is not a multiple of it.  A deferred row differs from
+            # its current value by a nonzero factor, so it may be tested.
             r = k
             while r < n and not (a[r][k] or a[r][l]):
                 r += 1
@@ -150,6 +189,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
                 return zero
             for dst, src in zip((k, l), (r, s)):
                 if src != dst:
+                    if src in stale:
+                        _rescale(a[src], k, prev, stale.pop(src), exact_div)
                     a[dst], a[src] = a[src], a[dst]
                     negate = not negate
             row_k, row_l = a[k], a[l]
@@ -163,6 +204,16 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
                 a_ik, a_il, start = row_k[i], row_l[i], i
             else:
                 a_ik, a_il, start = row_i[k], row_i[l], l + 1
+            if not (a_ik or a_il):
+                # c1 = c2 = 0, so the step would only rescale row i by
+                # pivot / prev: defer that until the row is next read
+                if i not in stale:
+                    stale[i] = prev
+                continue
+            if stale and i in stale:
+                _rescale(row_i, i if symmetric else k, prev, stale.pop(i), exact_div)
+                if not symmetric:
+                    a_ik, a_il = row_i[k], row_i[l]
             c1 = exact_div(a_kl * a_ik - a_kk * a_il, prev)
             c2 = exact_div(a_lk * a_il - a_ll * a_ik, prev)
             for j in range(start, n):
@@ -174,6 +225,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
                     # prev does not divide r and this raises
                     exact_div(r, prev)
         prev = pivot
+    if n % 2 and n - 1 in stale:
+        _rescale(a[n - 1], n - 1, prev, stale.pop(n - 1), exact_div)
     d = a[n - 1][n - 1] if n % 2 else prev
     return -d if negate else d
 

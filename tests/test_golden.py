@@ -59,6 +59,14 @@ GOLDEN = [
         "verify smith --set " + ",".join(map(str, divisors(55440))),
         "cd3683ce9d0af119f2e85e7a5dbda3eb2ea0920e31d81d3e9e72046727a4e01c",
     ),
+    # the two heaviest accepted det inputs, recorded at 4d86a05, before
+    # det_bareiss deferred its pure row rescales: the 240 divisors of
+    # 720720, and 200 mostly singular non-symmetric dets of up to 64 x 64
+    (
+        "verify smith --set " + ",".join(map(str, divisors(720720))),
+        "3176e2c8a70cac56a340c96d278ac41a8ee65b0a2d5eaddad1b0faa817a484e8",
+    ),
+    ("verify lindstrom --max-size 64 --cases 200", "43c0d85c258b329e3b0f3de0fb3393e3d65e91d28de9ca0a94ff0718aad08fdf"),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -336,14 +337,11 @@ def test_is_symmetric():
     assert not SquareMatrix([[q, q], [Poly((1,)), q]]).is_symmetric()
 
 
-def test_two_step_elimination_division_counts(monkeypatch):
-    # each two-column step divides once for its pivot, twice per row for
-    # that row's multipliers and once per updated entry: a symmetric input
-    # updates only j >= i, any other input the whole block below row k + 1;
-    # neither meets a zero pivot.  The pivot and the multipliers go through
-    # exact_int_div, each entry through the builtin divmod with no
-    # Python-level call around it
-    calls = {"exact_int_div": 0, "divmod": 0}
+@pytest.fixture
+def divisions(monkeypatch):
+    """Counts of det_bareiss's divisions: "exact_div" for the pivots and the
+    multipliers (exact_int_div or Poly.exact_div), "divmod" for the entries."""
+    calls = {"exact_div": 0, "divmod": 0}
 
     def counting(name, div):
         def counted(a, b):
@@ -352,24 +350,183 @@ def test_two_step_elimination_division_counts(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(matrix, "exact_int_div", counting("exact_int_div", matrix.exact_int_div))
+    monkeypatch.setattr(matrix, "exact_int_div", counting("exact_div", matrix.exact_int_div))
+    monkeypatch.setattr(Poly, "exact_div", counting("exact_div", Poly.exact_div))
     monkeypatch.setattr(matrix, "divmod", counting("divmod", divmod), raising=False)
+    return calls
+
+
+def upper(rng, n, density, entry):
+    """An upper triangular matrix with entry() on the diagonal and, with
+    probability density, above it: the incidence matrix of a function on
+    a poset, rows and columns in a linear extension."""
+    zero = entry() * 0
+    return SquareMatrix(
+        [
+            [entry() if i == j or (i < j and rng.random() < density) else zero for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def shuffled(rng, m):
+    """m with its rows shuffled, and its columns alike when m is symmetric."""
+    perm = rng.sample(range(m.n), m.n)
+    sym = m.is_symmetric()
+    return SquareMatrix(
+        [[m[perm[i], perm[j] if sym else j] for j in range(m.n)] for i in range(m.n)]
+    )
+
+
+def row_steps(n):
+    """Rows a two-step elimination of an n x n matrix updates, summed over steps."""
+    return sum(n - k - 2 for k in range(0, n - 1, 2))
+
+
+def deferred_row_steps(f):
+    """How many row-steps det_bareiss defers on Fᵀ G, for F and G upper
+    triangular with nonzero diagonals.  Fᵀ G is then L U with L = Fᵀ, and
+    after k columns the Schur complement is L[k:, k:] U[k:, k:], so a_ik
+    and a_il at step k are both 0 exactly when F[k][i] and F[k + 1][i] are:
+    neither k nor k + 1 is below i in F's support."""
+    n = f.n
+    return sum(
+        not (f[k, i] or f[k + 1, i]) for k in range(0, n - 1, 2) for i in range(k + 2, n)
+    )
+
+
+def test_two_step_elimination_division_counts(divisions):
+    # each two-column step divides once for its pivot, twice per updated
+    # row for that row's multipliers and once per updated entry: a symmetric
+    # input updates only j >= i, any other input the whole block below row
+    # k + 1; none of these inputs meets a zero pivot.  The pivot and the
+    # multipliers go through exact_int_div, each entry through the builtin
+    # divmod with no Python-level call around it.  The meet matrix of a
+    # chain, min(a, b) = Fᵀ F with F all ones on and above the diagonal,
+    # has no zero multiplier pair, so no row is deferred
     n = 10
-    g = gcd_matrix(range(1, n + 1))
-    scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
-    assert g.is_symmetric() and not scaled.is_symmetric()
-    assert det_bareiss(g) == totient_product(range(1, n + 1))
+    ones = SquareMatrix([[int(i <= j) for j in range(n)] for i in range(n)])
+    chain = SquareMatrix([[min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    assert chain == ones.transpose() @ ones and deferred_row_steps(ones) == 0
+    scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
+    assert chain.is_symmetric() and not scaled.is_symmetric()
+    assert det_bareiss(chain) == 1
     steps = range(0, n - 1, 2)
-    assert calls["exact_int_div"] == sum(1 + 2 * (n - k - 2) for k in steps) == 45
-    assert calls["divmod"] == sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 70
-    assert sum(calls.values()) == sum(1 + sum(n - i + 2 for i in range(k + 2, n)) for k in steps)
-    assert sum(calls.values()) == 115
-    calls.update(exact_int_div=0, divmod=0)
+    assert divisions["exact_div"] == sum(1 + 2 * (n - k - 2) for k in steps) == 45
+    assert divisions["divmod"] == sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 70
+    divisions.update(exact_div=0, divmod=0)
+    assert det_bareiss(scaled) == math.factorial(n)
+    assert divisions["exact_div"] == 45
+    assert divisions["divmod"] == sum((n - k - 2) ** 2 for k in steps) == 120
+    # The gcd matrix on 1..10 is Eᵀ D E, E the divisibility zeta matrix and D
+    # the totients, so row b is deferred at the step on columns a, a + 1
+    # unless a or a + 1 divides b: at a = 3 rows 5, 7 and 10 are, at a = 5
+    # rows 7, 8 and 9, and at a = 7 rows 9 and 10.  That leaves 12 of the
+    # 20 row-steps: 5 pivots + 2 * 12 multipliers = 29 exact divisions.
+    # The entries, symmetric (j >= i): 36 at a = 1 (rows 3..10), 5 + 3 + 2
+    # at a = 3 (rows 6, 8, 9), then catch-ups of the nonzero live entries
+    # and one full update: at a = 5 row 5 (columns 5, 10), row 10 (column
+    # 10) and row 10's update (1); at a = 7 rows 7 and 8 (1 each); at a = 9
+    # rows 9 and 10 (1 each): 36 + 10 + 4 + 2 + 2 = 54.  Scaled (the whole
+    # block, catch-ups from column a): 64 at a = 1, 3 * 6 at a = 3, at a = 5
+    # rows 5 and 10 (columns 5 and 10 each) and row 10's update (4), at a = 7
+    # and a = 9 one entry per pivot row: 64 + 18 + 8 + 2 + 2 = 94
+    g = gcd_matrix(range(1, n + 1))
+    zeta = SquareMatrix([[int(b % a == 0) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    assert deferred_row_steps(zeta) == 8 and row_steps(n) == 20
+    scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
+    divisions.update(exact_div=0, divmod=0)
+    assert det_bareiss(g) == totient_product(range(1, n + 1))
+    assert divisions == {"exact_div": 5 + 2 * (20 - 8), "divmod": 54}
+    divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert calls["exact_int_div"] == 45
-    assert calls["divmod"] == sum((n - k - 2) ** 2 for k in steps) == 120
-    assert sum(calls.values()) == sum(1 + (n - k - 2) * (n - k) for k in steps)
-    assert sum(calls.values()) == 165
+    assert divisions == {"exact_div": 29, "divmod": 94}
+
+
+def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
+    # Fᵀ G for sparse upper triangular F and G, symmetric (G = F) or not, in
+    # int and Poly.  With nonzero diagonals no pivot is 0, and the pivot and
+    # multiplier divisions count the row-steps that were not deferred.  A
+    # zero row in F makes the product singular, and shuffled rows make
+    # elimination meet zero pivots, swap rows and, while the product is
+    # symmetric, mirror it
+    rng = random.Random("deferred")
+    entries = {
+        int: lambda: rng.choice((-3, -2, -1, 1, 2, 3)),
+        Poly: lambda: Poly((rng.choice((-2, -1, 1, 2)), rng.randint(-1, 1))),
+    }
+    deferred = total = singular = 0
+    for tag, entry in entries.items():
+        for _ in range(150 if tag is int else 50):
+            n = rng.randint(1, 8)
+            density = rng.choice((0.1, 0.2, 0.35))
+            f = upper(rng, n, density, entry)
+            g = f if rng.random() < 0.4 else upper(rng, n, density, entry)
+            m = f.transpose() @ g
+            divisions.update(exact_div=0)
+            assert det_bareiss(m) == det_cofactor(m)
+            assert divisions["exact_div"] == n // 2 + 2 * (row_steps(n) - deferred_row_steps(f))
+            deferred += deferred_row_steps(f)
+            total += row_steps(n)
+            c = rng.randrange(n)
+            f0 = SquareMatrix([[x if i != c else x * 0 for x in f.row(i)] for i in range(n)])
+            m0 = f0.transpose() @ (f0 if g is f else g)
+            assert m0.is_symmetric() or g is not f
+            for hard in (m0, shuffled(rng, m), shuffled(rng, m0)):
+                expected = det_cofactor(hard)
+                singular += not expected
+                assert det_bareiss(hard) == expected
+    assert deferred > total // 3
+    assert singular > 200
+
+
+def test_deferred_rows_are_caught_up_where_they_are_read(monkeypatch):
+    # the spy records each catch-up as (first column, prev, the pivot the
+    # row was last current at); a skipped catch-up leaves a row off by
+    # that factor, 2 at the first catch-up of each case
+    caught = []
+    rescale = matrix._rescale
+
+    def spy(row, start, num, den, exact_div):
+        caught.append((start, num, den))
+        rescale(row, start, num, den, exact_div)
+
+    monkeypatch.setattr(matrix, "_rescale", spy)
+    f = SquareMatrix(
+        [[1, 0, 1, 0, 1], [0, 2, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
+    )
+    g = SquareMatrix(
+        [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 2, 1], [0, 0, 0, 0, 1]]
+    )
+    cases = [
+        # symmetric, pivot 2 at k = 0; row 4 is 0 on columns 0 and 1, so it
+        # is deferred, and the leading 4 x 4 minor is 0: the mirror copy at
+        # k = 2 must read row 4 current.  Rows 3 and 4 then move up, and
+        # the row that lands in row 4 is deferred again and is the last
+        # diagonal entry
+        (
+            [[1, 1, 1, 1, 0], [1, 3, 1, 3, 0], [1, 1, 1, 1, 1], [1, 3, 1, 4, 1], [0, 0, 1, 1, 1]],
+            -2,
+            [(4, 2, 1), (4, -2, 2)],
+        ),
+        # not symmetric, the same shape: at k = 2 rows 3 and 4 supply the
+        # pivot pair, and deferred row 4 is caught up from column 2 before
+        # it moves up
+        (
+            [[1, 1, 1, 0, 2], [1, 3, 0, 1, 1], [1, 1, 1, 0, 3], [1, 3, 1, 2, 1], [0, 0, 2, 1, 1]],
+            -2,
+            [(2, 2, 1), (4, -2, 2)],
+        ),
+        # Fᵀ G with F[2][4] = F[3][4] = 0: row 4 is updated at k = 0 and
+        # deferred at k = 2, at pivot 2, and it is the last diagonal entry
+        # when the final pivot is 4
+        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(4, 4, 2)]),
+    ]
+    for rows, det, expected in cases:
+        caught.clear()
+        assert det_bareiss(SquareMatrix(rows)) == det
+        assert caught == expected
+        check_both_tags(rows, det)
 
 
 def _gcd_plus_q(n):
@@ -385,22 +542,28 @@ def _gcd_plus_q(n):
 
 
 @pytest.mark.parametrize(
-    "m, message",
+    "m, message, site",
     [
-        (gcd_matrix(range(1, 9)), "integer division is not exact"),
-        (_gcd_plus_q(6), "polynomial division leaves a remainder"),
+        (gcd_matrix(range(1, 11)), "integer division is not exact", "det_bareiss"),
+        (_gcd_plus_q(6), "polynomial division leaves a remainder", "det_bareiss"),
+        (gcd_matrix(range(1, 9)), "integer division is not exact", "_rescale"),
+        (as_poly(gcd_matrix(range(1, 9))), "polynomial division leaves a remainder", "_rescale"),
     ],
-    ids=["int", "poly"],
+    ids=["int", "poly", "int-deferred", "poly-deferred"],
 )
-def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, message):
-    # one entry numerator off by one, at the first division by a non-unit:
-    # det_bareiss must raise on the remainder, not drop it
+def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, message, site):
+    # one entry numerator off by one, at the first division by a non-unit
+    # that site makes: det_bareiss must raise on the remainder, not drop
+    # it.  In _rescale that is the catch-up of a deferred row, with one
+    # entry bumped while the row waited.  The gcd matrix on 1..8 defers
+    # row 8 at pivot 4 and updates no row in full after that pivot, so the
+    # entry loop is tested on 1..10, where row 10 is
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
     injected = []
 
     def off_by_one(a, b):
-        if not injected and b not in units:
+        if not injected and b not in units and sys._getframe(1).f_code.co_name == site:
             injected.append((a, b))
             return divmod(a + one, b)
         return divmod(a, b)

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from posetdet import matrix
 from posetdet.arith import divisors
 from posetdet.chromatic import chromatic_join_det, chromatic_join_matrix
 from posetdet.identities import gcd_matrix, kth_root_matrix, ramanujan_matrix
@@ -20,6 +21,7 @@ from posetdet.lgv import WeightedDigraph, stembridge_matrix
 from posetdet.matrix import SquareMatrix, det_bareiss
 from posetdet.randgen import random_hypothesis_digraph
 from posetdet.ring import Poly
+from test_matrix import deferred_row_steps, row_steps, shuffled, upper
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -150,3 +152,47 @@ def test_large_integer_det_matches_sympy(build, symmetric):
     det = det_bareiss(m)
     assert det != 0
     assert det == int(expected)
+
+
+@pytest.mark.parametrize(
+    "n, symmetric, singular",
+    [
+        (17, True, False),
+        (33, False, False),
+        (64, True, False),
+        (64, False, False),
+        (40, True, True),
+        (64, False, True),
+    ],
+)
+def test_deferred_rows_match_sympy_on_sparse_products(monkeypatch, n, symmetric, singular):
+    # Fᵀ G for sparse upper triangular F and G (G = F when symmetric), as in
+    # test_matrix: the pivot and multiplier divisions count the row-steps
+    # that were not deferred.  A singular product has a zero row in F, and
+    # it and a second copy of the product are shuffled, so that elimination
+    # meets zero pivots with rows still deferred
+    rng = random.Random(f"sparse-product-{n}-{symmetric}-{singular}")
+
+    def entry():
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    f = upper(rng, n, 0.06, entry)
+    if singular:
+        c = rng.randrange(n)
+        f = SquareMatrix([[x if i != c else 0 for x in f.row(i)] for i in range(n)])
+    g = f if symmetric else upper(rng, n, 0.06, entry)
+    m = f.transpose() @ g
+    assert m.is_symmetric() is symmetric
+    calls = []
+    exact_int_div = matrix.exact_int_div
+    monkeypatch.setattr(matrix, "exact_int_div", lambda a, b: calls.append(b) or exact_int_div(a, b))
+    products = [m] if not singular else [shuffled(rng, m), shuffled(rng, m)]
+    for p in products:
+        rows = [[sympy.ZZ(p[i, j]) for j in range(n)] for i in range(n)]
+        expected = int(DomainMatrix(rows, (n, n), sympy.ZZ).det())
+        assert (expected == 0) is singular
+        assert det_bareiss(p) == expected
+    if not singular:
+        deferred = deferred_row_steps(f)
+        assert len(calls) == n // 2 + 2 * (row_steps(n) - deferred)
+        assert deferred > row_steps(n) // 2
