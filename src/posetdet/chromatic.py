@@ -20,7 +20,7 @@ class SetPartition:
     """Partition of {1..n} into blocks, stored canonically: elements sorted
     within blocks, blocks sorted by their minimum."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks", "_ids")
 
     def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
         seen: set[int] = set()
@@ -36,8 +36,13 @@ class SetPartition:
         if seen != set(range(1, n + 1)):
             raise ValueError(f"blocks must cover 1..{n} exactly")
         cleaned.sort(key=lambda b: b[0])
+        ids = [0] * n
+        for i, block in enumerate(cleaned):
+            for e in block:
+                ids[e - 1] = i
         self.n = n
         self.blocks = tuple(cleaned)
+        self._ids = tuple(ids)
 
     @property
     def num_blocks(self) -> int:
@@ -45,11 +50,7 @@ class SetPartition:
 
     def block_ids(self) -> tuple[int, ...]:
         """For each element 1..n (0-indexed), the index of its block."""
-        ids = [0] * self.n
-        for i, block in enumerate(self.blocks):
-            for e in block:
-                ids[e - 1] = i
-        return tuple(ids)
+        return self._ids
 
     def __eq__(self, other) -> bool:
         return (
@@ -186,33 +187,27 @@ def _falling(x: int, k: int) -> int:
     return out
 
 
-def chromatic_join_det(n: int) -> Poly:
-    """Determinant of chromatic_join_matrix(n), through the partition
-    lattice: integer evaluation of a small Schur complement, then
-    interpolation.
+def _nodes(n: int, count: int) -> list[int]:
+    """The first count of the integers n, -1, n + 1, -2, ..., which skip
+    0..n-1."""
+    return [n + k // 2 if k % 2 == 0 else -(k + 1) // 2 for k in range(count)]
 
-    Counting q-colourings of the blocks of a by which blocks share a colour
-    gives q^blocks(a) = sum over sigma >= a in Pi_n of (q)_blocks(sigma), so
-    M = Z D Z^T with Z[a, sigma] = [a refines sigma] over NC(n) x Pi_n and
-    D = diag((q)_blocks(sigma)): the incidence-product form of the main
-    theorem.  Split the columns into NC(n) and the crossing partitions X.
-    Z1 = Z[NC, NC] is unitriangular, so with the integer matrix
-    W = Z1^-1 Z2, det M = det(D1 + W D2 W^T) = det D1 det D2
-    det(D2^-1 + W^T D1^-1 W).  At an integer x outside 0..n-1 let
-    L = (x)_n; L / (x)_k = (x - k)_(n - k) is an integer, so
-    det M(x) = prod over Pi_n of (x)_blocks * det H / L^|X| with the
-    symmetric |X| x |X| integer matrix
-    H = diag(L / (x)_blocks(sigma)) + W^T diag(L / (x)_blocks(a)) W.
 
-    Every entry of M is q^blocks(a v b) with at least one block, so
-    det M = q^rows * P, and every Leibniz term has blocks(a v sigma(a)) <=
-    blocks(a), so deg P is at most D = sum over a of (blocks(a) - 1).  P is
-    interpolated from its values at D + 1 integers that skip 0..n-1.
+def _schur_block_dets(
+    n: int, ncs: list[SetPartition], crossing: list[SetPartition]
+) -> list[tuple[list[int], Poly]]:
+    """The diagonal blocks of the Schur complement H of chromatic_join_det,
+    each as its indices into crossing and its determinant in Z[x].  Both
+    partition lists run finest first.
+
+    H = diag((x - b(sigma))_(n - b(sigma))) + W^T diag((x - b(a))_(n - b(a))) W
+    with W = Z1^-1 Z2 over ncs x crossing and b the block count.  W[a, sigma]
+    is nonzero only when a refines sigma, so b(a) >= b(sigma) and every
+    entry in row sigma has degree at most n - b(sigma).  A block B's
+    determinant therefore has degree at most the sum over B of
+    n - b(sigma), and it is interpolated from that many nodes plus one, at
+    each of which only B's rows are built and eliminated.
     """
-    _check_join_size(n)
-    parts = sorted(all_partitions(n), key=lambda p: -p.num_blocks)
-    ncs = [p for p in parts if is_noncrossing(p)]
-    crossing = [p for p in parts if not is_noncrossing(p)]
     # Finest first makes Z1 upper unitriangular: a noncrossing sigma
     # strictly above a has fewer blocks, so it sits later in ncs.
     # Back-substitution fills W from the coarsest row up.
@@ -232,26 +227,79 @@ def chromatic_join_det(n: int) -> Poly:
         merged = set().union(*(group[i] for i, _ in support))
         for i in merged:
             group[i] = merged
-    diagonal_blocks = {min(g): sorted(g) for g in group}.values()
-    size = len(crossing)
+    out = []
+    for members in {min(g): sorted(g) for g in group}.values():
+        local = {c: k for k, c in enumerate(members)}
+        rows = [
+            (a.num_blocks, [(local[i], u) for i, u in support])
+            for a, support in zip(ncs, supports)
+            if support and support[0][0] in local
+        ]
+        diagonal = [crossing[i].num_blocks for i in members]
+        xs = _nodes(n, sum(n - b for b in diagonal) + 1)
+        ys = []
+        for x in xs:
+            weight = [_falling(x - b, n - b) for b in range(n + 1)]
+            h = [[0] * len(members) for _ in members]
+            for b, support in rows:
+                for i, u in support:
+                    scaled, h_i = weight[b] * u, h[i]
+                    for j, v in support:
+                        h_i[j] += scaled * v
+            for i, b in enumerate(diagonal):
+                h[i][i] += weight[b]
+            ys.append(det_bareiss(SquareMatrix(h)))
+        out.append((members, Poly.interpolate(xs, ys)))
+    return out
+
+
+def chromatic_join_det(n: int) -> Poly:
+    """Determinant of chromatic_join_matrix(n), through the partition
+    lattice: a small Schur complement whose diagonal blocks are
+    interpolated from integer evaluations, then interpolation of the
+    whole.
+
+    Counting q-colourings of the blocks of a by which blocks share a colour
+    gives q^blocks(a) = sum over sigma >= a in Pi_n of (q)_blocks(sigma), so
+    M = Z D Z^T with Z[a, sigma] = [a refines sigma] over NC(n) x Pi_n and
+    D = diag((q)_blocks(sigma)): the incidence-product form of the main
+    theorem.  Split the columns into NC(n) and the crossing partitions X.
+    Z1 = Z[NC, NC] is unitriangular, so with the integer matrix
+    W = Z1^-1 Z2, det M = det(D1 + W D2 W^T) = det D1 det D2
+    det(D2^-1 + W^T D1^-1 W).  At an integer x outside 0..n-1 let
+    L = (x)_n; L / (x)_k = (x - k)_(n - k) is an integer, so
+    det M(x) = prod over Pi_n of (x)_blocks * det H / L^|X| with the
+    symmetric |X| x |X| integer matrix
+    H = diag(L / (x)_blocks(sigma)) + W^T diag(L / (x)_blocks(a)) W,
+    whose diagonal blocks _schur_block_dets finds in Z[x].
+
+    Every entry of M is q^blocks(a v b) with at least one block, so
+    det M = q^rows * P, and every Leibniz term has blocks(a v sigma(a)) <=
+    blocks(a), so deg P is at most D = sum over a of (blocks(a) - 1).  P is
+    interpolated from its values at D + 1 integers that skip 0..n-1, each
+    read off the block determinants by Horner's rule.
+    """
+    _check_join_size(n)
+    ncs: list[SetPartition] = []
+    crossing: list[SetPartition] = []
+    # prod over Pi_n of (x)_blocks is one power of (x)_k per block count k
+    with_blocks = [0] * (n + 1)
+    for p in sorted(all_partitions(n), key=lambda p: -p.num_blocks):
+        (ncs if is_noncrossing(p) else crossing).append(p)
+        with_blocks[p.num_blocks] += 1
+    block_dets = [det for _, det in _schur_block_dets(n, ncs, crossing)]
     bound = sum(a.num_blocks - 1 for a in ncs)
-    xs = [n + k // 2 if k % 2 == 0 else -(k + 1) // 2 for k in range(bound + 1)]
+    xs = _nodes(n, bound + 1)
     ys = []
     for x in xs:
-        h = [[0] * size for _ in range(size)]
-        for a, support in zip(ncs, supports):
-            weight = _falling(x - a.num_blocks, n - a.num_blocks)
-            for i, u in support:
-                for j, v in support:
-                    h[i][j] += weight * u * v
-        for i, s in enumerate(crossing):
-            h[i][i] += _falling(x - s.num_blocks, n - s.num_blocks)
         value = 1
-        for block in diagonal_blocks:
-            value *= det_bareiss(SquareMatrix([[h[i][j] for j in block] for i in block]))
-        for a in parts:
-            value *= _falling(x, a.num_blocks)
-        ys.append(exact_int_div(value, _falling(x, n) ** size * x ** len(ncs)))
+        for det in block_dets:
+            value *= det.evaluate(x)
+        falling = 1
+        for k in range(1, n + 1):
+            falling *= x - k + 1
+            value *= falling ** with_blocks[k]
+        ys.append(exact_int_div(value, falling ** len(crossing) * x ** len(ncs)))
     return Poly.monomial(len(ncs)) * Poly.interpolate(xs, ys)
 
 

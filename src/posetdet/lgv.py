@@ -30,9 +30,7 @@ ALL_PERMS_VERTEX_CAP = 18
 
 def _check_vertex_cap(n: int) -> None:
     if n > ALL_PERMS_VERTEX_CAP:
-        raise ValueError(
-            f"all-permutation enumeration capped at {ALL_PERMS_VERTEX_CAP} vertices"
-        )
+        raise ValueError(f"digraphs are capped at {ALL_PERMS_VERTEX_CAP} vertices")
 
 
 class WeightedDigraph:

@@ -89,8 +89,10 @@ class Poly:
 
         The nodes and values must be ints.  Every divided difference of an
         integer polynomial at integer nodes is an integer, so each division
-        must be exact; a remainder raises InexactDivisionError, which means
-        the data do not come from a polynomial in Z[q] of that degree.
+        must be exact.  Each divides with the builtin divmod, as in
+        det_bareiss's entry loop; a nonzero remainder goes on to
+        exact_int_div, which raises InexactDivisionError: the data do not
+        come from a polynomial in Z[q] of that degree.
         """
         xs, diffs = list(xs), list(ys)
         if len(xs) != len(diffs):
@@ -101,7 +103,10 @@ class Poly:
             raise TypeError("interpolation nodes and values must be ints")
         for j in range(1, len(xs)):
             for i in range(len(xs) - 1, j - 1, -1):
-                diffs[i] = exact_int_div(diffs[i] - diffs[i - 1], xs[i] - xs[i - j])
+                step = xs[i] - xs[i - j]
+                diffs[i], r = divmod(diffs[i] - diffs[i - 1], step)
+                if r:
+                    exact_int_div(r, step)
         # Horner on the Newton form d0 + (q - x0)(d1 + (q - x1)(d2 + ...)).
         out: list[int] = []
         for x, d in zip(reversed(xs), reversed(diffs)):

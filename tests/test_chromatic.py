@@ -4,6 +4,8 @@ from posetdet.arith import binomial
 from posetdet.chromatic import (
     SetPartition,
     _join_block_counts,
+    _nodes,
+    _schur_block_dets,
     all_partitions,
     beraha,
     chromatic_join_det,
@@ -39,6 +41,7 @@ def test_set_partition_canonical_form():
     assert p.num_blocks == 2
     assert str(p) == "1,3|2,4"
     assert p.block_ids() == (0, 1, 0, 1)
+    assert SetPartition(4, [[4, 2], [3, 1]]).block_ids() == (0, 1, 0, 1)
 
 
 def test_set_partition_validation():
@@ -48,6 +51,8 @@ def test_set_partition_validation():
         SetPartition(3, [[1, 2], [2, 3]])  # overlap
     with pytest.raises(ValueError):
         SetPartition(3, [[1, 2, 3], []])  # empty block
+    with pytest.raises(ValueError, match="ground sets differ"):
+        refines(SetPartition(2, [[1, 2]]), SetPartition(3, [[1, 2, 3]]))
 
 
 def test_all_partitions_counts():
@@ -239,6 +244,51 @@ def test_join_matrix_is_an_incidence_product_over_the_partition_lattice():
                 for j in range(len(ncs)):
                     zdz = sum(z[i][k] * d[k] * z[j][k] for k in range(len(parts)))
                     assert m[i, j].evaluate(x) == zdz
+
+
+def test_schur_blocks_are_interpolated_from_their_degree_bound():
+    # every entry in row sigma of H has degree <= n - b(sigma), so block B
+    # is interpolated from sum over B of (n - b(sigma)) + 1 nodes; built
+    # here from Z's definition at the next two nodes, its det must agree,
+    # and the bound must be exactly its degree
+    for n in (2, 3, 4, 5, 6):
+        parts = sorted(all_partitions(n), key=lambda p: -p.num_blocks)
+        ncs = [p for p in parts if is_noncrossing(p)]
+        crossing = [p for p in parts if not is_noncrossing(p)]
+        z1 = [[int(refines(a, s)) for s in ncs] for a in ncs]
+        z2 = [[int(refines(a, s)) for s in crossing] for a in ncs]
+        w = [None] * len(ncs)
+        for i in range(len(ncs) - 1, -1, -1):
+            w[i] = [
+                z2[i][k] - sum(z1[i][j] * w[j][k] for j in range(i + 1, len(ncs)) if z1[i][j])
+                for k in range(len(crossing))
+            ]
+        for i in range(len(ncs)):
+            for k in range(len(crossing)):
+                assert sum(z1[i][j] * w[j][k] for j in range(len(ncs))) == z2[i][k]
+        blocks = _schur_block_dets(n, ncs, crossing)
+        assert sorted(i for members, _ in blocks for i in members) == list(range(len(crossing)))
+        for members, det in blocks:
+            degree = sum(n - crossing[i].num_blocks for i in members)
+            assert det.degree == degree
+            for x in _nodes(n, degree + 3)[-2:]:
+                h = [
+                    [
+                        (s == t) * falling(x - crossing[s].num_blocks, n - crossing[s].num_blocks)
+                        + sum(
+                            row[s] * row[t] * falling(x - a.num_blocks, n - a.num_blocks)
+                            for a, row in zip(ncs, w)
+                        )
+                        for t in members
+                    ]
+                    for s in members
+                ]
+                assert det.evaluate(x) == det_bareiss(SquareMatrix(h))
+        # the largest block and its degree: 5 x 5 of degree 10 at n = 5,
+        # 26 x 26 of degree 64 at n = 6
+        if n >= 5:
+            members, det = max(blocks, key=lambda block: len(block[0]))
+            assert (len(members), det.degree) == {5: (5, 10), 6: (26, 64)}[n]
 
 
 def test_chromatic_join_det_degree_and_lowest_power():

@@ -458,7 +458,7 @@ def test_stembridge_digraph_above_vertex_cap_exits_two(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
     assert code == EXIT_INPUT
     assert out == ""
-    assert err == "error: all-permutation enumeration capped at 18 vertices\n"
+    assert err == "error: digraphs are capped at 18 vertices\n"
 
 
 def test_stembridge_digraph_file_is_capped_before_any_vertex_table(tmp_path, capsys, monkeypatch):
@@ -471,7 +471,7 @@ def test_stembridge_digraph_file_is_capped_before_any_vertex_table(tmp_path, cap
     code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
     assert code == EXIT_INPUT
     assert out == ""
-    assert err == "error: all-permutation enumeration capped at 18 vertices\n"
+    assert err == "error: digraphs are capped at 18 vertices\n"
 
 
 def test_stembridge_dense_digraph_at_the_vertex_cap_fails_the_hypothesis(tmp_path, capsys):
