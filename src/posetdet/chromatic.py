@@ -121,13 +121,11 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
 
 
 def refines(a: SetPartition, b: SetPartition) -> bool:
-    """True when every block of a sits inside a block of b."""
+    """True when every block of a sits inside a block of b: pairing each
+    element's block ids in a and b then gives one pair per block of a."""
     if a.n != b.n:
         raise ValueError("ground sets differ")
-    ids = b.block_ids()
-    return all(
-        ids[e - 1] == ids[block[0] - 1] for block in a.blocks for e in block
-    )
+    return len(set(zip(a.block_ids(), b.block_ids()))) == len(a.blocks)
 
 
 def join_partitions(a: SetPartition, b: SetPartition) -> SetPartition:
@@ -256,8 +254,8 @@ def _schur_block_dets(
 def chromatic_join_det(n: int) -> Poly:
     """Determinant of chromatic_join_matrix(n), through the partition
     lattice: a small Schur complement whose diagonal blocks are
-    interpolated from integer evaluations, then interpolation of the
-    whole.
+    interpolated from integer evaluations, multiplied and divided by
+    factors known in closed form.
 
     Counting q-colourings of the blocks of a by which blocks share a colour
     gives q^blocks(a) = sum over sigma >= a in Pi_n of (q)_blocks(sigma), so
@@ -266,41 +264,40 @@ def chromatic_join_det(n: int) -> Poly:
     theorem.  Split the columns into NC(n) and the crossing partitions X.
     Z1 = Z[NC, NC] is unitriangular, so with the integer matrix
     W = Z1^-1 Z2, det M = det(D1 + W D2 W^T) = det D1 det D2
-    det(D2^-1 + W^T D1^-1 W).  At an integer x outside 0..n-1 let
-    L = (x)_n; L / (x)_k = (x - k)_(n - k) is an integer, so
-    det M(x) = prod over Pi_n of (x)_blocks * det H / L^|X| with the
-    symmetric |X| x |X| integer matrix
-    H = diag(L / (x)_blocks(sigma)) + W^T diag(L / (x)_blocks(a)) W,
-    whose diagonal blocks _schur_block_dets finds in Z[x].
-
-    Every entry of M is q^blocks(a v b) with at least one block, so
-    det M = q^rows * P, and every Leibniz term has blocks(a v sigma(a)) <=
-    blocks(a), so deg P is at most D = sum over a of (blocks(a) - 1).  P is
-    interpolated from its values at D + 1 integers that skip 0..n-1, each
-    read off the block determinants by Horner's rule.
+    det(D2^-1 + W^T D1^-1 W).  With L = (q)_n and
+    L / (q)_k = (q - k)_(n - k), the symmetric |X| x |X| matrix
+    H = diag(L / (q)_blocks(sigma)) + W^T diag(L / (q)_blocks(a)) W is over
+    Z[q], and _schur_block_dets finds its diagonal blocks.  Then
+    det M = prod over NC of (q)_blocks * det H / prod over X of
+    L / (q)_blocks.  Both products are powers of the factors q - j for
+    j < n, and what is left of the divisor once they cancel is monic, so
+    the division is exact or raises InexactDivisionError.
     """
     _check_join_size(n)
     ncs: list[SetPartition] = []
     crossing: list[SetPartition] = []
-    # prod over Pi_n of (x)_blocks is one power of (x)_k per block count k
-    with_blocks = [0] * (n + 1)
+    nc_with = [0] * (n + 1)
+    crossing_with = [0] * (n + 1)
     for p in sorted(all_partitions(n), key=lambda p: -p.num_blocks):
-        (ncs if is_noncrossing(p) else crossing).append(p)
-        with_blocks[p.num_blocks] += 1
-    block_dets = [det for _, det in _schur_block_dets(n, ncs, crossing)]
-    bound = sum(a.num_blocks - 1 for a in ncs)
-    xs = _nodes(n, bound + 1)
-    ys = []
-    for x in xs:
-        value = 1
-        for det in block_dets:
-            value *= det.evaluate(x)
-        falling = 1
-        for k in range(1, n + 1):
-            falling *= x - k + 1
-            value *= falling ** with_blocks[k]
-        ys.append(exact_int_div(value, falling ** len(crossing) * x ** len(ncs)))
-    return Poly.monomial(len(ncs)) * Poly.interpolate(xs, ys)
+        if is_noncrossing(p):
+            ncs.append(p)
+            nc_with[p.num_blocks] += 1
+        else:
+            crossing.append(p)
+            crossing_with[p.num_blocks] += 1
+    product = Poly.const(1)
+    divisor = Poly.const(1)
+    for j in range(n):
+        # q - j divides (q)_blocks(a) when a has more than j blocks, and
+        # L / (q)_blocks(sigma) when sigma has at most j
+        power = sum(nc_with[j + 1 :]) - sum(crossing_with[: j + 1])
+        if power > 0:
+            product = product * Poly((-j, 1)) ** power
+        else:
+            divisor = divisor * Poly((-j, 1)) ** -power
+    for _, det in _schur_block_dets(n, ncs, crossing):
+        product = product * det
+    return product.exact_div(divisor)
 
 
 def beraha(n: int) -> Poly:

@@ -121,7 +121,8 @@ def iter_paths(d: WeightedDigraph, u: int, v: int) -> Iterator[tuple[int, ...]]:
 
 def path_weight_sum(d: WeightedDigraph, u: int, v: int) -> RingValue:
     """Sum of path weights over every directed path from u to v, by
-    exhaustive enumeration; the test oracle for path_weight_sum_dp."""
+    exhaustive enumeration; the test oracle for path_weight_sums, which
+    stembridge_matrix reads."""
     acc = zero_like(d.one)
     for path in iter_paths(d, u, v):
         acc = acc + path_weight(d, path)

@@ -17,7 +17,7 @@ from posetdet.chromatic import (
     verify_chromatic_join_det,
 )
 from posetdet.matrix import SquareMatrix, det_bareiss
-from posetdet.ring import Poly
+from posetdet.ring import InexactDivisionError, Poly
 
 
 def bell(n):
@@ -292,14 +292,33 @@ def test_schur_blocks_are_interpolated_from_their_degree_bound():
 
 
 def test_chromatic_join_det_degree_and_lowest_power():
-    # degree is the diagonal's block sum, the interpolation bound plus one q
-    # per row, and the lowest nonzero power is exactly q^rows
-    for n in (2, 3, 4):
+    # degree is the diagonal's block sum and the lowest nonzero power is
+    # exactly q^rows: 126 and q^42 at n = 5, 462 and q^132 at n = 6
+    for n in (2, 3, 4, 5, 6):
         ncs = noncrossing_partitions(n)
         det = chromatic_join_det(n)
         assert det.degree == sum(a.num_blocks for a in ncs)
         lowest = next(i for i, c in enumerate(det.coeffs) if c)
         assert lowest == len(ncs)
+
+
+def test_broken_schur_block_leaves_an_inexact_division(monkeypatch):
+    import posetdet.chromatic as chromatic
+
+    # the divisor prod over X of (q)_n / (q)_blocks is monic, so a remainder
+    # can only come from a wrong block determinant; at n = 4 the noncrossing
+    # falling factorials cancel all of the divisor whatever the block is
+    original = chromatic._schur_block_dets
+
+    def off_by_one(n, ncs, crossing):
+        blocks = original(n, ncs, crossing)
+        members, det = blocks[0]
+        return [(members, det + Poly.const(1))] + blocks[1:]
+
+    monkeypatch.setattr(chromatic, "_schur_block_dets", off_by_one)
+    for n in (5, 6):
+        with pytest.raises(InexactDivisionError):
+            chromatic_join_det(n)
 
 
 def test_out_of_range_raises_before_any_evaluation(monkeypatch):
