@@ -337,7 +337,7 @@ def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
         if product_report.passed and not factorization_ok:
             product_report = _fail(product_report, "(transpose factorization mismatch)")
         semilattice = randgen.random_meet_semilattice(
-            rng, rng.randint(1, min(args.max_size, 6))
+            rng, rng.randint(1, min(args.max_size, randgen.REJECTION_MAX_SIZE))
         )
         h = randgen.random_incidence(rng, semilattice)
         cases.append((product_report, _check_meet(semilattice, h, name="suite-lindstrom")))

@@ -53,30 +53,25 @@ class Poset:
     down-set tables built then answer every later query.
     """
 
-    def __init__(
-        self,
-        leq: Sequence[Sequence[bool]],
-        labels: Sequence[str] | None = None,
-        host_map: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, leq: Sequence[Sequence[bool]], labels: Sequence[str] | None = None):
         n = len(leq)
         _check_size(n)
         if any(len(row) != n for row in leq):
             raise ValueError("relation must be square")
         above = tuple(frozenset(compress(range(n), row)) for row in leq)
         lin_ext = _smallest_first_order(n, [up - {a} for a, up in enumerate(above)])
-        self._build(above, lin_ext, labels, host_map)
+        self._build(above, lin_ext, labels)
 
     def _build(
         self,
         above: tuple[frozenset[int], ...],
         lin_ext: tuple[int, ...],
         labels: Sequence[str] | None,
-        host_map: tuple[int, ...] | None,
     ) -> None:
         """Validate the up-sets, above[a] = {b : a <= b}, then build every
         table from them and lin_ext, their smallest-first linear extension
-        (meaningful only once the up-sets pass)."""
+        (meaningful only once the up-sets pass).  host_map, the indices in
+        a host poset, is set only by induced."""
         n = len(above)
         self.n = n
         self._above = above
@@ -86,7 +81,7 @@ class Poset:
         if len(labels) != n:
             raise ValueError("need one label per element")
         self.labels = tuple(str(x) for x in labels)
-        self.host_map = host_map
+        self.host_map: tuple[int, ...] | None = None
         below: list[list[int]] = [[] for _ in range(n)]
         for a, up in enumerate(above):
             for b in up:
@@ -144,7 +139,7 @@ class Poset:
         # below x is placed (each y < x lies at or below the tail of an arc
         # into x), that is, when x is minimal among the elements left.
         poset = cls.__new__(cls)
-        poset._build(tuple(above), order, labels, None)
+        poset._build(tuple(above), order, labels)
         return poset
 
     def leq(self, a: int, b: int) -> bool:
@@ -205,14 +200,23 @@ class Poset:
             )
         return self._meet_semilattice
 
+    def _in_order(self, subset: Iterable[int]) -> list[int]:
+        """The distinct members of subset in linear-extension order;
+        ValueError naming a member that is not an element."""
+        s = set(subset)
+        for a in s:
+            if a not in self._position:
+                raise ValueError(f"subset member {a!r} is not an element")
+        return sorted(s, key=self._position.__getitem__)
+
     def is_lower_closed(self, subset: Iterable[int]) -> bool:
         """True when the subset is a lower order ideal."""
-        s = set(subset)
+        s = set(self._in_order(subset))
         return all(self._below[a] <= s for a in s)
 
     def is_meet_closed(self, subset: Iterable[int]) -> bool:
         """True when every pair in the subset has its meet in the subset."""
-        s = sorted(set(subset))
+        s = self._in_order(subset)
         for i, a in enumerate(s):
             for b in s[i:]:
                 if self._meet(a, b) not in s:
@@ -224,15 +228,12 @@ class Poset:
         extension so the inherited order of indices is itself a linear
         extension.  host_map records the original indices.
         """
-        s = sorted(set(subset), key=self._position.get)
+        s = self._in_order(subset)
         if not s:
             raise ValueError("subset must be nonempty")
-        leq = [[self.leq(a, b) for b in s] for a in s]
-        return Poset(
-            leq,
-            labels=[self.labels[a] for a in s],
-            host_map=tuple(s),
-        )
+        sub = Poset([[self.leq(a, b) for b in s] for a in s], [self.labels[a] for a in s])
+        sub.host_map = tuple(s)
+        return sub
 
     def __eq__(self, other) -> bool:
         return (
@@ -262,15 +263,9 @@ def divisor_poset(values: Sequence[int]) -> Poset:
 class IncidenceFunction:
     """Map (a, b) -> ring value that vanishes unless a <= b in the host poset."""
 
-    def __init__(
-        self,
-        host: Poset,
-        values: Mapping[tuple[int, int], RingValue],
-        zero: RingValue | None = None,
-    ):
+    def __init__(self, host: Poset, values: Mapping[tuple[int, int], RingValue]):
         self.host = host
-        if zero is None:
-            zero = zero_like(next(iter(values.values()), 0))
+        zero = zero_like(next(iter(values.values()), 0))
         for (a, b), v in values.items():
             if not (0 <= a < host.n and 0 <= b < host.n):
                 raise ValueError(f"entry ({a}, {b}) out of range")
@@ -300,7 +295,7 @@ class IncidenceFunction:
             for i in range(sub.n)
             for j in sub.above(i)
         }
-        return IncidenceFunction(sub, values, zero=self.zero)
+        return IncidenceFunction(sub, values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IncidenceFunction) or self.host != other.host:

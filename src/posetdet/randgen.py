@@ -35,7 +35,7 @@ def random_incidence(rng: random.Random, p: Poset) -> IncidenceFunction:
     for a in range(p.n):
         for b in sorted(p.above(a)):
             values[(a, b)] = rng.randint(-5, 5)
-    return IncidenceFunction(p, values, zero=0)
+    return IncidenceFunction(p, values)
 
 
 def random_weights(rng: random.Random, n: int) -> list[int]:
@@ -137,13 +137,9 @@ def random_symmetric_pair(
     if force_zero_diag:
         dead = rng.randrange(p.n)
         values[(dead, dead)] = 0
-    f = IncidenceFunction(p, values, zero=0)
+    f = IncidenceFunction(p, values)
     signs = [rng.choice((-1, 1)) for _ in range(p.n)]
-    g = IncidenceFunction(
-        p,
-        {(a, b): v * signs[a] for (a, b), v in values.items()},
-        zero=0,
-    )
+    g = IncidenceFunction(p, {(a, b): v * signs[a] for (a, b), v in values.items()})
     return f, g
 
 

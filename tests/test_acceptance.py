@@ -149,7 +149,6 @@ def test_criterion_5_meet_matrix_products():
             f = IncidenceFunction(
                 p,
                 {(a, b): s[a] for a in range(p.n) for b in p.above(a)},
-                zero=0,
             )
             assert meet_matrix(p, f) == gcd_matrix(s)
             assert meet_matrix_det(p, f) == totient_product(s)

@@ -67,6 +67,10 @@ GOLDEN = [
         "3176e2c8a70cac56a340c96d278ac41a8ee65b0a2d5eaddad1b0faa817a484e8",
     ),
     ("verify lindstrom --max-size 64 --cases 200", "43c0d85c258b329e3b0f3de0fb3393e3d65e91d28de9ca0a94ff0718aad08fdf"),
+    # the call sites that read an incidence function's ring from its
+    # values, at 64 elements: scale_by_source and random_symmetric_pair
+    ("verify weighted --max-size 64", "8e3ff5c0ac87809d2195ffa24054602019a61c8d5001322a83f3b68dc997b71e"),
+    ("verify definiteness --max-size 64 --cases 40", "eaca40199e276cf9eda0b30c74f409e6a02cdbb2bb8ff1d56d0d4e40c9cba354"),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

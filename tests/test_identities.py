@@ -60,7 +60,7 @@ def lower_value_function(p, values):
     table = {
         (a, b): values[a] for a in range(p.n) for b in p.above(a)
     }
-    return IncidenceFunction(p, table, zero=0)
+    return IncidenceFunction(p, table)
 
 
 def test_product_matrix_on_vee_matches_hand_expansion():
@@ -173,7 +173,6 @@ def sparse_incidence(rng, p, value):
             for a in range(p.n)
             for b in p.above(a)
         },
-        zero=value(None),
     )
 
 
@@ -416,7 +415,7 @@ def test_meet_matrix_from_mobius_inversion_construction():
                 for c in p.below(a):
                     total = total + f(c, b) * mu(c, a)
                 table[(a, b)] = total
-        built = IncidenceFunction(p, table, zero=0)
+        built = IncidenceFunction(p, table)
         assert incidence_product_matrix(p, built, zeta_function(p)) == meet_matrix(p, f)
 
 
@@ -494,6 +493,14 @@ def test_meet_closed_rejects_open_subsets():
         meet_closed_det(p, [], f)
 
 
+@pytest.mark.parametrize("subset, member", [([0, 99], "99"), ([-1], "-1")])
+@pytest.mark.parametrize("build", [meet_closed_matrix, meet_closed_det])
+def test_meet_closed_subset_members_must_be_elements(build, subset, member):
+    p = Poset.from_covers(3, [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match=f"subset member {member} is not an element"):
+        build(p, subset, zeta_function(p))
+
+
 def test_meet_closed_random_campaign():
     rng = random.Random("meetclosed")
     for _ in range(25):
@@ -560,7 +567,7 @@ def _small_incidence(rng, p):
     values = {
         (a, b): rng.randint(-3, 3) for a in range(p.n) for b in sorted(p.above(a))
     }
-    return IncidenceFunction(p, values, zero=0)
+    return IncidenceFunction(p, values)
 
 
 def test_invertibility_predicate_matches_determinant():

@@ -88,6 +88,13 @@ def test_digraph_validation():
         WeightedDigraph(2, [(0, 3, 1)])
 
 
+def test_digraph_zero_is_read_from_the_weights():
+    for d in (WeightedDigraph(2, [(0, 1, 3)]), WeightedDigraph(2, [])):
+        assert type(d.zero) is int and d.zero == 0
+    d = WeightedDigraph(2, [(0, 1, Poly((0, 1)))])
+    assert type(d.zero) is Poly and d.zero == Poly()
+
+
 def test_path_weight():
     d = WeightedDigraph(3, [(0, 1, 2), (1, 2, 3)])
     assert path_weight(d, (0,)) == 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from posetdet.arith import mobius
-from posetdet.identities import incidence_matrix
+from posetdet.identities import incidence_matrix, scale_by_source
 from posetdet.matrix import SquareMatrix
 from posetdet import poset as poset_module
 from posetdet import randgen
@@ -595,6 +595,14 @@ def test_induced_subposet():
         p.induced([])
 
 
+@pytest.mark.parametrize("subset, member", [([0, 99], "99"), ([-1], "-1")])
+@pytest.mark.parametrize("method", ["induced", "is_lower_closed", "is_meet_closed"])
+def test_subset_members_must_be_elements(method, subset, member):
+    p = Poset.from_covers(3, [(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match=f"subset member {member} is not an element"):
+        getattr(p, method)(subset)
+
+
 def test_poset_json_round_trip():
     rng = random.Random("json")
     for p in [vee(), chain(4)] + [random_poset(rng, rng.randint(1, 7)) for _ in range(20)]:
@@ -673,6 +681,19 @@ def test_incidence_zero_inference():
     assert f.zero == Poly()
     g = IncidenceFunction(p, {})
     assert g.zero == 0
+
+
+def test_incidence_ring_is_read_from_the_values():
+    p = divisor_poset([1, 2, 3, 6])
+    f = IncidenceFunction(
+        p, {(a, b): Poly((a, 1)) for a in range(p.n) for b in p.above(a)}
+    )
+    for h in (f, f.restrict(p.induced([3, 0, 1])), scale_by_source(f, [1, -2, 3, 4])):
+        assert type(h.zero) is Poly and h.zero == Poly()
+    empty = IncidenceFunction(p, {})
+    assert type(empty.zero) is int and empty.zero == 0
+    with pytest.raises(TypeError):
+        IncidenceFunction(p, {(0, 0): 1}, zero=0)
 
 
 def test_incidence_from_dict():
