@@ -47,7 +47,7 @@ from .lgv import (
     three_layer_digraph,
     verify_stembridge,
 )
-from .matrix import det_bareiss, leading_principal_minors
+from .matrix import det_and_leading_minors, det_bareiss
 from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict, zeta_function
 
 EXIT_OK = 0
@@ -266,9 +266,8 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
         p = randgen.random_poset(rng, rng.randint(1, max_size))
         f, g = randgen.random_symmetric_pair(rng, p)
         m = incidence_product_matrix(p, f, g)
-        minors = leading_principal_minors(m)
+        det, minors = det_and_leading_minors(m)
         predicate = product_matrix_positive_definite(m, p, f, g)
-        det = minors[-1]
         predicted = incidence_product_det(p, f, g)
         report = make_report("definiteness", p.n, det, predicted)
         if report.passed and predicate != all(x > 0 for x in minors):

@@ -12,6 +12,7 @@ from posetdet.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
 from posetdet.matrix import SquareMatrix
 from posetdet.poset import IncidenceFunction
 from posetdet.ring import Poly
+from test_traced_names import _load_spans
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -268,6 +269,20 @@ def test_verify_definiteness_builds_each_product_matrix_once(capsys, monkeypatch
     code, out, err = run(capsys, "verify", "definiteness")
     assert code == EXIT_OK
     assert len(out.splitlines()) == builds == 150  # 100 predicate cases plus 50 singular
+
+
+def test_verify_definiteness_runs_under_the_benchmark_tracer(capsys):
+    # the tracer wraps det_bareiss in a function of m alone, so the first
+    # loop's single elimination per matrix, which records the minors, is
+    # timed as det_and_leading_minors and only the singular cases count
+    # as det_bareiss calls
+    spans = _load_spans()
+    rec = spans.Recorder()
+    with spans.Tracing(rec):
+        code, out, err = run(capsys, "verify", "definiteness", "--cases", "6")
+    assert code == EXIT_OK and len(out.splitlines()) == 9
+    assert rec.counts["matrix.det_bareiss.calls"] == 3
+    assert [name for name, *_ in rec.spans].count("matrix.det_and_leading_minors") == 6
 
 
 def test_random_suite_builds_each_product_matrix_once(capsys, monkeypatch):
@@ -637,6 +652,8 @@ MUTATIONS = [
     # reaches only the transpose factorization check
     (cli, "incidence_matrix", _identity_on_three_elements, ["random-suite"]),
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "main"]),
+    # reaches only the check of the diagonal predicate against the minors
+    (cli, "product_matrix_positive_definite", lambda m, out: not out, ["verify", "definiteness"]),
 ]
 
 

@@ -71,6 +71,10 @@ GOLDEN = [
     # values, at 64 elements: scale_by_source and random_symmetric_pair
     ("verify weighted --max-size 64", "8e3ff5c0ac87809d2195ffa24054602019a61c8d5001322a83f3b68dc997b71e"),
     ("verify definiteness --max-size 64 --cases 40", "eaca40199e276cf9eda0b30c74f409e6a02cdbb2bb8ff1d56d0d4e40c9cba354"),
+    # its cap at the default case count, recorded at 9a0a838, before the
+    # leading minors were read off det_bareiss's one elimination
+    ("verify definiteness --max-size 64", "6a9c0fa55a37a7f6e21c996f650218878cf7239382d7364a50da058f64417d6e"),
+    ("verify definiteness --max-size 64 --machine", "5323cdba111d99058eb0232881dc01087f8ba066bfe9d0b90c7928db62b8d914"),
     ("verify definiteness", "0e73585e6a01117bd15936ee0725bd4d9830bc996e3193e770ce72733ce30d61"),
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),

@@ -615,6 +615,49 @@ def test_positive_definite_predicate_matches_minors():
         ) == all(m > 0 for m in minors)
 
 
+def order_ideal_dets(p, f, g):
+    """The theorem's det on each order ideal {a_0, ..., a_k} of p.lin_ext:
+    the prefix products of f(a, a) g(a, a), up to the first 0."""
+    dets = []
+    for a in p.lin_ext:
+        d = f(a, a) * g(a, a)
+        dets.append(dets[-1] * d if dets else d)
+        if not dets[-1]:
+            break
+    return dets
+
+
+def test_leading_minors_are_the_dets_on_order_ideals():
+    # in linear-extension order the first k elements form an order ideal,
+    # so the leading k x k block of Fᵀ G is the product matrix on it
+    rng = random.Random("order-ideals")
+    cut = 0
+    for trial in range(200):
+        p = random_poset(rng, rng.randint(1, 64))
+        if trial % 2:
+            f, g = random_symmetric_pair(rng, p)
+        else:
+            f, g = random_incidence(rng, p), random_incidence(rng, p)
+        minors = leading_principal_minors(incidence_product_matrix(p, f, g))
+        assert minors == order_ideal_dets(p, f, g)
+        cut += len(minors) < p.n
+    assert cut > 50
+
+    def poly_incidence(p):
+        # c + d q, with c nonzero on the diagonal: no order ideal's det is 0
+        def value(a, b):
+            c = rng.choice((-2, -1, 1, 2)) if a == b else rng.randint(-2, 2)
+            return Poly((c, rng.randint(-2, 2)))
+
+        return IncidenceFunction(p, {(a, b): value(a, b) for a in range(p.n) for b in p.above(a)})
+
+    for _ in range(8):
+        p = random_poset(rng, rng.randint(1, 10))
+        f, g = poly_incidence(p), poly_incidence(p)
+        minors = leading_principal_minors(incidence_product_matrix(p, f, g))
+        assert len(minors) == p.n and minors == order_ideal_dets(p, f, g)
+
+
 def test_zero_diagonal_symmetric_instances_are_singular():
     rng = random.Random("pdzero")
     for _ in range(25):

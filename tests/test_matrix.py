@@ -138,6 +138,8 @@ def check_both_tags(rows, expected):
     pm = as_poly(m)
     expected_poly = Poly((expected,)) * Poly((1, 1)) ** m.n
     assert det_bareiss(pm) == det_cofactor(pm) == expected_poly
+    for x in (m, pm):
+        check_minors(x, through_first_zero(leading_minors_oracle(x)))
 
 
 def congruent(rng, m):
@@ -194,6 +196,7 @@ def test_zero_pivot_handling():
         assert m.is_symmetric()
         assert leading_minors_oracle(m) == [1, 1, 1, 0, -1]
         check_both_tags([list(m.row(i)) for i in range(m.n)], -1)
+        check_minors(m, [1, 1, 1, 0])
 
 
 def test_transpose_preserves_determinant():
@@ -235,32 +238,47 @@ def test_multilinearity_in_a_row():
 
 def leading_minors_oracle(m):
     """One cofactor expansion per leading block: the minors by definition."""
-    return [det_cofactor(m.leading(k)) for k in range(1, m.n + 1)]
+    rows = [m.row(i) for i in range(m.n)]
+    return [det_cofactor(SquareMatrix([r[:k] for r in rows[:k]])) for k in range(1, m.n + 1)]
+
+
+def through_first_zero(minors):
+    """minors up to and including the first 0: what det_bareiss records."""
+    return minors[: next((i + 1 for i, x in enumerate(minors) if not x), len(minors))]
+
+
+def check_minors(m, expected):
+    """leading_principal_minors(m) is expected, and recording the minors
+    leaves det_bareiss's value unchanged."""
+    minors = []
+    assert det_bareiss(m, minors) == det_bareiss(m)
+    assert minors == leading_principal_minors(m) == expected
 
 
 def test_leading_principal_minors():
-    assert leading_principal_minors(SquareMatrix.identity(3)) == [1, 1, 1]
+    check_minors(SquareMatrix.identity(3), [1, 1, 1])
     vals = [1, 2, 4]
     m = SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
     # prefixes of a factor-closed chain are factor closed, so the minors
     # are prefix products of totients: 1, 1*1, 1*1*2
-    assert leading_principal_minors(m) == [1, 1, 2]
+    check_minors(m, [1, 1, 2])
     rng = random.Random("minors")
     for _ in range(30):
         m = random_int_matrix(rng, rng.randint(1, 5))
-        assert leading_principal_minors(m)[-1] == det_bareiss(m)
-    with pytest.raises(ValueError):
-        SquareMatrix.identity(2).leading(0)
+        check_minors(m, through_first_zero(leading_minors_oracle(m)))
 
 
 def test_leading_minors_after_a_zero_pivot():
-    # minors 1, 0 (singular 2 x 2 block), then a nonzero 3 x 3 minor that
-    # the elimination cannot reach without a row swap
+    # minors 1, 0 (singular 2 x 2 block): recording stops there, before
+    # the row swap that reaches the nonzero determinant
     m = SquareMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
-    assert leading_principal_minors(m) == [1, 0, -1]
-    # a zero first entry and a nonzero full determinant
+    assert leading_minors_oracle(m) == [1, 0, -1]
+    check_minors(m, [1, 0])
+    assert det_bareiss(m, []) == -1
+    # a zero first entry and a nonzero full determinant, with no swap
     m = SquareMatrix([[0, 1], [1, 0]])
-    assert leading_principal_minors(m) == [0, -1]
+    check_minors(m, [0])
+    assert det_bareiss(m, []) == -1
 
 
 def test_leading_minors_match_the_oracle_on_random_integer_matrices():
@@ -279,7 +297,7 @@ def test_leading_minors_match_the_oracle_on_random_integer_matrices():
         m = SquareMatrix(rows)
         expected = leading_minors_oracle(m)
         zero_leads += 0 in expected[:-1]
-        assert leading_principal_minors(m) == expected
+        check_minors(m, through_first_zero(expected))
     assert zero_leads > 50
 
 
@@ -287,11 +305,11 @@ def test_leading_minors_match_the_oracle_on_random_polynomial_matrices():
     rng = random.Random("minors-poly")
     for _ in range(40):
         m = random_poly_matrix(rng, rng.randint(1, 5), max_deg=2)
-        assert leading_principal_minors(m) == leading_minors_oracle(m)
+        check_minors(m, through_first_zero(leading_minors_oracle(m)))
     zero_lead = SquareMatrix(
         [[Poly(), Poly((1,))], [Poly((0, 1)), Poly((2, 3))]]
     )
-    assert leading_principal_minors(zero_lead) == [Poly(), Poly((0, -1))]
+    check_minors(zero_lead, [Poly()])
 
 
 def test_matmul_and_transpose():
@@ -468,6 +486,12 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
             assert divisions["exact_div"] == n // 2 + 2 * (row_steps(n) - deferred_row_steps(f))
             deferred += deferred_row_steps(f)
             total += row_steps(n)
+            # F and G are upper triangular, so the leading k x k block of
+            # Fᵀ G is the product of theirs: a prefix product of f_ii g_ii
+            prefix = [f[0, 0] * g[0, 0]]
+            for i in range(1, n):
+                prefix.append(prefix[-1] * f[i, i] * g[i, i])
+            check_minors(m, prefix)
             c = rng.randrange(n)
             f0 = SquareMatrix([[x if i != c else x * 0 for x in f.row(i)] for i in range(n)])
             m0 = f0.transpose() @ (f0 if g is f else g)
@@ -476,6 +500,7 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
                 expected = det_cofactor(hard)
                 singular += not expected
                 assert det_bareiss(hard) == expected
+                check_minors(hard, through_first_zero(leading_minors_oracle(hard)))
     assert deferred > total // 3
     assert singular > 200
 
