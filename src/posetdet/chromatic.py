@@ -18,15 +18,23 @@ JOIN_MATRIX_MIN, JOIN_MATRIX_MAX = 2, 6
 
 class SetPartition:
     """Partition of {1..n} into blocks, stored canonically: elements sorted
-    within blocks, blocks sorted by their minimum."""
+    within blocks, blocks sorted by their minimum.
 
-    __slots__ = ("n", "blocks", "_ids")
+    pairs has bit (x - 1) * n + (y - 1) set for each pair x < y that
+    shares a block, so a refines b exactly when a.pairs & b.pairs ==
+    a.pairs.
+    """
+
+    __slots__ = ("n", "blocks", "_ids", "pairs")
 
     def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
         seen: set[int] = set()
         cleaned = []
         for block in blocks:
-            b = sorted(block)
+            b = list(block)
+            if not all(type(e) is int for e in b):
+                raise ValueError("block elements must be ints")
+            b.sort()
             if not b:
                 raise ValueError("blocks must be nonempty")
             if seen & set(b):
@@ -37,12 +45,16 @@ class SetPartition:
             raise ValueError(f"blocks must cover 1..{n} exactly")
         cleaned.sort(key=lambda b: b[0])
         ids = [0] * n
+        pairs = 0
         for i, block in enumerate(cleaned):
-            for e in block:
+            for k, e in enumerate(block):
                 ids[e - 1] = i
+                for f in block[k + 1 :]:
+                    pairs |= 1 << ((e - 1) * n + f - 1)
         self.n = n
         self.blocks = tuple(cleaned)
         self._ids = tuple(ids)
+        self.pairs = pairs
 
     @property
     def num_blocks(self) -> int:
@@ -121,11 +133,11 @@ def noncrossing_partitions(n: int) -> list[SetPartition]:
 
 
 def refines(a: SetPartition, b: SetPartition) -> bool:
-    """True when every block of a sits inside a block of b: pairing each
-    element's block ids in a and b then gives one pair per block of a."""
+    """True when every block of a sits inside a block of b, that is when
+    every pair that shares a block of a shares one of b."""
     if a.n != b.n:
         raise ValueError("ground sets differ")
-    return len(set(zip(a.block_ids(), b.block_ids()))) == len(a.blocks)
+    return a.pairs & b.pairs == a.pairs
 
 
 def join_partitions(a: SetPartition, b: SetPartition) -> SetPartition:
@@ -209,11 +221,14 @@ def _schur_block_dets(
     # Finest first makes Z1 upper unitriangular: a noncrossing sigma
     # strictly above a has fewer blocks, so it sits later in ncs.
     # Back-substitution fills W from the coarsest row up.
+    nc_pairs = [p.pairs for p in ncs]
+    crossing_pairs = [s.pairs for s in crossing]
     w: list[list[int]] = [[]] * len(ncs)
     for i in range(len(ncs) - 1, -1, -1):
-        row = [int(refines(ncs[i], s)) for s in crossing]
+        a = nc_pairs[i]
+        row = [int(a & s == a) for s in crossing_pairs]
         for j in range(i + 1, len(ncs)):
-            if refines(ncs[i], ncs[j]):
+            if a & nc_pairs[j] == a:
                 row = [r - v for r, v in zip(row, w[j])]
         w[i] = row
     supports = [[(i, v) for i, v in enumerate(row) if v] for row in w]
@@ -328,25 +343,32 @@ def verify_chromatic_join_det(n: int) -> IdentityReport:
     """Verify the Beraha-product formula for the chromatic-join determinant.
 
     The formula is q^binomial(2n-1, n) times the product of
-    (beraha(m+2) / (q * beraha(m)))^e_m.  Every beraha(m) is monic, so the
-    denominator is a nonzero monic polynomial, and the prediction is the
-    numerator divided by it exactly in Z[q]; an inexact division leaves no
-    prediction and the check fails.
+    (beraha(m+2) / (q * beraha(m)))^e_m.  Each distinct factor's exponents
+    are summed first, so the factors shared by numerator and denominator
+    cancel before anything is multiplied: beraha(2) is q, beraha(1) is 1,
+    and e_m >= e_(m+2) leaves no denominator for n = 2..6.  Every
+    beraha(m) is monic, so any denominator that is left is a nonzero monic
+    polynomial, and the prediction is the numerator divided by it exactly
+    in Z[q]; an inexact division leaves no prediction and the check fails.
     """
     det = chromatic_join_det(n)
     q = Poly.variable()
     corner = binomial(2 * n - 1, n)
-    denominator = Poly.const(1)
-    numerator = Poly.monomial(corner)
+    net = {q: corner}
     denominator_parts = []
     numerator_parts = [f"q^{corner}"]
     for m, e in enumerate(_formula_exponents(n), start=1):
-        low = q * beraha(m)
-        high = beraha(m + 2)
-        denominator = denominator * low**e
-        numerator = numerator * high**e
-        denominator_parts.append(f"({low})^{e}")
+        low, high = beraha(m), beraha(m + 2)
+        for factor, power in ((high, e), (q, -e), (low, -e)):
+            net[factor] = net.get(factor, 0) + power
+        denominator_parts.append(f"({q * low})^{e}")
         numerator_parts.append(f"({high})^{e}")
+    numerator = denominator = Poly.const(1)
+    for factor, power in net.items():
+        if power > 0:
+            numerator = numerator * factor**power
+        else:
+            denominator = denominator * factor**-power
     try:
         predicted = numerator.exact_div(denominator)
     except InexactDivisionError:

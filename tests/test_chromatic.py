@@ -55,6 +55,13 @@ def test_set_partition_validation():
         refines(SetPartition(2, [[1, 2]]), SetPartition(3, [[1, 2, 3]]))
 
 
+@pytest.mark.parametrize("element", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_set_partition_rejects_elements_that_are_not_ints(element):
+    # True == 1 and 1.0 == 1 would cover {1, 2}; "1" does not sort with 2
+    with pytest.raises(ValueError, match="must be ints"):
+        SetPartition(2, [[element, 2]])
+
+
 def test_all_partitions_counts():
     assert len(all_partitions(1)) == 1
     assert len(all_partitions(3)) == 5
@@ -144,6 +151,17 @@ def test_join_is_least_upper_bound():
                 for c in parts:
                     if refines(a, c) and refines(b, c):
                         assert refines(j, c)
+
+
+def test_refines_agrees_with_the_join_oracle():
+    # a refines b exactly when their join is b, on every ordered pair of Pi_n
+    for n in range(1, 7):
+        parts = all_partitions(n)
+        for a in parts:
+            for b in parts:
+                assert refines(a, b) == (join_partitions(a, b) == b)
+    with pytest.raises(ValueError, match="ground sets differ"):
+        refines(SetPartition(3, [[1], [2, 3]]), SetPartition(2, [[1], [2]]))
 
 
 def test_block_counts():
@@ -388,6 +406,39 @@ def test_verify_chromatic_join_det_small():
         verify_chromatic_join_det(1)
     with pytest.raises(ValueError):
         verify_chromatic_join_det(7)
+
+
+def old_quotient(n, exponents):
+    """The prediction as numerator / denominator, each multiplied out in
+    full from the formula's factors before one exact division."""
+    q = Poly.variable()
+    numerator = Poly.monomial(binomial(2 * n - 1, n))
+    denominator = Poly.const(1)
+    for m, e in enumerate(exponents, start=1):
+        numerator = numerator * beraha(m + 2) ** e
+        denominator = denominator * (q * beraha(m)) ** e
+    return numerator.exact_div(denominator)
+
+
+def test_netted_prediction_equals_the_multiplied_out_quotient():
+    from posetdet.chromatic import _formula_exponents
+
+    for n in range(2, 7):
+        report = verify_chromatic_join_det(n)
+        assert report.predicted == old_quotient(n, _formula_exponents(n))
+        assert report.passed
+
+
+def test_a_leftover_denominator_that_divides_still_predicts(monkeypatch):
+    import posetdet.chromatic as chromatic
+
+    # with e = (1, 1, 2, 1) at n = 5, beraha(3) = q - 1 nets to exponent -1,
+    # and beraha(6) = q (q - 1) (q - 3) in the numerator divides it out
+    monkeypatch.setattr(chromatic, "_formula_exponents", lambda n: [1, 1, 2, 1])
+    report = verify_chromatic_join_det(5)
+    assert report.predicted is not None
+    assert report.predicted == old_quotient(5, [1, 1, 2, 1])
+    assert report.verdict == "fail"
 
 
 def test_inexact_formula_quotient_fails_without_a_prediction(monkeypatch):

@@ -43,6 +43,11 @@ GOLDEN = [
     ("verify three-layer --max-size 64 --machine", "863dd685f81557175014ee5fa09cf4747e8eef0d007d492395baaf5ba471034a"),
     ("verify tutte", "eff5d24add421435251fc4d1e4fc406882dc932e0a4548a8301f32654af365c8"),
     ("verify tutte --machine", "8e23707c695502f03aded6a971211d97c0d4bdd03d2985b38f3a562932b9ed2a"),
+    # the smallest size, the first that the poly-chromatic benchmark
+    # workload runs; recorded at 87278e1, before refinement became a
+    # bitmask test and the Beraha factors cancelled by exponent
+    ("verify tutte --n 2", "958dadce0f19ff6e8d3cc3df3f0fc95e001e1ce147c20d8724e6ce670f419a49"),
+    ("verify tutte --n 2 --machine", "93e186ac4e15bde70a1e3097b07915c2e0fd0b9f71b4328825824381b59822d6"),
     ("verify tutte --n 4", "197389a73c46ac310da1e98ff1315727734ed8cf78923d5b24bcc041c21e3fff"),
     ("verify tutte --n 4 --machine", "00850bc12b4c5215f7573ffc89806ef146841f05e0495b30328e70ea4586358b"),
     ("verify tutte --n 5", "4914e287f5c8ea26aa18177aa5ae7dfff3303387451154a8173336d21dccccac"),

@@ -1,7 +1,7 @@
 """The oldest Python that pyproject.toml accepts reproduces the pinned output.
 
 pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
-on PATH reports version 3.10, four pinned invocations run under it in a
+on PATH reports version 3.10, five pinned invocations run under it in a
 subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of each
 stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
 test is skipped; put a 3.10 interpreter first on PATH to run it.
@@ -19,7 +19,13 @@ from test_golden import GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FLOOR = "python3.10"
-PINNED = ("verify main", "verify tutte --n 5", "verify apostol --n 64", "random-suite")
+PINNED = (
+    "verify main",
+    "verify tutte --n 5",
+    "verify tutte --n 6",
+    "verify apostol --n 64",
+    "random-suite",
+)
 
 
 @pytest.fixture(scope="module")
