@@ -28,6 +28,8 @@ class SetPartition:
     __slots__ = ("n", "blocks", "_ids", "pairs")
 
     def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"ground set size must be an int >= 0, not {n!r}")
         seen: set[int] = set()
         cleaned = []
         for block in blocks:

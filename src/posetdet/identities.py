@@ -65,7 +65,7 @@ def make_report(
 
 def _check_host(p: Poset, *fns: IncidenceFunction) -> None:
     for f in fns:
-        if f.host != p:
+        if f.host is not p and f.host != p:
             raise ValueError("incidence function lives on a different poset")
     tags = {type(f.zero) for f in fns}
     if len(tags) > 1:
@@ -78,11 +78,20 @@ def _check_semilattice(p: Poset, f: IncidenceFunction) -> None:
         raise ValueError("poset is not a meet semilattice")
 
 
+def _meet_rows(p: Poset, f: IncidenceFunction, s: Sequence[int]) -> SquareMatrix:
+    """f(meet(a, b), a) over a, b in s, for p a meet semilattice (checked
+    by the caller), reading the meet from p's down-set table."""
+    table, zero, below, by_below = f._table, f.zero, p._below, p._by_below
+    return SquareMatrix(
+        [[table.get((by_below[below[a] & below[b]], a), zero) for b in s] for a in s]
+    )
+
+
 def incidence_matrix(p: Poset, f: IncidenceFunction) -> SquareMatrix:
     """Matrix of an incidence function, rows and columns in linear-extension order."""
     _check_host(p, f)
-    lin = p.lin_ext
-    return SquareMatrix([[f(a, b) for b in lin] for a in lin])
+    lin, table, zero = p.lin_ext, f._table, f.zero
+    return SquareMatrix([[table.get((a, b), zero) for b in lin] for a in lin])
 
 
 def incidence_product_matrix(
@@ -92,13 +101,15 @@ def incidence_product_matrix(
 
     Only c below both a and b can contribute, so the matrix is F^T G with
     F[c, a] = f(c, a) and G[c, b] = g(c, b): each c adds the outer product
-    of its nonzero entries over its up-set.
+    of its nonzero entries over its up-set, read from the value tables.
     """
     _check_host(p, f, g)
-    n = p.n
-    rows = [[f.zero] * n for _ in range(n)]
+    n, zero, ft, gt, pos = p.n, f.zero, f._table, g._table, p._position
+    rows = [[zero] * n for _ in range(n)]
     for c in p.lin_ext:
-        terms = [(p.position(a), f(c, a), g(c, a)) for a in p.above(c)]
+        terms = [
+            (pos[a], ft.get((c, a), zero), gt.get((c, a), zero)) for a in p._above[c]
+        ]
         for i, fa, _ in terms:
             if not fa:
                 continue
@@ -113,9 +124,10 @@ def incidence_product_det(
 ) -> RingValue:
     """Predicted determinant of the product matrix: the diagonal product."""
     _check_host(p, f, g)
-    acc = one_like(f.zero)
+    zero, ft, gt = f.zero, f._table, g._table
+    acc = one_like(zero)
     for a in range(p.n):
-        acc = acc * (f(a, a) * g(a, a))
+        acc = acc * (ft.get((a, a), zero) * gt.get((a, a), zero))
     return acc
 
 
@@ -235,21 +247,19 @@ def kth_root_matrix_det(n: int, k: int, f_weights: Sequence[RingValue]) -> RingV
 def meet_matrix(semilattice: Poset, f: IncidenceFunction) -> SquareMatrix:
     """Matrix with entry (a, b) = f(meet(a, b), a)."""
     _check_semilattice(semilattice, f)
-    lin = semilattice.lin_ext
-    return SquareMatrix(
-        [[f(semilattice.meet(a, b), a) for b in lin] for a in lin]
-    )
+    return _meet_rows(semilattice, f, semilattice.lin_ext)
 
 
 def meet_matrix_det(semilattice: Poset, f: IncidenceFunction) -> RingValue:
     """Predicted determinant: product over a of sum over c of mu(c, a) f(c, a)."""
     _check_semilattice(semilattice, f)
-    mu = mobius_function(semilattice)
-    acc = one_like(f.zero)
+    mu = mobius_function(semilattice)._table
+    table, zero = f._table, f.zero
+    acc = one_like(zero)
     for a in range(semilattice.n):
-        term = f.zero
-        for c in semilattice.below(a):
-            term = term + f(c, a) * mu(c, a)
+        term = zero
+        for c in semilattice._below[a]:
+            term = term + table.get((c, a), zero) * mu[(c, a)]
         acc = acc * term
     return acc
 
@@ -299,10 +309,7 @@ def meet_closed_matrix(
     """Matrix f(meet(a_i, a_j), a_i) over a meet-closed subset, the meet
     taken in the ambient semilattice."""
     _check_semilattice(semilattice, f)
-    s = _ordered_subset(semilattice, subset)
-    return SquareMatrix(
-        [[f(semilattice.meet(a, b), a) for b in s] for a in s]
-    )
+    return _meet_rows(semilattice, f, _ordered_subset(semilattice, subset))
 
 
 def meet_closed_det(
@@ -339,7 +346,8 @@ def product_matrix_invertible(
 ) -> bool:
     """True exactly when every diagonal value of f and of g is nonzero."""
     _check_host(p, f, g)
-    return all(f(a, a) and g(a, a) for a in range(p.n))
+    zero, ft, gt = f.zero, f._table, g._table
+    return all(ft.get((a, a), zero) and gt.get((a, a), zero) for a in range(p.n))
 
 
 def product_matrix_positive_definite(

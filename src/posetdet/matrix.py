@@ -12,6 +12,7 @@ cross-check it.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Sequence
 
 from .ring import Poly, RingValue, exact_int_div, one_like, zero_like
@@ -26,13 +27,13 @@ class SquareMatrix:
         n = len(rows)
         if n == 0:
             raise ValueError("matrix needs at least one row")
-        self._rows = tuple(tuple(row) for row in rows)
-        if any(len(row) != n for row in self._rows):
+        self._rows = tuple(map(tuple, rows))
+        if set(map(len, self._rows)) != {n}:
             raise ValueError("matrix must be square")
         tag = type(self._rows[0][0])
         if tag is not int and tag is not Poly:
             raise ValueError(f"matrix entries must be int or Poly, not {tag.__name__}")
-        if {type(x) for row in self._rows for x in row} != {tag}:
+        if set(map(type, chain.from_iterable(self._rows))) != {tag}:
             raise ValueError("matrix entries must share one ring tag")
         self.n = n
 
@@ -48,26 +49,20 @@ class SquareMatrix:
         return self._rows[i]
 
     def transpose(self) -> SquareMatrix:
-        return SquareMatrix(
-            [[self._rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return SquareMatrix(tuple(zip(*self._rows)))
 
     def __matmul__(self, other: SquareMatrix) -> SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self._rows[i][0] * other._rows[0][j]
-                for k in range(1, n):
-                    acc = acc + self._rows[i][k] * other._rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return SquareMatrix(rows)
+        # Each entry is one C-level sum over a row and a column tuple,
+        # started at the ring zero so that Poly sums stay Poly.
+        zero = zero_like(self._rows[0][0])
+        cols = tuple(zip(*other._rows))
+        return SquareMatrix(
+            [[sum(map(operator.mul, r, c), zero) for c in cols] for r in self._rows]
+        )
 
     def is_symmetric(self) -> bool:
         # Row i against column i; zip reuses its one column tuple, so the

@@ -10,6 +10,8 @@ from .ring import RingValue, ring_value_from_json, zero_like
 
 # Exhaustive predicates below are O(n^3) or worse; keep instances small.
 MAX_ELEMENTS = 64
+# Default labels: element i is labelled str(i).
+_INDEX_LABELS = tuple(map(str, range(MAX_ELEMENTS)))
 
 
 class MeetError(ValueError):
@@ -77,10 +79,11 @@ class Poset:
         self._above = above
         self._check_partial_order()
         if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        if len(labels) != n:
+            self.labels = _INDEX_LABELS[:n]
+        elif len(labels) != n:
             raise ValueError("need one label per element")
-        self.labels = tuple(str(x) for x in labels)
+        else:
+            self.labels = tuple(map(str, labels))
         self.host_map: tuple[int, ...] | None = None
         below: list[list[int]] = [[] for _ in range(n)]
         for a, up in enumerate(above):
@@ -193,8 +196,9 @@ class Poset:
     def is_meet_semilattice(self) -> bool:
         """True when every pair of elements has a meet."""
         if self._meet_semilattice is None:
+            below, by_below = self._below, self._by_below
             self._meet_semilattice = all(
-                self._meet(a, b) is not None
+                below[a] & below[b] in by_below
                 for a in range(self.n)
                 for b in range(a + 1, self.n)
             )
@@ -261,19 +265,22 @@ def divisor_poset(values: Sequence[int]) -> Poset:
 
 
 class IncidenceFunction:
-    """Map (a, b) -> ring value that vanishes unless a <= b in the host poset."""
+    """Map (a, b) -> ring value that vanishes unless a <= b in the host poset.
+
+    Each entry is checked for range, then order, then ring tag."""
 
     def __init__(self, host: Poset, values: Mapping[tuple[int, int], RingValue]):
         self.host = host
         zero = zero_like(next(iter(values.values()), 0))
+        n, above, tag = host.n, host._above, type(zero)
         for (a, b), v in values.items():
-            if not (0 <= a < host.n and 0 <= b < host.n):
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"entry ({a}, {b}) out of range")
-            if not host.leq(a, b):
+            if b not in above[a]:
                 raise ValueError(
                     f"entry on pair ({host.labels[a]}, {host.labels[b]}) without {host.labels[a]} <= {host.labels[b]}"
                 )
-            if type(v) is not type(zero):
+            if type(v) is not tag:
                 raise ValueError("incidence function values must share one ring tag")
         self.zero = zero
         self._table = dict(values)
@@ -320,21 +327,19 @@ def mobius_function(p: Poset) -> IncidenceFunction:
     """Inverse of the zeta function in the incidence algebra.
 
     Computed by the defining recursion mu(a, a) = 1 and
-    mu(a, b) = -sum of mu(a, c) over a <= c < b.
+    mu(a, b) = -sum of mu(a, c) over a <= c < b, read off the up-set,
+    down-set and position tables.
     """
+    above, below, position = p._above, p._below, p._position
     values: dict[tuple[int, int], int] = {}
     for a in range(p.n):
         values[(a, a)] = 1
+        up = above[a]
         # Walk the interval above a in linear-extension order so every
         # mu(a, c) needed is already present.
-        for b in sorted(p.above(a), key=p.position):
-            if b == a:
-                continue
-            total = 0
-            for c in p.above(a) & p.below(b):
-                if c != b:
-                    total += values[(a, c)]
-            values[(a, b)] = -total
+        for b in sorted(up, key=position.__getitem__):
+            if b != a:
+                values[(a, b)] = -sum([values[(a, c)] for c in up & below[b] if c != b])
     return IncidenceFunction(p, values)
 
 

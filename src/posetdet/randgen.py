@@ -106,7 +106,8 @@ def random_factor_closed_set(rng: random.Random) -> list[int]:
 
 def random_meet_closed_instance(rng: random.Random) -> tuple[Poset, list[int]]:
     """Divisor lattice of a random integer plus a random gcd-closed subset
-    of it (closed by saturating under pairwise meets)."""
+    of it, closed under pairwise meets by rounds over the sorted members
+    until a round adds nothing; the closure draws nothing from rng."""
     m = rng.randint(2, 60)
     vals = divisors(m)
     lattice = divisor_poset(vals)
@@ -115,8 +116,9 @@ def random_meet_closed_instance(rng: random.Random) -> tuple[Poset, list[int]]:
     changed = True
     while changed:
         changed = False
-        for a in sorted(chosen):
-            for b in sorted(chosen):
+        members = sorted(chosen)
+        for a in members:
+            for b in members:
                 c = lattice.meet(a, b)
                 if c not in chosen:
                     chosen.add(c)

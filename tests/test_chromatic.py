@@ -62,6 +62,17 @@ def test_set_partition_rejects_elements_that_are_not_ints(element):
         SetPartition(2, [[element, 2]])
 
 
+@pytest.mark.parametrize(
+    "n, blocks",
+    [(2.0, [[1], [2]]), (True, [[1]]), (-1, [])],
+    ids=["float", "bool", "negative"],
+)
+def test_set_partition_rejects_a_size_that_is_not_a_nonnegative_int(n, blocks):
+    # 2.0 made range() raise a bare TypeError; True and -1 were accepted
+    with pytest.raises(ValueError, match="ground set size"):
+        SetPartition(n, blocks)
+
+
 def test_all_partitions_counts():
     assert len(all_partitions(1)) == 1
     assert len(all_partitions(3)) == 5

@@ -84,6 +84,12 @@ GOLDEN = [
     ("verify definiteness --machine", "102c249360784e92a65eb26d69277dbdf3d73b8ce640d9f317e7ac7fe53eb0d3"),
     ("random-suite", "9777d6eb557053aa5463fe739afa0b6db305d4a07abb93641e4e4ae87a4bb7fa"),
     ("random-suite --machine", "2add27b7e71d6d5595bab264f34250c4e3896de2d7d77b5d5d5ed3d39ffa63b2"),
+    # the product matrix, its Fᵀ G cross-check and the meet builders at 64
+    # elements, recorded at 687714a, before the builders read the incidence
+    # and poset tables directly and the product became column tuples
+    ("random-suite --max-size 64", "b118f39f9ba56bab525d37c2f144677f31b371a7a346ec94f962978604ecb62d"),
+    ("random-suite --max-size 64 --machine", "4f24c823d4cebb4802ad8bd0914d2ff3454e2ecf62e362702107f21fc96f24c0"),
+    ("verify main --max-size 64 --cases 200", "e08878df952c8d821502bdea7a8f69d3bb65d93d428710ded22bed06d24b9d49"),
 ]
 
 

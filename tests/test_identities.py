@@ -4,7 +4,7 @@ import random
 import pytest
 
 from posetdet import identities
-from posetdet.arith import euler_phi, kth_root, mobius, ramanujan_sum
+from posetdet.arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from posetdet.identities import (
     gcd_matrix,
     incidence_matrix,
@@ -40,6 +40,7 @@ from posetdet.poset import (
     zeta_function,
 )
 from posetdet.randgen import (
+    grown_meet_semilattice,
     random_factor_closed_set,
     random_incidence,
     random_meet_closed_instance,
@@ -676,3 +677,101 @@ def test_positive_definite_rejects_asymmetric_and_polynomial_input():
     fq = IncidenceFunction(p, {(a, a): Poly((1,)) for a in range(3)})
     with pytest.raises(ValueError):
         product_matrix_positive_definite(incidence_product_matrix(p, fq, fq), p, fq, fq)
+
+
+# -- The table-reading builders and predictors against their per-entry
+# definitions, through f(a, b) and meet --
+
+
+def ring_one(f):
+    return Poly((1,)) if type(f.zero) is Poly else 1
+
+
+def diagonal_product_oracle(p, f, g):
+    acc = ring_one(f)
+    for a in range(p.n):
+        acc = acc * (f(a, a) * g(a, a))
+    return acc
+
+
+def meet_rows_oracle(p, f, s):
+    return SquareMatrix([[f(p.meet(a, b), a) for b in s] for a in s])
+
+
+def meet_det_oracle(p, f):
+    mu = mobius_function(p)
+    acc = ring_one(f)
+    for a in range(p.n):
+        term = f.zero
+        for c in p.below(a):
+            term = term + f(c, a) * mu(c, a)
+        acc = acc * term
+    return acc
+
+
+def test_table_reading_builders_match_their_per_entry_definitions():
+    rng = random.Random("per-entry-oracle")
+
+    def int_value(r):
+        return 0 if r is None else r.randint(-3, 3)
+
+    def poly_value(r):
+        if r is None:
+            return Poly()
+        return Poly([r.randint(-2, 2) for _ in range(r.randint(0, 3))])
+
+    kinds = set()
+    for draw in range(300):
+        value = poly_value if draw % 3 == 0 else int_value
+        p = random_poset(rng, rng.randint(1, 8))
+        f = sparse_incidence(rng, p, value)
+        g = sparse_incidence(rng, p, value)
+        lin = p.lin_ext
+        assert incidence_matrix(p, f) == SquareMatrix([[f(a, b) for b in lin] for a in lin])
+        assert incidence_product_matrix(p, f, g) == product_matrix_oracle(p, f, g)
+        assert incidence_product_det(p, f, g) == diagonal_product_oracle(p, f, g)
+        assert product_matrix_invertible(p, f, g) == all(
+            f(a, a) and g(a, a) for a in range(p.n)
+        )
+        n = rng.randint(1, 10)
+        if n <= 6:
+            s = random_meet_semilattice(rng, n)
+        else:
+            s = grown_meet_semilattice(rng, n)
+        h = sparse_incidence(rng, s, value)
+        assert meet_matrix(s, h) == meet_rows_oracle(s, h, s.lin_ext)
+        assert meet_matrix_det(s, h) == meet_det_oracle(s, h)
+        lattice, subset = random_meet_closed_instance(rng)
+        k = sparse_incidence(rng, lattice, value)
+        assert meet_closed_matrix(lattice, subset, k) == meet_rows_oracle(lattice, k, subset)
+        kinds.add(type(f.zero))
+    assert kinds == {int, Poly}
+
+
+def meet_closed_instance_oracle(rng):
+    """random_meet_closed_instance as first written: every pass re-sorts
+    the chosen set for each a and for each b."""
+    m = rng.randint(2, 60)
+    vals = divisors(m)
+    lattice = divisor_poset(vals)
+    k = rng.randint(1, len(vals))
+    chosen = set(rng.sample(range(len(vals)), k))
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted(chosen):
+            for b in sorted(chosen):
+                c = lattice.meet(a, b)
+                if c not in chosen:
+                    chosen.add(c)
+                    changed = True
+    return lattice, sorted(chosen)
+
+
+def test_meet_closed_instance_matches_the_resorting_loop():
+    for seed in range(500):
+        rng, old = random.Random(seed), random.Random(seed)
+        lattice, subset = random_meet_closed_instance(rng)
+        old_lattice, old_subset = meet_closed_instance_oracle(old)
+        assert lattice == old_lattice and subset == old_subset
+        assert rng.getstate() == old.getstate()

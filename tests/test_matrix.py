@@ -325,6 +325,45 @@ def test_matmul_and_transpose():
         a @ SquareMatrix.identity(3)
 
 
+def matmul_oracle(a, b):
+    """The triple loop: entry (i, j) is a[i, 0] b[0, j] + ... + a[i, n-1] b[n-1, j]."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i, 0] * b[0, j]
+            for k in range(1, n):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return SquareMatrix(rows)
+
+
+def transpose_oracle(m):
+    return SquareMatrix([[m[j, i] for j in range(m.n)] for i in range(m.n)])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matmul_and_transpose_match_the_triple_loop(n):
+    rng = random.Random(f"matmul-oracle-{n}")
+    for make in (random_int_matrix, random_poly_matrix):
+        for _ in range(5):
+            a, b = make(rng, n), make(rng, n)
+            assert a @ b == matmul_oracle(a, b)
+            assert a.transpose() == transpose_oracle(a)
+    zero = SquareMatrix([[Poly()] * n for _ in range(n)])
+    p = random_poly_matrix(rng, n)
+    assert zero @ p == matmul_oracle(zero, p) == zero
+    assert p @ zero == matmul_oracle(p, zero) == zero
+    assert zero.transpose() == zero
+    # Poly @ int scales each Poly by ints, and stays Poly even when the
+    # scalars are all 0
+    k = random_int_matrix(rng, n)
+    assert p @ k == matmul_oracle(p, k)
+    assert p @ SquareMatrix([[0] * n for _ in range(n)]) == zero
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         SquareMatrix([])

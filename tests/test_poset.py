@@ -659,6 +659,15 @@ def test_incidence_function_contract():
         IncidenceFunction(p, {(0, 0): 1, (0, 1): Poly((1,))})
 
 
+def test_incidence_function_reports_the_first_failed_check_of_an_entry():
+    # each entry is checked for range, then order, then ring tag
+    p = vee()
+    with pytest.raises(ValueError, match=r"entry \(0, 9\) out of range"):
+        IncidenceFunction(p, {(0, 0): 1, (0, 9): Poly((1,))})
+    with pytest.raises(ValueError, match="without"):
+        IncidenceFunction(p, {(0, 0): 1, (1, 2): Poly((1,))})
+
+
 def test_incidence_restrict_reads_through_host_map():
     vals = [1, 2, 3, 4, 6, 12]
     p = divisor_poset(vals)
