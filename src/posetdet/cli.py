@@ -109,21 +109,16 @@ def _random_case(rng, max_size: int, p: Poset | None = None):
     return p, randgen.random_incidence(rng, p), randgen.random_incidence(rng, p)
 
 
-def run_main(args, rng) -> list[IdentityReport]:
+def run_main(args, rng, cases, file_cases, max_size) -> list[IdentityReport]:
     poset = _load_poset(args.poset) if args.poset is not None else None
-    default_cases = 200 if poset is None else 20
-    cases = default_cases if args.cases is None else args.cases
-    max_size = 7 if args.max_size is None else args.max_size
     reports = []
-    for _ in range(cases):
+    for _ in range(cases if poset is None else file_cases):
         p, f, g = _random_case(rng, max_size, poset)
         reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g)))
     return reports
 
 
-def run_weighted(args, rng) -> list[IdentityReport]:
-    cases = 100 if args.cases is None else args.cases
-    max_size = 7 if args.max_size is None else args.max_size
+def run_weighted(args, rng, cases, max_size) -> list[IdentityReport]:
     reports = []
     for _ in range(cases):
         p, f, g = _random_case(rng, max_size)
@@ -135,15 +130,13 @@ def run_weighted(args, rng) -> list[IdentityReport]:
     return reports
 
 
-def run_lindstrom(args, rng) -> list[IdentityReport]:
+def run_lindstrom(args, rng, cases, file_cases, max_size) -> list[IdentityReport]:
     if args.poset is not None:
         p = _load_poset(args.poset)
         if not p.is_meet_semilattice():
             raise ValueError("poset is not a meet semilattice")
-        posets = [p] * (20 if args.cases is None else args.cases)
+        posets = [p] * file_cases
     else:
-        cases = 100 if args.cases is None else args.cases
-        max_size = 6 if args.max_size is None else args.max_size
         posets = [
             randgen.sample_meet_semilattice(rng, rng.randint(1, max_size))
             for _ in range(cases)
@@ -151,8 +144,7 @@ def run_lindstrom(args, rng) -> list[IdentityReport]:
     return [_check_meet(p, randgen.random_incidence(rng, p)) for p in posets]
 
 
-def run_meet_closed(args, rng) -> list[IdentityReport]:
-    cases = 50 if args.cases is None else args.cases
+def run_meet_closed(args, rng, cases) -> list[IdentityReport]:
     reports = []
     for _ in range(cases):
         lattice, subset = randgen.random_meet_closed_instance(rng)
@@ -171,7 +163,7 @@ def run_meet_closed(args, rng) -> list[IdentityReport]:
     return reports
 
 
-def run_smith(args, rng) -> list[IdentityReport]:
+def run_smith(args, rng, cases) -> list[IdentityReport]:
     if args.value_set is not None:
         values = _parse_set(args.value_set)
         if not values:
@@ -187,7 +179,6 @@ def run_smith(args, rng) -> list[IdentityReport]:
             )
         sets, matrices = [values], [matrix]
     else:
-        cases = 50 if args.cases is None else args.cases
         sets = [randgen.random_factor_closed_set(rng) for _ in range(cases)]
         matrices = [gcd_matrix(s) for s in sets]
     return [
@@ -196,17 +187,14 @@ def run_smith(args, rng) -> list[IdentityReport]:
     ]
 
 
-def run_apostol(args, rng) -> list[IdentityReport]:
-    ns = [args.n] if args.n is not None else range(1, 11)
+def run_apostol(args, rng, ns) -> list[IdentityReport]:
     return [
         make_report("apostol", n, det_bareiss(ramanujan_matrix(n)), ramanujan_matrix_det(n))
         for n in ns
     ]
 
 
-def run_daniloff(args, rng) -> list[IdentityReport]:
-    ns = [args.n] if args.n is not None else range(1, 11)
-    ks = [args.k] if args.k is not None else (1, 2, 3)
+def run_daniloff(args, rng, ns, ks) -> list[IdentityReport]:
     reports = []
     for n in ns:
         weights = range(1, n + 1)
@@ -217,19 +205,16 @@ def run_daniloff(args, rng) -> list[IdentityReport]:
     return reports
 
 
-def run_stembridge(args, rng) -> list[IdentityReport]:
+def run_stembridge(args, rng, cases) -> list[IdentityReport]:
     if args.digraph is not None:
         return [verify_stembridge(digraph_from_dict(_load_json(args.digraph)))]
-    cases = 10 if args.cases is None else args.cases
     return [
         verify_stembridge(randgen.random_hypothesis_digraph(rng))
         for _ in range(cases)
     ]
 
 
-def run_three_layer(args, rng) -> list[IdentityReport]:
-    cases = 30 if args.cases is None else args.cases
-    max_size = 5 if args.max_size is None else args.max_size
+def run_three_layer(args, rng, cases, max_size) -> list[IdentityReport]:
     reports = []
     for _ in range(cases):
         p, f, g = _random_case(rng, max_size)
@@ -253,14 +238,11 @@ def run_three_layer(args, rng) -> list[IdentityReport]:
     return reports
 
 
-def run_tutte(args, rng) -> list[IdentityReport]:
-    n = 3 if args.n is None else args.n
-    return [verify_chromatic_join_det(n)]
+def run_tutte(args, rng, ns) -> list[IdentityReport]:
+    return [verify_chromatic_join_det(n) for n in ns]
 
 
-def run_definiteness(args, rng) -> list[IdentityReport]:
-    cases = 100 if args.cases is None else args.cases
-    max_size = 6 if args.max_size is None else args.max_size
+def run_definiteness(args, rng, cases, max_size) -> list[IdentityReport]:
     reports = []
     for _ in range(cases):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
@@ -281,18 +263,21 @@ def run_definiteness(args, rng) -> list[IdentityReport]:
     return reports
 
 
+# Each family's runner and the defaults of the flags it reads, which main
+# passes by keyword; a family ignores every other flag.  "file_cases" counts
+# --cases with a --poset file; "ns" and "ks" list the --n and --k to check.
 RUNNERS = {
-    "main": run_main,
-    "weighted": run_weighted,
-    "lindstrom": run_lindstrom,
-    "meet-closed": run_meet_closed,
-    "smith": run_smith,
-    "apostol": run_apostol,
-    "daniloff": run_daniloff,
-    "stembridge": run_stembridge,
-    "three-layer": run_three_layer,
-    "tutte": run_tutte,
-    "definiteness": run_definiteness,
+    "main": (run_main, {"cases": 200, "file_cases": 20, "max_size": 7}),
+    "weighted": (run_weighted, {"cases": 100, "max_size": 7}),
+    "lindstrom": (run_lindstrom, {"cases": 100, "file_cases": 20, "max_size": 6}),
+    "meet-closed": (run_meet_closed, {"cases": 50}),
+    "smith": (run_smith, {"cases": 50}),
+    "apostol": (run_apostol, {"ns": range(1, 11)}),
+    "daniloff": (run_daniloff, {"ns": range(1, 11), "ks": (1, 2, 3)}),
+    "stembridge": (run_stembridge, {"cases": 10}),
+    "three-layer": (run_three_layer, {"cases": 30, "max_size": 5}),
+    "tutte": (run_tutte, {"ns": (3,)}),
+    "definiteness": (run_definiteness, {"cases": 100, "max_size": 6}),
 }
 
 IDENTITY_NAMES = tuple(RUNNERS)
@@ -423,7 +408,11 @@ def main(argv=None) -> int:
             passes = sum(a.passed and b.passed for a, b in cases)
             print(f"{passes}/{args.cases} pass")
             return code
-        reports = RUNNERS[args.identity](args, rng)
+        run, defaults = RUNNERS[args.identity]
+        ns, ks = (None if size is None else [size] for size in (args.n, args.k))
+        given = dict(vars(args), file_cases=args.cases, ns=ns, ks=ks)
+        resolved = {key: d if given[key] is None else given[key] for key, d in defaults.items()}
+        reports = run(args, rng, **resolved)
         return _emit([[r] for r in reports], args.machine, args.identity, args.seed)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,12 +26,12 @@ from .ring import RingValue, one_like, ring_value_from_json, zero_like
 # Digraph files stop here: the sweep must list every realised permutation,
 # so the complete 18-vertex file with sources 0..8 takes about 2.2 s on a
 # 2-vCPU VM and yields 9! keys.
-ALL_PERMS_VERTEX_CAP = 18
+DIGRAPH_VERTEX_CAP = 18
 
 
 def _check_vertex_cap(n: int) -> None:
-    if n > ALL_PERMS_VERTEX_CAP:
-        raise ValueError(f"digraphs are capped at {ALL_PERMS_VERTEX_CAP} vertices")
+    if n > DIGRAPH_VERTEX_CAP:
+        raise ValueError(f"digraphs are capped at {DIGRAPH_VERTEX_CAP} vertices")
 
 
 class WeightedDigraph:

@@ -527,6 +527,30 @@ def test_det_above_the_int_to_str_digit_limit_is_printed(tmp_path, capsys):
     assert err.startswith("error: Exceeds the limit (4300 digits)")
 
 
+def test_stembridge_digraph_file_with_polynomial_weights(tmp_path, capsys):
+    # the README's Z[q] example: arc weights q, 5 and 1 + 2q
+    doc = {
+        "vertices": 4,
+        "arcs": [[0, 2, [0, 1]], [0, 3, [5]], [1, 3, [1, 2]]],
+        "sources": [0, 1],
+        "sinks": [2, 3],
+    }
+    path = tmp_path / "digraph.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_OK
+    assert out == "PASS stembridge det=2q^2 + q predicted=2q^2 + q\n"
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path), "--machine")
+    assert code == EXIT_OK
+    assert out == "stembridge\t2\t2q^2 + q\t2q^2 + q\tpass\n"
+    doc["arcs"][1][2] = 5
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "error: arc weights must share one ring tag\n"
+
+
 @pytest.mark.parametrize("cases", [None, "0"])
 def test_three_layer_max_size_above_family_cap_is_rejected(capsys, cases):
     argv = ["verify", "three-layer", "--max-size", "65"]
@@ -798,6 +822,58 @@ def test_verify_output_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "main", "--cases", "10", "--seed", "5")
     _, second, _ = run(capsys, "verify", "main", "--cases", "10", "--seed", "5")
     assert first == second
+
+
+# Each family's defaults, written out: at seed 42 the bare run and the run
+# that names them print the same reports.
+DEFAULT_PINS = [
+    (["main"], ["--cases", "200", "--max-size", "7"]),
+    (["weighted"], ["--cases", "100", "--max-size", "7"]),
+    (["lindstrom"], ["--cases", "100", "--max-size", "6"]),
+    (["three-layer"], ["--cases", "30", "--max-size", "5"]),
+    (["definiteness"], ["--cases", "100", "--max-size", "6"]),
+    (["meet-closed"], ["--cases", "50"]),
+    (["smith"], ["--cases", "50"]),
+    (["stembridge"], ["--cases", "10"]),
+    (["tutte"], ["--n", "3"]),
+    (["main", "--poset", fixture("vee_poset.json")], ["--cases", "20"]),
+    (["lindstrom", "--poset", fixture("chain3_poset.json")], ["--cases", "20"]),
+]
+
+
+@pytest.mark.parametrize(
+    "bare, named",
+    DEFAULT_PINS,
+    ids=[" ".join(pathlib.Path(a).name for a in bare) for bare, _ in DEFAULT_PINS],
+)
+def test_bare_run_prints_what_its_named_defaults_print(capsys, bare, named):
+    code, out, err = run(capsys, "verify", *bare)
+    assert code == EXIT_OK
+    assert out != ""
+    assert run(capsys, "verify", *bare, *named) == (code, out, err)
+    if "--poset" in bare:
+        assert len(out.splitlines()) == 20
+
+
+def test_bare_divisor_families_run_their_default_ranges_in_order(capsys):
+    _, apostol, _ = run(capsys, "verify", "apostol")
+    assert apostol == "".join(
+        run(capsys, "verify", "apostol", "--n", str(n))[1] for n in range(1, 11)
+    )
+    _, daniloff, _ = run(capsys, "verify", "daniloff")
+    assert daniloff == "".join(
+        run(capsys, "verify", "daniloff", "--n", str(n), "--k", str(k))[1]
+        for n in range(1, 11)
+        for k in (1, 2, 3)
+    )
+
+
+@pytest.mark.parametrize("family", ["weighted", "stembridge"])
+def test_families_that_read_no_poset_file_ignore_it(capsys, family):
+    # only main and lindstrom read --poset, and only they draw 20 cases for it
+    bare = run(capsys, "verify", family)
+    assert run(capsys, "verify", family, "--poset", fixture("vee_poset.json")) == bare
+    assert len(bare[1].splitlines()) == {"weighted": 100, "stembridge": 10}[family]
 
 
 def test_n_help_names_the_enforced_ranges(capsys):
