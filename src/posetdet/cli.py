@@ -20,13 +20,14 @@ from .identities import (
     FAIL,
     HYPOTHESIS_FAILED,
     IdentityReport,
+    _check_holder,
+    _kth_root_config,
+    _ramanujan_config,
     gcd_matrix,
     incidence_matrix,
     incidence_product_det,
     incidence_product_matrix,
     is_factor_closed,
-    kth_root_matrix,
-    kth_root_matrix_det,
     make_report,
     meet_closed_det,
     meet_closed_matrix,
@@ -34,11 +35,8 @@ from .identities import (
     meet_matrix_det,
     product_matrix_invertible,
     product_matrix_positive_definite,
-    ramanujan_matrix,
-    ramanujan_matrix_det,
+    scale_by_source,
     totient_product,
-    weighted_product_det,
-    weighted_product_matrix,
 )
 from .lgv import (
     digraph_from_dict,
@@ -124,9 +122,9 @@ def run_weighted(args, rng, cases, max_size) -> list[IdentityReport]:
         p, f, g = _random_case(rng, max_size)
         fw = randgen.random_weights(rng, p.n)
         gw = randgen.random_weights(rng, p.n)
-        det = det_bareiss(weighted_product_matrix(p, f, fw, g, gw))
-        predicted = weighted_product_det(p, f, fw, g, gw)
-        reports.append(make_report("weighted", p.n, det, predicted))
+        f, g = scale_by_source(f, fw), scale_by_source(g, gw)
+        det = det_bareiss(incidence_product_matrix(p, f, g))
+        reports.append(make_report("weighted", p.n, det, incidence_product_det(p, f, g)))
     return reports
 
 
@@ -170,6 +168,10 @@ def run_smith(args, rng, cases) -> list[IdentityReport]:
             raise ValueError("--set must name at least one integer")
         if len(values) > SET_SIZE_MAX:
             raise ValueError(f"--set must name at most {SET_SIZE_MAX} integers")
+        # Ascending order is a linear extension of divisibility, in which
+        # det_bareiss eliminates the GCD matrix several times faster; neither
+        # the det nor the totient product depends on the order.
+        values.sort()
         matrix = gcd_matrix(values)  # validates the values, which is_factor_closed assumes
         if max(values) > SET_VALUE_MAX:
             raise ValueError(f"--set values must be at most {SET_VALUE_MAX}")
@@ -188,20 +190,23 @@ def run_smith(args, rng, cases) -> list[IdentityReport]:
 
 
 def run_apostol(args, rng, ns) -> list[IdentityReport]:
-    return [
-        make_report("apostol", n, det_bareiss(ramanujan_matrix(n)), ramanujan_matrix_det(n))
-        for n in ns
-    ]
+    reports = []
+    for n in ns:
+        p, f, g = _ramanujan_config(n)
+        m = incidence_product_matrix(p, f, g)
+        _check_holder(p, m)
+        det = det_bareiss(m)
+        reports.append(make_report("apostol", n, det, incidence_product_det(p, f, g)))
+    return reports
 
 
 def run_daniloff(args, rng, ns, ks) -> list[IdentityReport]:
     reports = []
     for n in ns:
-        weights = range(1, n + 1)
         for k in ks:
-            det = det_bareiss(kth_root_matrix(n, k, weights))
-            predicted = kth_root_matrix_det(n, k, weights)
-            reports.append(make_report("daniloff", n, det, predicted))
+            p, f, g = _kth_root_config(n, k, range(1, n + 1))
+            det = det_bareiss(incidence_product_matrix(p, f, g))
+            reports.append(make_report("daniloff", n, det, incidence_product_det(p, f, g)))
     return reports
 
 
@@ -283,6 +288,28 @@ RUNNERS = {
 IDENTITY_NAMES = tuple(RUNNERS)
 
 
+def _default_text(value) -> str:
+    """A default as help text: an int, or sizes, consecutive ones as first..last."""
+    if isinstance(value, int):
+        return str(value)
+    sizes = tuple(value)
+    if len(sizes) > 1 and sizes == tuple(range(sizes[0], sizes[-1] + 1)):
+        return f"{sizes[0]}..{sizes[-1]}"
+    return ", ".join(map(str, sizes))
+
+
+def _defaults_help(key: str) -> str:
+    """Each family's default for one RUNNERS key, in the table's order."""
+    parts = []
+    for family, (_, defaults) in RUNNERS.items():
+        if key in defaults:
+            part = f"{family} {_default_text(defaults[key])}"
+            if key == "cases" and "file_cases" in defaults:
+                part += f" or {defaults['file_cases']} with --poset"
+            parts.append(part)
+    return "default: " + "; ".join(parts)
+
+
 def _emit(cases, machine: bool, name: str, seed) -> int:
     """Print every report, then a reproduce line for each case (a list of
     reports) with a FAIL; exit 2 on a failed hypothesis, else 1 on a FAIL."""
@@ -342,11 +369,13 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            f"size: apostol and daniloff 1..{MAX_ELEMENTS} (default 1..10 each),"
-            f" tutte {JOIN_MATRIX_MIN}..{JOIN_MATRIX_MAX} (default 3)"
+            f"size: apostol and daniloff 1..{MAX_ELEMENTS},"
+            f" tutte {JOIN_MATRIX_MIN}..{JOIN_MATRIX_MAX} ({_defaults_help('ns')})"
         ),
     )
-    verify.add_argument("--k", type=int, default=None, help="exponent parameter")
+    verify.add_argument(
+        "--k", type=int, default=None, help=f"exponent parameter ({_defaults_help('ks')})"
+    )
     verify.add_argument(
         "--set",
         dest="value_set",
@@ -356,13 +385,18 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--poset", default=None, help="poset JSON file")
     verify.add_argument("--digraph", default=None, help="digraph JSON file")
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--cases", type=int, default=None)
+    verify.add_argument(
+        "--cases",
+        type=int,
+        default=None,
+        help=f"number of random cases ({_defaults_help('cases')})",
+    )
     verify.add_argument(
         "--max-size",
         dest="max_size",
         type=int,
         default=None,
-        help=f"largest random poset (at most {MAX_ELEMENTS})",
+        help=f"largest random poset, at most {MAX_ELEMENTS} ({_defaults_help('max_size')})",
     )
     verify.add_argument("--machine", action="store_true", help="tab-separated output")
 

@@ -6,10 +6,12 @@ the exact determinant engine rather than trusted.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
-from .arith import divisors, euler_phi, kth_root, mobius
+from .arith import divisors, euler_phi, factorize, kth_root, mobius
 from .matrix import SquareMatrix
 from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function
 from .ring import RingValue, TagMismatchError, exact_int_div, one_like, ring_text
@@ -175,10 +177,33 @@ def _ramanujan_config(n: int):
     if n < 1:
         raise ValueError("need n >= 1")
     p = divisor_poset(range(1, n + 1))
+    mu = [0] + [mobius(q) for q in range(1, n + 1)]
     pairs = [(a, b) for a in range(n) for b in p.above(a)]
     f = IncidenceFunction(p, {(a, b): a + 1 for a, b in pairs})
-    g = IncidenceFunction(p, {(a, b): mobius((b + 1) // (a + 1)) for a, b in pairs})
+    g = IncidenceFunction(p, {(a, b): mu[(b + 1) // (a + 1)] for a, b in pairs})
     return p, f, g
+
+
+def _check_holder(p: Poset, m: SquareMatrix) -> None:
+    """Raise RuntimeError unless m, built on p = divisor_poset(1..n), holds
+    Hölder's closed form c(a, b) = mu(d) phi(b) / phi(d), d = b / gcd(a, b)
+    (Prace Mat.-Fiz. 43, 1936), at every entry.
+
+    The value depends on b and d alone, so each column reads it from one
+    table over the divisors d of b.
+    """
+    vals = [a + 1 for a in p.lin_ext]
+    mu = [0] + [mobius(k) for k in range(1, p.n + 1)]
+    phi = [0] + [euler_phi(k) for k in range(1, p.n + 1)]
+    columns = [
+        {d: mu[d] * exact_int_div(phi[b], phi[d]) for d in divisors(b)} for b in vals
+    ]
+    for i, a in enumerate(vals):
+        quotients = map(operator.floordiv, vals, map(math.gcd, repeat(a), vals))
+        row, want = m.row(i), tuple(map(dict.__getitem__, columns, quotients))
+        if row != want:
+            b = next(b for b, x, y in zip(vals, row, want) if x != y)
+            raise RuntimeError(f"ramanujan sum cross-check failed at ({a}, {b})")
 
 
 def ramanujan_matrix(n: int) -> SquareMatrix:
@@ -186,23 +211,12 @@ def ramanujan_matrix(n: int) -> SquareMatrix:
 
     Built through the incidence construction on the divisor order, with
     f(c, a) = c and g(c, b) = mu(b / c), then cross-checked entry by entry
-    against Hölder's independent closed form c(a, b) = mu(b / g) phi(b) /
-    phi(b / g), g = gcd(a, b) (Prace Mat.-Fiz. 43, 1936), before being
+    against Hölder's independent closed form (_check_holder) before being
     returned.
     """
     p, f, g = _ramanujan_config(n)
     m = incidence_product_matrix(p, f, g)
-    mu = [0] + [mobius(k) for k in range(1, n + 1)]
-    phi = [0] + [euler_phi(k) for k in range(1, n + 1)]
-    vals = [a + 1 for a in p.lin_ext]
-    for i, a in enumerate(vals):
-        row = m.row(i)
-        for j, b in enumerate(vals):
-            d = b // math.gcd(a, b)
-            if row[j] != mu[d] * exact_int_div(phi[b], phi[d]):
-                raise RuntimeError(
-                    f"ramanujan sum cross-check failed at ({a}, {b})"
-                )
+    _check_holder(p, m)
     return m
 
 
@@ -220,12 +234,11 @@ def _kth_root_config(n: int, k: int, f_weights: Sequence[RingValue]):
     if len(f_weights) != n:
         raise ValueError("need one weight per element")
     p = divisor_poset(range(1, n + 1))
-    values = {}
-    for a in range(n):
-        for b in p.above(a):
-            root = kth_root((b + 1) // (a + 1), k)
-            values[(a, b)] = root if root is not None else 0
-    omega = IncidenceFunction(p, values)
+    # kth_root gives None where q is no k-th power; the entry is then 0
+    roots = [0] + [kth_root(q, k) or 0 for q in range(1, n + 1)]
+    omega = IncidenceFunction(
+        p, {(a, b): roots[(b + 1) // (a + 1)] for a in range(n) for b in p.above(a)}
+    )
     return p, scale_by_source(omega, f_weights), omega
 
 
@@ -276,7 +289,7 @@ def gcd_matrix(s: Sequence[int]) -> SquareMatrix:
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
-    return SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
+    return SquareMatrix([tuple(map(math.gcd, repeat(a), vals)) for a in vals])
 
 
 def totient_product(s: Sequence[int]) -> int:
@@ -286,9 +299,14 @@ def totient_product(s: Sequence[int]) -> int:
 
 
 def is_factor_closed(s: Sequence[int]) -> bool:
-    """True when every divisor of every member is itself a member."""
+    """True when every divisor of every member is itself a member.
+
+    It suffices that a / p is a member for each member a and prime p
+    dividing a: then, by induction on the number of prime factors of a / d,
+    so is every divisor d of a.
+    """
     members = set(s)
-    return all(d in members for a in s for d in divisors(a))
+    return all(a // p in members for a in s for p, _ in factorize(a))
 
 
 # -- Meet-closed subsets, with the ambient Möbius function --

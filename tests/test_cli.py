@@ -2,6 +2,7 @@ import decimal
 import hashlib
 import json
 import pathlib
+import random
 import time
 
 import pytest
@@ -62,6 +63,19 @@ def test_smith_set_above_the_size_bound_exits_two_before_any_matrix(capsys, monk
     assert code == EXIT_INPUT
     assert out == ""
     assert err == "error: --set must name at most 240 integers\n"
+
+
+def test_verify_smith_set_prints_the_same_in_any_order(capsys):
+    # the runner sorts the set, so a shuffled copy is eliminated in the
+    # same ascending order and prints the same line
+    ordered = divisors(55440)
+    shuffled = list(ordered)
+    random.Random("smith-order").shuffle(shuffled)
+    assert shuffled != ordered
+    sorted_run = run(capsys, "verify", "smith", "--set", ",".join(map(str, ordered)))
+    shuffled_run = run(capsys, "verify", "smith", "--set", ",".join(map(str, shuffled)))
+    assert shuffled_run == sorted_run
+    assert sorted_run[0] == EXIT_OK and sorted_run[1].startswith("PASS smith det=")
 
 
 def test_verify_smith_random_campaign(capsys):
@@ -269,6 +283,34 @@ def test_verify_definiteness_builds_each_product_matrix_once(capsys, monkeypatch
     code, out, err = run(capsys, "verify", "definiteness")
     assert code == EXIT_OK
     assert len(out.splitlines()) == builds == 150  # 100 predicate cases plus 50 singular
+
+
+@pytest.mark.parametrize(
+    "builder, argv, calls",
+    [
+        ("_ramanujan_config", ["verify", "apostol", "--n", "5"], 1),
+        ("_kth_root_config", ["verify", "daniloff", "--n", "5", "--k", "2"], 1),
+        ("scale_by_source", ["verify", "weighted", "--cases", "3"], 6),
+    ],
+)
+def test_divisor_and_weighted_runners_build_each_configuration_once(
+    capsys, monkeypatch, builder, argv, calls
+):
+    # one configuration per check (two rescaled functions per weighted
+    # case), counted however the runner reaches the builder
+    count = 0
+    build = getattr(identities, builder)
+
+    def counting_build(*args):
+        nonlocal count
+        count += 1
+        return build(*args)
+
+    monkeypatch.setattr(identities, builder, counting_build)
+    monkeypatch.setattr(cli, builder, counting_build, raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert count == calls
 
 
 def test_verify_definiteness_runs_under_the_benchmark_tracer(capsys):
@@ -882,3 +924,40 @@ def test_n_help_names_the_enforced_ranges(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "apostol and daniloff 1..64" in text
     assert "tutte 2..6" in text
+    # every family default, as RUNNERS holds it, in the help of its flag;
+    # the last mention of a flag is its help entry, after the usage line
+    def entry(flag, next_flag):
+        return text[text.rindex(flag) : text.rindex(next_flag)]
+
+    n_help = entry("--n N", "--k K")
+    k_help = entry("--k K", "--set VALUE_SET")
+    cases_help = entry("--cases CASES", "--max-size MAX_SIZE")
+    max_size_help = entry("--max-size MAX_SIZE", "--machine")
+    assert "apostol 1..10" in n_help
+    assert "daniloff 1..10" in n_help
+    assert "tutte 3)" in n_help
+    assert "daniloff 1..3" in k_help
+    assert "main 200 or 20 with --poset;" in cases_help
+    assert "weighted 100;" in cases_help
+    assert "lindstrom 100 or 20 with --poset;" in cases_help
+    assert "meet-closed 50;" in cases_help
+    assert "smith 50;" in cases_help
+    assert "stembridge 10;" in cases_help
+    assert "three-layer 30;" in cases_help
+    assert "definiteness 100)" in cases_help
+    assert "main 7;" in max_size_help
+    assert "weighted 7;" in max_size_help
+    assert "lindstrom 6;" in max_size_help
+    assert "three-layer 5;" in max_size_help
+    assert "definiteness 6)" in max_size_help
+
+
+def test_verify_help_is_read_from_the_family_table(capsys, monkeypatch):
+    monkeypatch.setitem(cli.RUNNERS, "smith", (cli.run_smith, {"cases": 7}))
+    monkeypatch.setitem(cli.RUNNERS, "tutte", (cli.run_tutte, {"ns": (2, 4, 6)}))
+    monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "smith 7;" in text
+    assert "tutte 2, 4, 6)" in text

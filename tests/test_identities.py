@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from posetdet import identities
+from posetdet import cli, identities
 from posetdet.arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from posetdet.identities import (
     gcd_matrix,
@@ -300,19 +300,44 @@ def test_holder_closed_form_matches_the_divisor_sum():
             assert mobius(d) * (euler_phi(b) // euler_phi(d)) == ramanujan_sum(a, b)
 
 
-def test_ramanujan_cross_check_catches_a_bumped_entry(monkeypatch):
+@pytest.mark.parametrize("i, j", [(3, 7), (0, 0), (11, 11), (11, 0), (5, 9)])
+@pytest.mark.parametrize("via_cli", [False, True], ids=["ramanujan_matrix", "verify-apostol"])
+def test_ramanujan_cross_check_catches_a_bumped_entry(monkeypatch, i, j, via_cli):
     build = identities.incidence_product_matrix
 
     def bumped(p, f, g):
-        rows = [list(build(p, f, g).row(i)) for i in range(p.n)]
-        rows[3][7] += 1
+        rows = [list(build(p, f, g).row(r)) for r in range(p.n)]
+        rows[i][j] += 1
         return SquareMatrix(rows)
 
     monkeypatch.setattr(identities, "incidence_product_matrix", bumped)
+    monkeypatch.setattr(cli, "incidence_product_matrix", bumped)
     vals = [a + 1 for a in divisor_poset(range(1, 13)).lin_ext]
-    message = rf"^ramanujan sum cross-check failed at \({vals[3]}, {vals[7]}\)$"
+    message = rf"^ramanujan sum cross-check failed at \({vals[i]}, {vals[j]}\)$"
     with pytest.raises(RuntimeError, match=message):
-        ramanujan_matrix(12)
+        if via_cli:
+            cli.main(["verify", "apostol", "--n", "12"])
+        else:
+            ramanujan_matrix(12)
+
+
+def test_divisor_configs_match_their_per_pair_definitions():
+    # the per-quotient tables against mobius and kth_root called per pair
+    for n in range(1, 65):
+        p, f, g = identities._ramanujan_config(n)
+        pairs = {(a, b) for a in range(n) for b in range(n) if (b + 1) % (a + 1) == 0}
+        assert set(dict(f.items())) == set(dict(g.items())) == pairs
+        for a, b in pairs:
+            assert f(a, b) == a + 1
+            assert g(a, b) == mobius((b + 1) // (a + 1))
+        weights = [3 * a - 7 for a in range(n)]
+        for k in range(1, 5):
+            p, f, omega = identities._kth_root_config(n, k, weights)
+            assert set(dict(omega.items())) == pairs
+            for a, b in pairs:
+                root = kth_root((b + 1) // (a + 1), k)
+                assert omega(a, b) == (0 if root is None else root)
+                assert f(a, b) == omega(a, b) * weights[a]
 
 
 def test_ramanujan_determinant_is_factorial():
@@ -453,6 +478,36 @@ def test_is_factor_closed():
     assert is_factor_closed([1, 2, 3, 4, 6, 12])
     assert not is_factor_closed([2, 4])
     assert is_factor_closed([1])
+
+
+def test_is_factor_closed_matches_the_all_divisors_definition():
+    rng = random.Random("factor-closed")
+    verdicts = []
+    for _ in range(500):
+        s = set()
+        for _ in range(rng.randint(1, 3)):
+            s |= set(divisors(rng.randint(1, 5000)))
+        if rng.random() < 0.5:
+            s.discard(rng.choice(sorted(s)))
+            s.add(rng.randint(1, 5000))
+        s = sorted(s)
+        rng.shuffle(s)
+        expected = all(d in s for a in s for d in divisors(a))
+        assert is_factor_closed(s) == expected, s
+        verdicts.append(expected)
+    assert 150 <= verdicts.count(False) <= 350
+
+
+def test_gcd_matrix_matches_the_nested_gcd_matrix():
+    rng = random.Random("gcd-matrix")
+    for size in (1, 2, 7, 30, 120):
+        vals = rng.sample(range(1, 10**6), size)
+        assert gcd_matrix(vals) == SquareMatrix(
+            [[math.gcd(a, b) for b in vals] for a in vals]
+        )
+    vals = divisors(55440)
+    rng.shuffle(vals)
+    assert gcd_matrix(vals) == SquareMatrix([[math.gcd(a, b) for b in vals] for a in vals])
 
 
 def test_smith_identity_on_random_closures():

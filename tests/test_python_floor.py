@@ -1,7 +1,7 @@
 """The oldest Python that pyproject.toml accepts reproduces the pinned output.
 
 pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
-on PATH reports version 3.10, six pinned invocations run under it in a
+on PATH reports version 3.10, eight pinned invocations run under it in a
 subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of each
 stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
 test is skipped; put a 3.10 interpreter first on PATH to run it.
@@ -15,6 +15,7 @@ import subprocess
 
 import pytest
 
+from posetdet.arith import divisors
 from test_golden import GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,6 +25,8 @@ PINNED = (
     "verify tutte --n 5",
     "verify tutte --n 6",
     "verify apostol --n 64",
+    "verify daniloff --n 64",
+    "verify smith --set " + ",".join(map(str, divisors(55440))),
     "random-suite",
     "random-suite --max-size 64",
 )
