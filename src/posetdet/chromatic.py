@@ -302,19 +302,26 @@ def chromatic_join_det(n: int) -> Poly:
         else:
             crossing.append(p)
             crossing_with[p.num_blocks] += 1
-    product = Poly.const(1)
-    divisor = Poly.const(1)
-    for j in range(n):
-        # q - j divides (q)_blocks(a) when a has more than j blocks, and
-        # L / (q)_blocks(sigma) when sigma has at most j
-        power = sum(nc_with[j + 1 :]) - sum(crossing_with[: j + 1])
-        if power > 0:
-            product = product * Poly((-j, 1)) ** power
-        else:
-            divisor = divisor * Poly((-j, 1)) ** -power
+    # q - j divides (q)_blocks(a) when a has more than j blocks, and
+    # L / (q)_blocks(sigma) when sigma has at most j
+    net = {
+        Poly((-j, 1)): sum(nc_with[j + 1 :]) - sum(crossing_with[: j + 1])
+        for j in range(n)
+    }
     for _, det in _schur_block_dets(n, ncs, crossing):
-        product = product * det
-    return product.exact_div(divisor)
+        net[det] = net.get(det, 0) + 1
+    return _quotient(net)
+
+
+def _quotient(net: dict[Poly, int]) -> Poly:
+    """Product of factor^power over net, negative powers divided out exactly."""
+    numerator = denominator = Poly.const(1)
+    for factor, power in net.items():
+        if power > 0:
+            numerator = numerator * factor**power
+        else:
+            denominator = denominator * factor**-power
+    return numerator.exact_div(denominator)
 
 
 def beraha(n: int) -> Poly:
@@ -365,14 +372,8 @@ def verify_chromatic_join_det(n: int) -> IdentityReport:
             net[factor] = net.get(factor, 0) + power
         denominator_parts.append(f"({q * low})^{e}")
         numerator_parts.append(f"({high})^{e}")
-    numerator = denominator = Poly.const(1)
-    for factor, power in net.items():
-        if power > 0:
-            numerator = numerator * factor**power
-        else:
-            denominator = denominator * factor**-power
     try:
-        predicted = numerator.exact_div(denominator)
+        predicted = _quotient(net)
     except InexactDivisionError:
         predicted = None
     detail = "factored: {} / {}".format(

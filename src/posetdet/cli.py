@@ -20,7 +20,7 @@ from .identities import (
     FAIL,
     HYPOTHESIS_FAILED,
     IdentityReport,
-    _check_holder,
+    _holder_mismatch,
     _kth_root_config,
     _ramanujan_config,
     gcd_matrix,
@@ -83,20 +83,16 @@ def _fail(report: IdentityReport, note: str) -> IdentityReport:
     return dataclasses.replace(report, verdict=FAIL, computed=None, detail=note)
 
 
-def _check_product(p: Poset, f, g, m, name: str = "main") -> IdentityReport:
+def _check_product(p: Poset, f, g, m, name: str) -> IdentityReport:
     """Report on m, the product matrix of f and g on p, built by the caller."""
-    det = det_bareiss(m)
-    predicted = incidence_product_det(p, f, g)
-    report = make_report(name, p.n, det, predicted)
-    if report.passed and product_matrix_invertible(p, f, g) != (det != 0):
+    report = make_report(name, p.n, det_bareiss(m), incidence_product_det(p, f, g))
+    if report.passed and product_matrix_invertible(p, f, g) != (report.computed != 0):
         report = _fail(report, "(invertibility predicate disagrees with det)")
     return report
 
 
-def _check_meet(p: Poset, f, name: str = "lindstrom") -> IdentityReport:
-    det = det_bareiss(meet_matrix(p, f))
-    predicted = meet_matrix_det(p, f)
-    return make_report(name, p.n, det, predicted)
+def _check_meet(p: Poset, f, name: str) -> IdentityReport:
+    return make_report(name, p.n, det_bareiss(meet_matrix(p, f)), meet_matrix_det(p, f))
 
 
 def _random_case(rng, max_size: int, p: Poset | None = None):
@@ -112,7 +108,7 @@ def run_main(args, rng, cases, file_cases, max_size) -> list[IdentityReport]:
     reports = []
     for _ in range(cases if poset is None else file_cases):
         p, f, g = _random_case(rng, max_size, poset)
-        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g)))
+        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "main"))
     return reports
 
 
@@ -123,8 +119,7 @@ def run_weighted(args, rng, cases, max_size) -> list[IdentityReport]:
         fw = randgen.random_weights(rng, p.n)
         gw = randgen.random_weights(rng, p.n)
         f, g = scale_by_source(f, fw), scale_by_source(g, gw)
-        det = det_bareiss(incidence_product_matrix(p, f, g))
-        reports.append(make_report("weighted", p.n, det, incidence_product_det(p, f, g)))
+        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "weighted"))
     return reports
 
 
@@ -139,7 +134,7 @@ def run_lindstrom(args, rng, cases, file_cases, max_size) -> list[IdentityReport
             randgen.sample_meet_semilattice(rng, rng.randint(1, max_size))
             for _ in range(cases)
         ]
-    return [_check_meet(p, randgen.random_incidence(rng, p)) for p in posets]
+    return [_check_meet(p, randgen.random_incidence(rng, p), "lindstrom") for p in posets]
 
 
 def run_meet_closed(args, rng, cases) -> list[IdentityReport]:
@@ -194,9 +189,11 @@ def run_apostol(args, rng, ns) -> list[IdentityReport]:
     for n in ns:
         p, f, g = _ramanujan_config(n)
         m = incidence_product_matrix(p, f, g)
-        _check_holder(p, m)
-        det = det_bareiss(m)
-        reports.append(make_report("apostol", n, det, incidence_product_det(p, f, g)))
+        report = _check_product(p, f, g, m, "apostol")
+        mismatch = _holder_mismatch(p, m)
+        if mismatch:
+            report = _fail(report, f"({mismatch})")
+        reports.append(report)
     return reports
 
 
@@ -205,8 +202,7 @@ def run_daniloff(args, rng, ns, ks) -> list[IdentityReport]:
     for n in ns:
         for k in ks:
             p, f, g = _kth_root_config(n, k, range(1, n + 1))
-            det = det_bareiss(incidence_product_matrix(p, f, g))
-            reports.append(make_report("daniloff", n, det, incidence_product_det(p, f, g)))
+            reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "daniloff"))
     return reports
 
 
@@ -225,16 +221,14 @@ def run_three_layer(args, rng, cases, max_size) -> list[IdentityReport]:
         p, f, g = _random_case(rng, max_size)
         d = three_layer_digraph(p, f, g)
         paths_matrix = stembridge_matrix(d)
-        det = det_bareiss(paths_matrix)
-        predicted = incidence_product_det(p, f, g)
-        report = make_report("three-layer", p.n, det, predicted)
+        report = _check_product(p, f, g, paths_matrix, "three-layer")
         # The arcs depend on p alone, so with every weight 1 the sweep
         # counts the families of d: exactly one, on the identity.
         zeta = zeta_function(p)
         identity = tuple(range(p.n))
         structure_ok = (
             nonintersecting_weights(three_layer_digraph(p, zeta, zeta)) == {identity: 1}
-            and nonintersecting_weights(d) == {identity: predicted}
+            and nonintersecting_weights(d) == {identity: report.predicted}
             and paths_matrix == incidence_product_matrix(p, f, g)
         )
         if report.passed and not structure_ok:
@@ -341,7 +335,7 @@ def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
     for _ in range(args.cases):
         p, f, g = _random_case(rng, args.max_size)
         m = incidence_product_matrix(p, f, g)
-        product_report = _check_product(p, f, g, m, name="suite-main")
+        product_report = _check_product(p, f, g, m, "suite-main")
         factorization_ok = (
             incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
         ) == m
@@ -351,7 +345,7 @@ def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
             rng, rng.randint(1, min(args.max_size, randgen.REJECTION_MAX_SIZE))
         )
         h = randgen.random_incidence(rng, semilattice)
-        cases.append((product_report, _check_meet(semilattice, h, name="suite-lindstrom")))
+        cases.append((product_report, _check_meet(semilattice, h, "suite-lindstrom")))
     return cases
 
 

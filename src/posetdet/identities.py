@@ -29,7 +29,7 @@ class IdentityReport:
     computed: RingValue | None
     predicted: RingValue | None
     verdict: str
-    size: int = 0
+    size: int
     detail: str = ""
 
     @property
@@ -87,6 +87,24 @@ def _meet_rows(p: Poset, f: IncidenceFunction, s: Sequence[int]) -> SquareMatrix
     return SquareMatrix(
         [[table.get((by_below[below[a] & below[b]], a), zero) for b in s] for a in s]
     )
+
+
+def _charged_product(p: Poset, s: Sequence[int], f: IncidenceFunction) -> RingValue:
+    """Lindström's product over s (see meet_closed_det), each element d
+    charged to the first a in s above it; reads mu and f from their tables."""
+    mu = mobius_function(p)._table
+    table, zero, below = f._table, f.zero, p._below
+    charged: set[int] = set()
+    acc = one_like(zero)
+    for a in s:
+        mine = below[a] - charged
+        charged |= mine
+        factor = zero
+        for d in mine:
+            for c in below[d]:
+                factor = factor + table.get((c, a), zero) * mu[(c, d)]
+        acc = acc * factor
+    return acc
 
 
 def incidence_matrix(p: Poset, f: IncidenceFunction) -> SquareMatrix:
@@ -184,10 +202,11 @@ def _ramanujan_config(n: int):
     return p, f, g
 
 
-def _check_holder(p: Poset, m: SquareMatrix) -> None:
-    """Raise RuntimeError unless m, built on p = divisor_poset(1..n), holds
-    Hölder's closed form c(a, b) = mu(d) phi(b) / phi(d), d = b / gcd(a, b)
-    (Prace Mat.-Fiz. 43, 1936), at every entry.
+def _holder_mismatch(p: Poset, m: SquareMatrix) -> str:
+    """The first entry, row by row, at which m, built on p =
+    divisor_poset(1..n), breaks Hölder's closed form c(a, b) = mu(d) phi(b)
+    / phi(d), d = b / gcd(a, b) (Prace Mat.-Fiz. 43, 1936), as a message;
+    "" when every entry holds it.
 
     The value depends on b and d alone, so each column reads it from one
     table over the divisors d of b.
@@ -203,7 +222,8 @@ def _check_holder(p: Poset, m: SquareMatrix) -> None:
         row, want = m.row(i), tuple(map(dict.__getitem__, columns, quotients))
         if row != want:
             b = next(b for b, x, y in zip(vals, row, want) if x != y)
-            raise RuntimeError(f"ramanujan sum cross-check failed at ({a}, {b})")
+            return f"ramanujan sum cross-check failed at ({a}, {b})"
+    return ""
 
 
 def ramanujan_matrix(n: int) -> SquareMatrix:
@@ -211,12 +231,14 @@ def ramanujan_matrix(n: int) -> SquareMatrix:
 
     Built through the incidence construction on the divisor order, with
     f(c, a) = c and g(c, b) = mu(b / c), then cross-checked entry by entry
-    against Hölder's independent closed form (_check_holder) before being
-    returned.
+    against Hölder's independent closed form (_holder_mismatch) before
+    being returned; RuntimeError on a mismatch.
     """
     p, f, g = _ramanujan_config(n)
     m = incidence_product_matrix(p, f, g)
-    _check_holder(p, m)
+    mismatch = _holder_mismatch(p, m)
+    if mismatch:
+        raise RuntimeError(mismatch)
     return m
 
 
@@ -231,8 +253,6 @@ def ramanujan_matrix_det(n: int) -> int:
 def _kth_root_config(n: int, k: int, f_weights: Sequence[RingValue]):
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    if len(f_weights) != n:
-        raise ValueError("need one weight per element")
     p = divisor_poset(range(1, n + 1))
     # kth_root gives None where q is no k-th power; the entry is then 0
     roots = [0] + [kth_root(q, k) or 0 for q in range(1, n + 1)]
@@ -264,17 +284,10 @@ def meet_matrix(semilattice: Poset, f: IncidenceFunction) -> SquareMatrix:
 
 
 def meet_matrix_det(semilattice: Poset, f: IncidenceFunction) -> RingValue:
-    """Predicted determinant: product over a of sum over c of mu(c, a) f(c, a)."""
+    """Predicted determinant: product over a of sum over c of mu(c, a) f(c, a),
+    meet_closed_det over every element, each charged to itself."""
     _check_semilattice(semilattice, f)
-    mu = mobius_function(semilattice)._table
-    table, zero = f._table, f.zero
-    acc = one_like(zero)
-    for a in range(semilattice.n):
-        term = zero
-        for c in semilattice._below[a]:
-            term = term + table.get((c, a), zero) * mu[(c, a)]
-        acc = acc * term
-    return acc
+    return _charged_product(semilattice, semilattice.lin_ext, f)
 
 
 # -- GCD matrices on sets of positive integers --
@@ -341,19 +354,7 @@ def meet_closed_det(
     sums mu(c, d) f(c, a_i) over elements charged to a_i.
     """
     _check_semilattice(semilattice, f)
-    s = _ordered_subset(semilattice, subset)
-    mu = mobius_function(semilattice)
-    charged: set[int] = set()
-    acc = one_like(f.zero)
-    for a in s:
-        mine = semilattice.below(a) - charged
-        charged |= mine
-        factor = f.zero
-        for d in mine:
-            for c in semilattice.below(d):
-                factor = factor + f(c, a) * mu(c, d)
-        acc = acc * factor
-    return acc
+    return _charged_product(semilattice, _ordered_subset(semilattice, subset), f)
 
 
 # -- Invertibility and positive definiteness from the diagonal --

@@ -2,7 +2,8 @@
 
 Posets are random DAGs where each forward pair becomes a cover with
 probability 1/2, then transitively closed; incidence values are uniform
-integers in [-5, 5].  Everything is reproducible from the seed alone.
+integers in [-5, 5], and those of symmetric pairs in [-4, 4].  Everything
+is reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     return Poset.from_covers(n, covers)
 
 
+def _random_values(rng: random.Random, p: Poset, bound: int) -> dict:
+    """A uniform integer in [-bound, bound] at each pair a <= b, by a, then b ascending."""
+    return {(a, b): rng.randint(-bound, bound) for a in range(p.n) for b in sorted(p.above(a))}
+
+
 def random_incidence(rng: random.Random, p: Poset) -> IncidenceFunction:
-    values = {}
-    for a in range(p.n):
-        for b in sorted(p.above(a)):
-            values[(a, b)] = rng.randint(-5, 5)
-    return IncidenceFunction(p, values)
+    return IncidenceFunction(p, _random_values(rng, p, 5))
 
 
 def random_weights(rng: random.Random, n: int) -> list[int]:
@@ -132,10 +134,7 @@ def random_symmetric_pair(
     """Pair (f, g) with g equal to f rescaled by a random sign at each
     source element, which keeps the product matrix symmetric while letting
     the diagonal products take either sign."""
-    values = {}
-    for a in range(p.n):
-        for b in sorted(p.above(a)):
-            values[(a, b)] = rng.randint(-4, 4)
+    values = _random_values(rng, p, 4)
     if force_zero_diag:
         dead = rng.randrange(p.n)
         values[(dead, dead)] = 0

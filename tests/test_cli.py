@@ -718,16 +718,25 @@ MUTATIONS = [
     # reaches only the transpose factorization check
     (cli, "incidence_matrix", _identity_on_three_elements, ["random-suite"]),
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "main"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "weighted"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "apostol", "--n", "12"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "daniloff", "--n", "12"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "three-layer"]),
     # reaches only the check of the diagonal predicate against the minors
     (cli, "product_matrix_positive_definite", lambda m, out: not out, ["verify", "definiteness"]),
 ]
 
 
-@pytest.mark.parametrize(
-    "module, attr, bump, argv",
-    MUTATIONS,
-    ids=[f"{m.__name__}.{attr}" for m, attr, _, _ in MUTATIONS],
-)
+def _mutation_ids():
+    """module.attr, with the argv after the first entry for that producer."""
+    ids = []
+    for m, attr, _, argv in MUTATIONS:
+        name = f"{m.__name__}.{attr}"
+        ids.append(f"{name} {' '.join(argv[1:])}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("module, attr, bump, argv", MUTATIONS, ids=_mutation_ids())
 def test_mutation_is_reported_as_a_violation(capsys, monkeypatch, module, attr, bump, argv):
     original = getattr(module, attr)
 

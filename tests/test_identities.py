@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -165,6 +166,16 @@ def product_matrix_oracle(p, f, g):
     return SquareMatrix(rows)
 
 
+def int_value(r):
+    return 0 if r is None else r.randint(-3, 3)
+
+
+def poly_value(r):
+    if r is None:
+        return Poly()
+    return Poly([r.randint(-2, 2) for _ in range(r.randint(0, 3))])
+
+
 def sparse_incidence(rng, p, value):
     """Incidence function with about a third of its related pairs zero."""
     return IncidenceFunction(
@@ -179,14 +190,6 @@ def sparse_incidence(rng, p, value):
 
 def test_product_matrix_matches_the_common_lower_bound_sum():
     rng = random.Random("product-oracle")
-
-    def int_value(r):
-        return 0 if r is None else r.randint(-3, 3)
-
-    def poly_value(r):
-        if r is None:
-            return Poly()
-        return Poly([r.randint(-2, 2) for _ in range(r.randint(0, 3))])
 
     for value in (int_value, poly_value):
         zero_entries = 0
@@ -302,7 +305,7 @@ def test_holder_closed_form_matches_the_divisor_sum():
 
 @pytest.mark.parametrize("i, j", [(3, 7), (0, 0), (11, 11), (11, 0), (5, 9)])
 @pytest.mark.parametrize("via_cli", [False, True], ids=["ramanujan_matrix", "verify-apostol"])
-def test_ramanujan_cross_check_catches_a_bumped_entry(monkeypatch, i, j, via_cli):
+def test_ramanujan_cross_check_catches_a_bumped_entry(capsys, monkeypatch, i, j, via_cli):
     build = identities.incidence_product_matrix
 
     def bumped(p, f, g):
@@ -313,12 +316,16 @@ def test_ramanujan_cross_check_catches_a_bumped_entry(monkeypatch, i, j, via_cli
     monkeypatch.setattr(identities, "incidence_product_matrix", bumped)
     monkeypatch.setattr(cli, "incidence_product_matrix", bumped)
     vals = [a + 1 for a in divisor_poset(range(1, 13)).lin_ext]
-    message = rf"^ramanujan sum cross-check failed at \({vals[i]}, {vals[j]}\)$"
-    with pytest.raises(RuntimeError, match=message):
-        if via_cli:
-            cli.main(["verify", "apostol", "--n", "12"])
-        else:
+    message = f"ramanujan sum cross-check failed at ({vals[i]}, {vals[j]})"
+    if not via_cli:
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             ramanujan_matrix(12)
+        return
+    # the CLI reports the mismatch as a violation, not a traceback
+    assert cli.main(["verify", "apostol", "--n", "12"]) == cli.EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out == f"FAIL apostol det=- predicted=479001600 ({message})\n"
+    assert err == "reproduce: apostol seed=42 case=0\n"
 
 
 def test_divisor_configs_match_their_per_pair_definitions():
@@ -360,6 +367,13 @@ def test_kth_root_values():
                 if p.leq(c, a) and p.leq(c, b):
                     total += ((a + 1) // (c + 1)) * (c + 1) * ((b + 1) // (c + 1))
             assert m[i, j] == total
+
+
+def test_kth_root_matrix_needs_one_weight_per_element():
+    with pytest.raises(ValueError, match="^need one weight per element$"):
+        kth_root_matrix(4, 2, [1, 2, 3])
+    with pytest.raises(ValueError, match="^need one weight per element$"):
+        kth_root_matrix_det(4, 2, [1, 2, 3, 4, 5])
 
 
 def test_kth_root_matrix_determinants():
@@ -618,6 +632,26 @@ def test_meet_closed_agrees_with_meet_matrix_on_lower_closed_subsets():
         found += 1
 
 
+def test_meet_matrix_det_is_meet_closed_det_over_every_element():
+    # Lindström's determinant is the meet-closed one with the whole
+    # semilattice as the subset, each element charged to itself
+    rng = random.Random("lindstrom-is-meet-closed")
+    kinds, nonzero = set(), 0
+    for draw in range(60):
+        value = poly_value if draw % 3 == 0 else int_value
+        for s in (
+            random_meet_semilattice(rng, rng.randint(1, 6)),
+            grown_meet_semilattice(rng, rng.randint(1, 64)),
+        ):
+            f = sparse_incidence(rng, s, value)
+            det = meet_matrix_det(s, f)
+            assert det == meet_closed_det(s, range(s.n), f)
+            kinds.add(type(f.zero))
+            nonzero += det != 0
+    assert kinds == {int, Poly}
+    assert nonzero > 20
+
+
 def _small_incidence(rng, p):
     """random_incidence with values in [-3, 3], drawn in the same order."""
     values = {
@@ -766,14 +800,6 @@ def meet_det_oracle(p, f):
 
 def test_table_reading_builders_match_their_per_entry_definitions():
     rng = random.Random("per-entry-oracle")
-
-    def int_value(r):
-        return 0 if r is None else r.randint(-3, 3)
-
-    def poly_value(r):
-        if r is None:
-            return Poly()
-        return Poly([r.randint(-2, 2) for _ in range(r.randint(0, 3))])
 
     kinds = set()
     for draw in range(300):
