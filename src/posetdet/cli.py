@@ -9,7 +9,6 @@ fails the nonintersecting-family hypothesis).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import random
 import sys
@@ -23,6 +22,7 @@ from .identities import (
     _holder_mismatch,
     _kth_root_config,
     _ramanujan_config,
+    fail_unless,
     gcd_matrix,
     incidence_matrix,
     incidence_product_det,
@@ -77,18 +77,11 @@ def _parse_set(text: str) -> list[int]:
         raise ValueError(f"--set must be comma-separated integers, got {text!r}")
 
 
-def _fail(report: IdentityReport, note: str) -> IdentityReport:
-    # computed is cleared so the failed report still satisfies the
-    # verdict-iff-equality contract
-    return dataclasses.replace(report, verdict=FAIL, computed=None, detail=note)
-
-
-def _check_product(p: Poset, f, g, m, name: str) -> IdentityReport:
-    """Report on m, the product matrix of f and g on p, built by the caller."""
-    report = make_report(name, p.n, det_bareiss(m), incidence_product_det(p, f, g))
-    if report.passed and product_matrix_invertible(p, f, g) != (report.computed != 0):
-        report = _fail(report, "(invertibility predicate disagrees with det)")
-    return report
+def _check_product(p: Poset, f, g, det, name: str) -> IdentityReport:
+    """Report on det, the determinant of the product matrix of f and g on p."""
+    report = make_report(name, p.n, det, incidence_product_det(p, f, g))
+    invertible_ok = product_matrix_invertible(p, f, g) == (det != 0)
+    return fail_unless(report, invertible_ok, "(invertibility predicate disagrees with det)")
 
 
 def _check_meet(p: Poset, f, name: str) -> IdentityReport:
@@ -108,7 +101,8 @@ def run_main(args, rng, cases, file_cases, max_size) -> list[IdentityReport]:
     reports = []
     for _ in range(cases if poset is None else file_cases):
         p, f, g = _random_case(rng, max_size, poset)
-        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "main"))
+        det = det_bareiss(incidence_product_matrix(p, f, g))
+        reports.append(_check_product(p, f, g, det, "main"))
     return reports
 
 
@@ -119,7 +113,8 @@ def run_weighted(args, rng, cases, max_size) -> list[IdentityReport]:
         fw = randgen.random_weights(rng, p.n)
         gw = randgen.random_weights(rng, p.n)
         f, g = scale_by_source(f, fw), scale_by_source(g, gw)
-        reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "weighted"))
+        det = det_bareiss(incidence_product_matrix(p, f, g))
+        reports.append(_check_product(p, f, g, det, "weighted"))
     return reports
 
 
@@ -143,15 +138,11 @@ def run_meet_closed(args, rng, cases) -> list[IdentityReport]:
         lattice, subset = randgen.random_meet_closed_instance(rng)
         f = randgen.random_incidence(rng, lattice)
         det = det_bareiss(meet_closed_matrix(lattice, subset, f))
-        predicted = meet_closed_det(lattice, subset, f)
-        report = make_report("meet-closed", len(subset), det, predicted)
-        if report.passed and lattice.is_lower_closed(subset):
+        report = make_report("meet-closed", len(subset), det, meet_closed_det(lattice, subset, f))
+        if lattice.is_lower_closed(subset):
             sub = lattice.induced(subset)
             alt = meet_matrix_det(sub, f.restrict(sub))
-            if alt != det:
-                report = make_report(
-                    "meet-closed", len(subset), det, alt, "(lower-closed cross-check mismatch)"
-                )
+            report = fail_unless(report, alt == det, "(lower-closed cross-check mismatch)")
         reports.append(report)
     return reports
 
@@ -189,11 +180,9 @@ def run_apostol(args, rng, ns) -> list[IdentityReport]:
     for n in ns:
         p, f, g = _ramanujan_config(n)
         m = incidence_product_matrix(p, f, g)
-        report = _check_product(p, f, g, m, "apostol")
+        report = _check_product(p, f, g, det_bareiss(m), "apostol")
         mismatch = _holder_mismatch(p, m)
-        if mismatch:
-            report = _fail(report, f"({mismatch})")
-        reports.append(report)
+        reports.append(fail_unless(report, not mismatch, f"({mismatch})"))
     return reports
 
 
@@ -202,7 +191,8 @@ def run_daniloff(args, rng, ns, ks) -> list[IdentityReport]:
     for n in ns:
         for k in ks:
             p, f, g = _kth_root_config(n, k, range(1, n + 1))
-            reports.append(_check_product(p, f, g, incidence_product_matrix(p, f, g), "daniloff"))
+            det = det_bareiss(incidence_product_matrix(p, f, g))
+            reports.append(_check_product(p, f, g, det, "daniloff"))
     return reports
 
 
@@ -221,7 +211,7 @@ def run_three_layer(args, rng, cases, max_size) -> list[IdentityReport]:
         p, f, g = _random_case(rng, max_size)
         d = three_layer_digraph(p, f, g)
         paths_matrix = stembridge_matrix(d)
-        report = _check_product(p, f, g, paths_matrix, "three-layer")
+        report = _check_product(p, f, g, det_bareiss(paths_matrix), "three-layer")
         # The arcs depend on p alone, so with every weight 1 the sweep
         # counts the families of d: exactly one, on the identity.
         zeta = zeta_function(p)
@@ -231,8 +221,7 @@ def run_three_layer(args, rng, cases, max_size) -> list[IdentityReport]:
             and nonintersecting_weights(d) == {identity: report.predicted}
             and paths_matrix == incidence_product_matrix(p, f, g)
         )
-        if report.passed and not structure_ok:
-            report = _fail(report, "(unique-family structure check failed)")
+        report = fail_unless(report, structure_ok, "(unique-family structure check failed)")
         reports.append(report)
     return reports
 
@@ -248,11 +237,9 @@ def run_definiteness(args, rng, cases, max_size) -> list[IdentityReport]:
         f, g = randgen.random_symmetric_pair(rng, p)
         m = incidence_product_matrix(p, f, g)
         det, minors = det_and_leading_minors(m)
-        predicate = product_matrix_positive_definite(m, p, f, g)
-        predicted = incidence_product_det(p, f, g)
-        report = make_report("definiteness", p.n, det, predicted)
-        if report.passed and predicate != all(x > 0 for x in minors):
-            report = _fail(report, "(diagonal predicate disagrees with minors)")
+        report = _check_product(p, f, g, det, "definiteness")
+        definite_ok = product_matrix_positive_definite(m, p, f, g) == all(x > 0 for x in minors)
+        report = fail_unless(report, definite_ok, "(diagonal predicate disagrees with minors)")
         reports.append(report)
     for _ in range(cases // 2):
         p = randgen.random_poset(rng, rng.randint(1, max_size))
@@ -335,17 +322,14 @@ def run_suite(args, rng) -> list[tuple[IdentityReport, IdentityReport]]:
     for _ in range(args.cases):
         p, f, g = _random_case(rng, args.max_size)
         m = incidence_product_matrix(p, f, g)
-        product_report = _check_product(p, f, g, m, "suite-main")
-        factorization_ok = (
-            incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
-        ) == m
-        if product_report.passed and not factorization_ok:
-            product_report = _fail(product_report, "(transpose factorization mismatch)")
+        report = _check_product(p, f, g, det_bareiss(m), "suite-main")
+        factorization = incidence_matrix(p, f).transpose() @ incidence_matrix(p, g)
+        report = fail_unless(report, factorization == m, "(transpose factorization mismatch)")
         semilattice = randgen.random_meet_semilattice(
             rng, rng.randint(1, min(args.max_size, randgen.REJECTION_MAX_SIZE))
         )
         h = randgen.random_incidence(rng, semilattice)
-        cases.append((product_report, _check_meet(semilattice, h, "suite-lindstrom")))
+        cases.append((report, _check_meet(semilattice, h, "suite-lindstrom")))
     return cases
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -63,6 +63,16 @@ def make_report(
         size=size,
         detail=detail,
     )
+
+
+def fail_unless(report: IdentityReport, holds: bool, note: str) -> IdentityReport:
+    """report when a side check holds, else a FAIL carrying note; computed
+    is cleared only where it equals predicted, so a FAIL never shows equal
+    sides and a det that disagreed stays printed."""
+    if holds:
+        return report
+    computed = None if report.computed == report.predicted else report.computed
+    return replace(report, verdict=FAIL, computed=computed, detail=note)
 
 
 def _check_host(p: Poset, *fns: IncidenceFunction) -> None:

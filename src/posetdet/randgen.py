@@ -108,24 +108,18 @@ def random_factor_closed_set(rng: random.Random) -> list[int]:
 
 def random_meet_closed_instance(rng: random.Random) -> tuple[Poset, list[int]]:
     """Divisor lattice of a random integer plus a random gcd-closed subset
-    of it, closed under pairwise meets by rounds over the sorted members
-    until a round adds nothing; the closure draws nothing from rng."""
+    of it: the meet closure of a random sample, built in one pass that
+    adds each sampled a with its meets against the members so far (meets
+    are associative and idempotent, so the set stays meet closed after
+    each step); the closure draws nothing from rng."""
     m = rng.randint(2, 60)
     vals = divisors(m)
     lattice = divisor_poset(vals)
     k = rng.randint(1, len(vals))
-    chosen = set(rng.sample(range(len(vals)), k))
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(chosen)
-        for a in members:
-            for b in members:
-                c = lattice.meet(a, b)
-                if c not in chosen:
-                    chosen.add(c)
-                    changed = True
-    return lattice, sorted(chosen)
+    closed: set[int] = set()
+    for a in rng.sample(range(len(vals)), k):
+        closed |= {lattice.meet(a, c) for c in closed} | {a}
+    return lattice, sorted(closed)
 
 
 def random_symmetric_pair(

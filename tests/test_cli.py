@@ -722,6 +722,7 @@ MUTATIONS = [
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "apostol", "--n", "12"]),
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "daniloff", "--n", "12"]),
     (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "three-layer"]),
+    (cli, "product_matrix_invertible", lambda p, out: not out, ["verify", "definiteness"]),
     # reaches only the check of the diagonal predicate against the minors
     (cli, "product_matrix_positive_definite", lambda m, out: not out, ["verify", "definiteness"]),
 ]
@@ -749,6 +750,21 @@ def test_mutation_is_reported_as_a_violation(capsys, monkeypatch, module, attr, 
     assert code == EXIT_VIOLATION
     assert any(line.startswith("FAIL ") for line in out.splitlines())
     assert "reproduce: " in err
+    # no FAIL shows equal sides; read from the tab-separated fields, as
+    # the text of a polynomial holds spaces
+    code, out, err = run(capsys, *argv, "--machine")
+    fails = [line.split("\t") for line in out.splitlines() if line.endswith("\tfail")]
+    assert fails and all(det != predicted for _, _, det, predicted, _ in fails)
+
+
+def test_lower_closed_cross_check_mismatch_prints_the_prediction(capsys, monkeypatch):
+    # the det agrees with meet_closed_det, so only the cross-check fails
+    original = cli.meet_matrix_det
+    monkeypatch.setattr(cli, "meet_matrix_det", lambda p, f: original(p, f) + 1)
+    code, out, err = run(capsys, "verify", "meet-closed")
+    assert code == EXIT_VIOLATION
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert fails[0] == "FAIL meet-closed det=- predicted=1 (lower-closed cross-check mismatch)"
 
 
 def _meet_det_plus_one_on_odd_sizes(p, det):

@@ -7,6 +7,8 @@ import pytest
 from posetdet import cli, identities
 from posetdet.arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from posetdet.identities import (
+    FAIL,
+    fail_unless,
     gcd_matrix,
     incidence_matrix,
     incidence_product_det,
@@ -14,6 +16,7 @@ from posetdet.identities import (
     is_factor_closed,
     kth_root_matrix,
     kth_root_matrix_det,
+    make_report,
     meet_closed_det,
     meet_closed_matrix,
     meet_matrix,
@@ -321,11 +324,38 @@ def test_ramanujan_cross_check_catches_a_bumped_entry(capsys, monkeypatch, i, j,
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             ramanujan_matrix(12)
         return
-    # the CLI reports the mismatch as a violation, not a traceback
+    # the CLI reports the mismatch as a violation, not a traceback, and
+    # prints the det wherever the bump made it disagree with 12!
+    det = det_bareiss(bumped(*identities._ramanujan_config(12)))
+    shown = "-" if det == 479001600 else det
     assert cli.main(["verify", "apostol", "--n", "12"]) == cli.EXIT_VIOLATION
     out, err = capsys.readouterr()
-    assert out == f"FAIL apostol det=- predicted=479001600 ({message})\n"
+    assert out == f"FAIL apostol det={shown} predicted=479001600 ({message})\n"
     assert err == "reproduce: apostol seed=42 case=0\n"
+
+
+def test_fail_unless_returns_the_report_when_the_check_holds():
+    report = make_report("x", 2, 6, 6)
+    assert fail_unless(report, True, "(never shown)") is report
+
+
+def test_fail_unless_clears_the_det_of_a_passed_report():
+    failed = fail_unless(make_report("x", 2, 6, 6), False, "(side check)")
+    assert (failed.verdict, failed.computed, failed.predicted) == (FAIL, None, 6)
+    assert failed.line() == "FAIL x det=- predicted=6 (side check)"
+
+
+def test_fail_unless_keeps_the_det_of_a_failed_report():
+    failed = fail_unless(make_report("x", 2, 5, 6), False, "(side check)")
+    assert (failed.verdict, failed.computed, failed.predicted) == (FAIL, 5, 6)
+    assert failed.line() == "FAIL x det=5 predicted=6 (side check)"
+
+
+def test_fail_unless_keeps_the_det_cleared_after_a_second_failing_check():
+    once = fail_unless(make_report("x", 2, 6, 6), False, "(first)")
+    twice = fail_unless(once, False, "(second)")
+    assert (twice.verdict, twice.computed, twice.predicted) == (FAIL, None, 6)
+    assert twice.detail == "(second)"
 
 
 def test_divisor_configs_match_their_per_pair_definitions():

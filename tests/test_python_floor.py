@@ -1,7 +1,7 @@
 """The oldest Python that pyproject.toml accepts reproduces the pinned output.
 
 pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
-on PATH reports version 3.10, twelve pinned invocations run under it in a
+on PATH reports version 3.10, fourteen pinned invocations run under it in a
 subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of each
 stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
 test is skipped; put a 3.10 interpreter first on PATH to run it.
@@ -31,6 +31,8 @@ PINNED = (
     "verify three-layer --max-size 64",
     "verify lindstrom --max-size 64 --cases 200",
     "verify meet-closed",
+    "verify definiteness",
+    "verify definiteness --max-size 64 --cases 40",
     "random-suite",
     "random-suite --max-size 64",
 )
