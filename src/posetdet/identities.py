@@ -66,13 +66,15 @@ def make_report(
 
 
 def fail_unless(report: IdentityReport, holds: bool, note: str) -> IdentityReport:
-    """report when a side check holds, else a FAIL carrying note; computed
-    is cleared only where it equals predicted, so a FAIL never shows equal
-    sides and a det that disagreed stays printed."""
+    """report when a side check holds, else a FAIL carrying note after
+    report's own notes, so every failing check stays named in check order;
+    computed is cleared only where it equals predicted, so a FAIL never
+    shows equal sides and a det that disagreed stays printed."""
     if holds:
         return report
     computed = None if report.computed == report.predicted else report.computed
-    return replace(report, verdict=FAIL, computed=computed, detail=note)
+    detail = f"{report.detail} {note}" if report.detail else note
+    return replace(report, verdict=FAIL, computed=computed, detail=detail)
 
 
 def _check_host(p: Poset, *fns: IncidenceFunction) -> None:

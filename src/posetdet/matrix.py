@@ -4,9 +4,10 @@ det_bareiss is the workhorse: Bareiss's two-step elimination, with one
 exact division per entry per two columns and, on a symmetric input, only
 the upper triangle updated.  A row that a step would only rescale, as it
 has zeros in both eliminated columns, is left alone until it is next
-read, so the sparse incidence products Fᵀ G skip most of their rows.
-det_cofactor is a deliberately independent slow oracle used to
-cross-check it.
+read, so the sparse incidence products Fᵀ G skip most of their rows;
+on the paper's matrices such a row then catches up by one exact
+multiplication per entry.  det_cofactor is a deliberately independent
+slow oracle used to cross-check it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import operator
 from itertools import chain
 from typing import Sequence
 
-from .ring import Poly, RingValue, exact_int_div, one_like, zero_like
+from .ring import InexactDivisionError, Poly, RingValue, exact_int_div, one_like, zero_like
 
 COFACTOR_MAX = 8  # Laplace expansion is factorial; keep the oracle small.
 
@@ -82,9 +83,20 @@ class SquareMatrix:
 def _rescale(
     row: list[RingValue], start: int, num: RingValue, den: RingValue, exact_div
 ) -> None:
-    """row[j] = num * row[j] / den for every j >= start, in place.  Each
-    division is the builtin divmod, as in det_bareiss's entry loop, and a
-    nonzero remainder goes on to exact_div, which raises."""
+    """row[j] = num * row[j] / den for every j >= start, in place.  When
+    den divides num, one builtin divmod gives the quotient and each entry
+    is multiplied by it.  Otherwise each nonzero entry is divided by the
+    builtin divmod, as in det_bareiss's entry loop, and a nonzero
+    remainder goes on to exact_div, which raises.  A Poly den whose
+    leading coefficient does not divide num's raises from divmod, which
+    here only means that the quotient is not in Z[q]."""
+    try:
+        step, r = divmod(num, den)
+    except InexactDivisionError:
+        r = True
+    if not r:
+        row[start:] = [x * step for x in row[start:]]
+        return
     for j in range(start, len(row)):
         if row[j]:
             row[j], r = divmod(num * row[j], den)
@@ -129,13 +141,18 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     were last current at; the rescales of the steps that skip it
     telescope to prev / stale[i].  A deferred entry is 0 exactly when its
     current value is, so the zero tests, and the row pair search, read
-    deferred rows as they are.  A deferred row is brought current, one
-    divmod(prev * x, stale[i]) per nonzero live entry x, when it is next
-    read: as a pivot row, before a full update, before the mirror copy,
-    or as the last diagonal entry.  Old and current entries are both
-    bordered minors, so that division is exact too.  The paper's sparse
-    products Fᵀ G skip most of their row-steps; on a dense input stale
-    stays empty.
+    deferred rows as they are.  A deferred row is brought current when
+    it is next read: as a pivot row, before a full update, before the
+    mirror copy, or as the last diagonal entry.  When stale[i] divides
+    prev, each live entry is multiplied by the quotient; otherwise each
+    nonzero one takes divmod(prev * x, stale[i]), exact too, as old and
+    current entries are both bordered minors.  Without row swaps both
+    pivots are leading principal minors, and on the paper's matrices in
+    linear-extension order (Fᵀ G, GCD matrices of factor-closed sets in
+    ascending order, meet matrices) each is the product of the diagonal
+    factors of its order ideal, so while none is 0 they divide.  The
+    paper's sparse products Fᵀ G skip most of their row-steps; on a
+    dense input stale stays empty.
 
     A list minors gets the leading principal minors up to the first 0,
     before which rows never swap: a_kk and the pivot at step k are those

@@ -767,6 +767,21 @@ def test_lower_closed_cross_check_mismatch_prints_the_prediction(capsys, monkeyp
     assert fails[0] == "FAIL meet-closed det=- predicted=1 (lower-closed cross-check mismatch)"
 
 
+def test_a_report_failing_two_side_checks_names_both(capsys, monkeypatch):
+    # case 1 of the suite has a 3-element poset: both its invertibility
+    # check and its transpose factorization check fail, in that order
+    invertible, incidence = cli.product_matrix_invertible, cli.incidence_matrix
+    monkeypatch.setattr(cli, "product_matrix_invertible", lambda *args: not invertible(*args))
+    monkeypatch.setattr(
+        cli, "incidence_matrix", lambda p, f: _identity_on_three_elements(p, incidence(p, f))
+    )
+    code, out, err = run(capsys, "random-suite", "--cases", "30")
+    assert code == EXIT_VIOLATION
+    assert out.splitlines()[2] == (
+        "FAIL suite-main det=- predicted=1600 (invertibility predicate disagrees with det)"
+        " (transpose factorization mismatch)"
+    )
+
 def _meet_det_plus_one_on_odd_sizes(p, det):
     return det + 1 if p.n % 2 else det
 

@@ -355,7 +355,8 @@ def test_fail_unless_keeps_the_det_cleared_after_a_second_failing_check():
     once = fail_unless(make_report("x", 2, 6, 6), False, "(first)")
     twice = fail_unless(once, False, "(second)")
     assert (twice.verdict, twice.computed, twice.predicted) == (FAIL, None, 6)
-    assert twice.detail == "(second)"
+    assert twice.detail == "(first) (second)"
+    assert twice.line() == "FAIL x det=- predicted=6 (first) (second)"
 
 
 def test_divisor_configs_match_their_per_pair_definitions():

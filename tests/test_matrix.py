@@ -4,14 +4,22 @@ import sys
 
 import pytest
 
-from posetdet import matrix
-from posetdet.identities import gcd_matrix, totient_product
+from posetdet import matrix, randgen
+from posetdet.arith import divisors
+from posetdet.identities import (
+    gcd_matrix,
+    incidence_product_matrix,
+    meet_matrix,
+    totient_product,
+)
 from posetdet.matrix import (
     SquareMatrix,
+    det_and_leading_minors,
     det_bareiss,
     det_cofactor,
     leading_principal_minors,
 )
+from posetdet.poset import IncidenceFunction
 from posetdet.ring import InexactDivisionError, Poly
 
 
@@ -484,20 +492,23 @@ def test_two_step_elimination_division_counts(divisions):
     # at a = 3 (rows 6, 8, 9), then catch-ups of the nonzero live entries
     # and one full update: at a = 5 row 5 (columns 5, 10), row 10 (column
     # 10) and row 10's update (1); at a = 7 rows 7 and 8 (1 each); at a = 9
-    # rows 9 and 10 (1 each): 36 + 10 + 4 + 2 + 2 = 54.  Scaled (the whole
-    # block, catch-ups from column a): 64 at a = 1, 3 * 6 at a = 3, at a = 5
-    # rows 5 and 10 (columns 5 and 10 each) and row 10's update (4), at a = 7
-    # and a = 9 one entry per pivot row: 64 + 18 + 8 + 2 + 2 = 94
+    # rows 9 and 10 (1 each).  Every catch-up is exact (its pivot divides
+    # prev), so it takes one divmod of the pivots however many live entries
+    # it has, and row 5 at a = 5 takes 1, not 2: 36 + 10 + 3 + 2 + 2 = 53.
+    # Scaled (the whole block, catch-ups from column a): 64 at a = 1, 3 * 6
+    # at a = 3, at a = 5 rows 5 and 10 (one divmod each for columns 5 and
+    # 10) and row 10's update (4), at a = 7 and a = 9 one per pivot row:
+    # 64 + 18 + 6 + 2 + 2 = 92
     g = gcd_matrix(range(1, n + 1))
     zeta = SquareMatrix([[int(b % a == 0) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert deferred_row_steps(zeta) == 8 and row_steps(n) == 20
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(g) == totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 5 + 2 * (20 - 8), "divmod": 54}
+    assert divisions == {"exact_div": 5 + 2 * (20 - 8), "divmod": 53}
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 29, "divmod": 94}
+    assert divisions == {"exact_div": 29, "divmod": 92}
 
 
 def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
@@ -544,18 +555,24 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
     assert singular > 200
 
 
-def test_deferred_rows_are_caught_up_where_they_are_read(monkeypatch):
-    # the spy records each catch-up as (first column, prev, the pivot the
-    # row was last current at); a skipped catch-up leaves a row off by
-    # that factor, 2 at the first catch-up of each case
-    caught = []
+@pytest.fixture
+def catch_ups(monkeypatch):
+    """Every catch-up det_bareiss makes, as (first column, prev, the pivot
+    the row was last current at)."""
+    seen = []
     rescale = matrix._rescale
 
     def spy(row, start, num, den, exact_div):
-        caught.append((start, num, den))
+        seen.append((start, num, den))
         rescale(row, start, num, den, exact_div)
 
     monkeypatch.setattr(matrix, "_rescale", spy)
+    return seen
+
+
+def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
+    # a skipped catch-up leaves a row off by its factor prev / stale, 2 at
+    # the first catch-up of each case
     f = SquareMatrix(
         [[1, 0, 1, 0, 1], [0, 2, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
     )
@@ -587,10 +604,71 @@ def test_deferred_rows_are_caught_up_where_they_are_read(monkeypatch):
         ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(4, 4, 2)]),
     ]
     for rows, det, expected in cases:
-        caught.clear()
+        catch_ups.clear()
         assert det_bareiss(SquareMatrix(rows)) == det
-        assert caught == expected
+        assert catch_ups == expected
         check_both_tags(rows, det)
+
+
+def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
+    # On an order ideal in linear-extension order every leading minor of
+    # these matrices is a product of diagonal factors, so while none is 0
+    # each catch-up ratio prev / stale, a ratio of two leading minors, is
+    # an integer and _rescale multiplies by it
+    rng = random.Random("exact catch-up")
+
+    def small_diagonal(p):
+        values = dict(randgen.random_incidence(rng, p).items())
+        values.update({(a, a): rng.choice((-3, -2, -1, 1, 2, 3)) for a in range(p.n)})
+        return IncidenceFunction(p, values)
+
+    for _ in range(200):
+        p = randgen.random_poset(rng, rng.randint(1, 64))
+        det_bareiss(incidence_product_matrix(p, small_diagonal(p), small_diagonal(p)))
+    assert len(catch_ups) > 2000
+    assert all(num % den == 0 for _, num, den in catch_ups)
+    catch_ups.clear()
+    for m in (360, 5040, 55440, 720720):
+        det_bareiss(gcd_matrix(divisors(m)))
+    assert len(catch_ups) == 3647
+    assert all(num % den == 0 for _, num, den in catch_ups)
+    # Meet matrices, kept only while every Lindström factor is nonzero; a
+    # zero factor zeroes a leading minor, after which pivots need not divide
+    kept, inexact_elsewhere = [], 0
+    for _ in range(500):
+        p = randgen.grown_meet_semilattice(rng, rng.randint(1, 40))
+        catch_ups.clear()
+        _, minors = det_and_leading_minors(meet_matrix(p, randgen.random_incidence(rng, p)))
+        if len(minors) == p.n and all(minors):
+            kept += catch_ups
+        else:
+            inexact_elsewhere += sum(1 for _, num, den in catch_ups if num % den)
+    assert len(kept) > 1000
+    assert all(num % den == 0 for _, num, den in kept)
+    assert inexact_elsewhere > 0
+
+
+# The direct sum of [[2, 1], [1, 2]] on rows 0 and 3, [[1, 1], [1, 2]] on
+# rows 1 and 4 and [1] on row 2, with leading principal minors 2, 2, 2, 3
+# and 3.  Row 4 is 0 on columns 2 and 3 after the first step, so it is
+# deferred at pivot 2 and caught up, as the last diagonal entry, at pivot
+# 3: a catch-up ratio of 3 / 2, and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
+INEXACT_CATCH_UP = [
+    [2, 0, 0, 1, 0],
+    [0, 1, 0, 0, 1],
+    [0, 0, 1, 0, 0],
+    [1, 0, 0, 2, 0],
+    [0, 1, 0, 0, 2],
+]
+
+
+def test_an_inexact_catch_up_falls_back_to_entry_division(catch_ups):
+    # the catch-up of row 4 divides each live entry, in int and in Z[q],
+    # where Poly's divmod refuses the ratio on its leading coefficient
+    check_both_tags(INEXACT_CATCH_UP, 3)
+    square = Poly((1, 1)) ** 2
+    assert (4, 3, 2) in catch_ups
+    assert (4, square * square * 3, square * 2) in catch_ups
 
 
 def _gcd_plus_q(n):
@@ -610,8 +688,12 @@ def _gcd_plus_q(n):
     [
         (gcd_matrix(range(1, 11)), "integer division is not exact", "det_bareiss"),
         (_gcd_plus_q(6), "polynomial division leaves a remainder", "det_bareiss"),
-        (gcd_matrix(range(1, 9)), "integer division is not exact", "_rescale"),
-        (as_poly(gcd_matrix(range(1, 9))), "polynomial division leaves a remainder", "_rescale"),
+        (SquareMatrix(INEXACT_CATCH_UP), "integer division is not exact", "_rescale"),
+        (
+            as_poly(SquareMatrix(INEXACT_CATCH_UP)),
+            "polynomial division leaves a remainder",
+            "_rescale",
+        ),
     ],
     ids=["int", "poly", "int-deferred", "poly-deferred"],
 )
@@ -619,23 +701,27 @@ def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, messa
     # one entry numerator off by one, at the first division by a non-unit
     # that site makes: det_bareiss must raise on the remainder, not drop
     # it.  In _rescale that is the catch-up of a deferred row, with one
-    # entry bumped while the row waited.  The gcd matrix on 1..8 defers
-    # row 8 at pivot 4 and updates no row in full after that pivot, so the
-    # entry loop is tested on 1..10, where row 10 is
+    # entry bumped while the row waited; its first division is the ratio
+    # of its two pivots, which is skipped.  A catch-up whose pivots divide
+    # has no entry division, so the catch-up tested is INEXACT_CATCH_UP's.
+    # The gcd matrix on 1..10 updates row 10 in full after a pivot of 4,
+    # so the entry loop is tested there
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
-    injected = []
+    skip = int(site == "_rescale")
+    seen = []
 
     def off_by_one(a, b):
-        if not injected and b not in units and sys._getframe(1).f_code.co_name == site:
-            injected.append((a, b))
-            return divmod(a + one, b)
+        if b not in units and sys._getframe(1).f_code.co_name == site:
+            seen.append((a, b))
+            if len(seen) == skip + 1:
+                return divmod(a + one, b)
         return divmod(a, b)
 
     expected = det_bareiss(m)
     monkeypatch.setattr(matrix, "divmod", off_by_one, raising=False)
     with pytest.raises(InexactDivisionError, match=f"^{message}$"):
         det_bareiss(m)
-    assert injected
+    assert len(seen) == skip + 1
     monkeypatch.undo()
     assert det_bareiss(m) == expected

@@ -27,6 +27,7 @@ PINNED = (
     "verify apostol --n 64",
     "verify daniloff --n 64",
     "verify smith --set " + ",".join(map(str, divisors(55440))),
+    "verify smith --set " + ",".join(map(str, divisors(720720))),
     "verify weighted --max-size 64",
     "verify three-layer --max-size 64",
     "verify lindstrom --max-size 64 --cases 200",
