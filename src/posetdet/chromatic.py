@@ -9,7 +9,7 @@ from typing import Sequence
 from .arith import binomial
 from .identities import IdentityReport, make_report
 from .matrix import SquareMatrix, det_bareiss
-from .ring import InexactDivisionError, Poly, exact_int_div
+from .ring import InexactDivisionError, Poly, exact_div
 
 # Bell numbers explode; B_9 = 21147 is the most we ever materialize.
 MAX_GROUND = 9
@@ -293,19 +293,13 @@ def chromatic_join_det(n: int) -> Poly:
     _check_join_size(n)
     ncs: list[SetPartition] = []
     crossing: list[SetPartition] = []
-    nc_with = [0] * (n + 1)
-    crossing_with = [0] * (n + 1)
     for p in sorted(all_partitions(n), key=lambda p: -p.num_blocks):
-        if is_noncrossing(p):
-            ncs.append(p)
-            nc_with[p.num_blocks] += 1
-        else:
-            crossing.append(p)
-            crossing_with[p.num_blocks] += 1
+        (ncs if is_noncrossing(p) else crossing).append(p)
     # q - j divides (q)_blocks(a) when a has more than j blocks, and
     # L / (q)_blocks(sigma) when sigma has at most j
     net = {
-        Poly((-j, 1)): sum(nc_with[j + 1 :]) - sum(crossing_with[: j + 1])
+        Poly((-j, 1)): sum(a.num_blocks > j for a in ncs)
+        - sum(s.num_blocks <= j for s in crossing)
         for j in range(n)
     }
     for _, det in _schur_block_dets(n, ncs, crossing):
@@ -345,7 +339,7 @@ def beraha(n: int) -> Poly:
 def _formula_exponents(n: int) -> list[int]:
     """Exponents of the Beraha factors; each is (m+1)/n * binomial(2n, n-m-1)
     for m = 1..n-1, nonnegative, and must divide out exactly."""
-    return [exact_int_div((m + 1) * binomial(2 * n, n - m - 1), n) for m in range(1, n)]
+    return [exact_div((m + 1) * binomial(2 * n, n - m - 1), n) for m in range(1, n)]
 
 
 def verify_chromatic_join_det(n: int) -> IdentityReport:

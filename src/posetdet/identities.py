@@ -14,7 +14,7 @@ from typing import Sequence
 from .arith import divisors, euler_phi, factorize, kth_root, mobius
 from .matrix import SquareMatrix
 from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function
-from .ring import RingValue, TagMismatchError, exact_int_div, one_like, ring_text
+from .ring import RingValue, TagMismatchError, exact_div, one_like, ring_text
 
 PASS = "pass"
 FAIL = "fail"
@@ -227,7 +227,7 @@ def _holder_mismatch(p: Poset, m: SquareMatrix) -> str:
     mu = [0] + [mobius(k) for k in range(1, p.n + 1)]
     phi = [0] + [euler_phi(k) for k in range(1, p.n + 1)]
     columns = [
-        {d: mu[d] * exact_int_div(phi[b], phi[d]) for d in divisors(b)} for b in vals
+        {d: mu[d] * exact_div(phi[b], phi[d]) for d in divisors(b)} for b in vals
     ]
     for i, a in enumerate(vals):
         quotients = map(operator.floordiv, vals, map(math.gcd, repeat(a), vals))

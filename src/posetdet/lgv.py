@@ -300,11 +300,8 @@ def three_layer_digraph(
     n = p.n
     arcs: list[tuple[int, int, RingValue]] = []
     for a in range(n):
-        for c in sorted(p.below(a)):
-            arcs.append((a, 2 * n + c, f(c, a)))
-    for b in range(n):
-        for c in sorted(p.below(b)):
-            arcs.append((2 * n + c, n + b, g(c, b)))
+        for c in p.below(a):
+            arcs += (a, 2 * n + c, f(c, a)), (2 * n + c, n + a, g(c, a))
     return WeightedDigraph(
         3 * n,
         arcs,

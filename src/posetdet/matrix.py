@@ -16,7 +16,7 @@ import operator
 from itertools import chain
 from typing import Sequence
 
-from .ring import InexactDivisionError, Poly, RingValue, exact_int_div, one_like, zero_like
+from .ring import InexactDivisionError, Poly, RingValue, exact_div, one_like, zero_like
 
 COFACTOR_MAX = 8  # Laplace expansion is factorial; keep the oracle small.
 
@@ -80,9 +80,7 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
-def _rescale(
-    row: list[RingValue], start: int, num: RingValue, den: RingValue, exact_div
-) -> None:
+def _rescale(row: list[RingValue], start: int, num: RingValue, den: RingValue) -> None:
     """row[j] = num * row[j] / den for every j >= start, in place.  When
     den divides num, one builtin divmod gives the quotient and each entry
     is multiplied by it.  Otherwise each nonzero entry is divided by the
@@ -140,19 +138,19 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     prev, so it is left alone, and stale[i] records the pivot its entries
     were last current at; the rescales of the steps that skip it
     telescope to prev / stale[i].  A deferred entry is 0 exactly when its
-    current value is, so the zero tests, and the row pair search, read
-    deferred rows as they are.  A deferred row is brought current when
-    it is next read: as a pivot row, before a full update, before the
-    mirror copy, or as the last diagonal entry.  When stale[i] divides
-    prev, each live entry is multiplied by the quotient; otherwise each
-    nonzero one takes divmod(prev * x, stale[i]), exact too, as old and
-    current entries are both bordered minors.  Without row swaps both
-    pivots are leading principal minors, and on the paper's matrices in
-    linear-extension order (Fᵀ G, GCD matrices of factor-closed sets in
-    ascending order, meet matrices) each is the product of the diagonal
-    factors of its order ideal, so while none is 0 they divide.  The
-    paper's sparse products Fᵀ G skip most of their row-steps; on a
-    dense input stale stays empty.
+    current value is, so the zero tests read deferred rows as they are.
+    A deferred row is brought current when it is next read: as a pivot
+    row, before a full update, at a zero pivot (every deferred row, before
+    the mirror copy and the row pair search), or as the last diagonal
+    entry.  When stale[i] divides prev, each live entry is multiplied by
+    the quotient; otherwise each nonzero one takes divmod(prev * x,
+    stale[i]), exact too, as old and current entries are both bordered
+    minors.  Without row swaps both pivots are leading principal minors,
+    and on the paper's matrices in linear-extension order (Fᵀ G, GCD
+    matrices of factor-closed sets in ascending order, meet matrices)
+    each is the product of the diagonal factors of its order ideal, so
+    while none is 0 they divide.  The paper's sparse products Fᵀ G skip
+    most of their row-steps; on a dense input stale stays empty.
 
     A list minors gets the leading principal minors up to the first 0,
     before which rows never swap: a_kk and the pivot at step k are those
@@ -161,7 +159,6 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     n = m.n
     zero = zero_like(m[0, 0])
     prev = one_like(m[0, 0])
-    exact_div = exact_int_div if type(zero) is int else Poly.exact_div
     a = [list(m.row(i)) for i in range(n)]
     symmetric = m.is_symmetric()
     negate = False
@@ -171,7 +168,7 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
         if stale:
             for i in (k, l):
                 if i in stale:
-                    _rescale(a[i], i if symmetric else k, prev, stale.pop(i), exact_div)
+                    _rescale(a[i], i if symmetric else k, prev, stale.pop(i))
         row_k, row_l = a[k], a[l]
         a_kl = row_k[l]
         a_lk = a_kl if symmetric else row_l[k]
@@ -181,9 +178,9 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             minors += (row_k[k], pivot) if row_k[k] else (row_k[k],)
             minors = minors if minors[-1] else None
         if not minor:
+            for i in list(stale):
+                _rescale(a[i], i if symmetric else k, prev, stale.pop(i))
             if symmetric:
-                for i in list(stale):
-                    _rescale(a[i], i, prev, stale.pop(i), exact_div)
                 for i in range(k + 1, n):
                     for j in range(k, i):
                         a[i][j] = a[j][i]
@@ -191,8 +188,7 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             # Deterministic pivot: the first row pair r < s with a nonzero
             # minor.  Rows above the first row r nonzero on columns k and l
             # are zero there, so r is that row and s the first row after
-            # it that is not a multiple of it.  A deferred row differs from
-            # its current value by a nonzero factor, so it may be tested.
+            # it that is not a multiple of it.
             r = k
             while r < n and not (a[r][k] or a[r][l]):
                 r += 1
@@ -203,8 +199,6 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                 return zero
             for dst, src in zip((k, l), (r, s)):
                 if src != dst:
-                    if src in stale:
-                        _rescale(a[src], k, prev, stale.pop(src), exact_div)
                     a[dst], a[src] = a[src], a[dst]
                     negate = not negate
             row_k, row_l = a[k], a[l]
@@ -225,7 +219,7 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                     stale[i] = prev
                 continue
             if stale and i in stale:
-                _rescale(row_i, i if symmetric else k, prev, stale.pop(i), exact_div)
+                _rescale(row_i, i if symmetric else k, prev, stale.pop(i))
                 if not symmetric:
                     a_ik, a_il = row_i[k], row_i[l]
             c1 = exact_div(a_kl * a_ik - a_kk * a_il, prev)
@@ -240,7 +234,7 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                     exact_div(r, prev)
         prev = pivot
     if n % 2 and n - 1 in stale:
-        _rescale(a[n - 1], n - 1, prev, stale.pop(n - 1), exact_div)
+        _rescale(a[n - 1], n - 1, prev, stale.pop(n - 1))
     d = a[n - 1][n - 1] if n % 2 else prev
     if n % 2 and minors is not None:
         minors.append(d)

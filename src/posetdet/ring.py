@@ -21,12 +21,13 @@ class InexactDivisionError(ArithmeticError):
     """
 
 
-def exact_int_div(a: int, b: int) -> int:
-    """a // b when b divides a; InexactDivisionError otherwise.  The
+def exact_div(a: RingValue, b: RingValue) -> RingValue:
+    """a / b when b divides a, for two ints or two Polys (divmod is
+    Poly.__divmod__ on the latter); InexactDivisionError otherwise.  The
     message names no operand: str of an int past 4300 digits raises."""
     q, r = divmod(a, b)
     if r:
-        raise InexactDivisionError("integer division is not exact")
+        raise InexactDivisionError("division is not exact")
     return q
 
 
@@ -91,7 +92,7 @@ class Poly:
         integer polynomial at integer nodes is an integer, so each division
         must be exact.  Each divides with the builtin divmod, as in
         det_bareiss's entry loop; a nonzero remainder goes on to
-        exact_int_div, which raises InexactDivisionError: the data do not
+        exact_div, which raises InexactDivisionError: the data do not
         come from a polynomial in Z[q] of that degree.
         """
         xs, diffs = list(xs), list(ys)
@@ -106,7 +107,7 @@ class Poly:
                 step = xs[i] - xs[i - j]
                 diffs[i], r = divmod(diffs[i] - diffs[i - 1], step)
                 if r:
-                    exact_int_div(r, step)
+                    exact_div(r, step)
         # Horner on the Newton form d0 + (q - x0)(d1 + (q - x1)(d2 + ...)).
         out: list[int] = []
         for x, d in zip(reversed(xs), reversed(diffs)):
@@ -180,8 +181,8 @@ class Poly:
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         """Quotient and remainder of long division in Z[q]; the remainder
         has degree below other's.  Each quotient coefficient divides by
-        other's leading coefficient through exact_int_div, so one that
-        does not divide raises InexactDivisionError."""
+        other's leading coefficient through exact_div, so one that does
+        not divide raises InexactDivisionError."""
         _require_poly(other)
         b = other.coeffs
         if not b:
@@ -195,18 +196,15 @@ class Poly:
             c = rem[k + width - 1]
             if c == 0:
                 continue
-            quot[k] = t = exact_int_div(c, lead)
+            quot[k] = t = exact_div(c, lead)
             for j, bj in enumerate(b):
                 rem[k + j] -= t * bj
         # the loop cancelled every coefficient from other's degree up
         return Poly(quot), Poly(rem[: width - 1])
 
     def exact_div(self, other: Poly) -> Poly:
-        """Quotient self / other when the division is exact in Z[q]."""
-        quot, rem = divmod(self, other)
-        if rem:
-            raise InexactDivisionError("polynomial division leaves a remainder")
-        return quot
+        """exact_div(self, other): the quotient when it is exact in Z[q]."""
+        return exact_div(self, other)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs

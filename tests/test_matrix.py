@@ -405,7 +405,7 @@ def test_is_symmetric():
 @pytest.fixture
 def divisions(monkeypatch):
     """Counts of det_bareiss's divisions: "exact_div" for the pivots and the
-    multipliers (exact_int_div or Poly.exact_div), "divmod" for the entries."""
+    multipliers, "divmod" for the entries."""
     calls = {"exact_div": 0, "divmod": 0}
 
     def counting(name, div):
@@ -415,8 +415,7 @@ def divisions(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(matrix, "exact_int_div", counting("exact_div", matrix.exact_int_div))
-    monkeypatch.setattr(Poly, "exact_div", counting("exact_div", Poly.exact_div))
+    monkeypatch.setattr(matrix, "exact_div", counting("exact_div", matrix.exact_div))
     monkeypatch.setattr(matrix, "divmod", counting("divmod", divmod), raising=False)
     return calls
 
@@ -465,7 +464,7 @@ def test_two_step_elimination_division_counts(divisions):
     # row for that row's multipliers and once per updated entry: a symmetric
     # input updates only j >= i, any other input the whole block below row
     # k + 1; none of these inputs meets a zero pivot.  The pivot and the
-    # multipliers go through exact_int_div, each entry through the builtin
+    # multipliers go through exact_div, each entry through the builtin
     # divmod with no Python-level call around it.  The meet matrix of a
     # chain, min(a, b) = Fᵀ F with F all ones on and above the diagonal,
     # has no zero multiplier pair, so no row is deferred
@@ -562,9 +561,9 @@ def catch_ups(monkeypatch):
     seen = []
     rescale = matrix._rescale
 
-    def spy(row, start, num, den, exact_div):
+    def spy(row, start, num, den):
         seen.append((start, num, den))
-        rescale(row, start, num, den, exact_div)
+        rescale(row, start, num, den)
 
     monkeypatch.setattr(matrix, "_rescale", spy)
     return seen
@@ -608,6 +607,21 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
         assert det_bareiss(SquareMatrix(rows)) == det
         assert catch_ups == expected
         check_both_tags(rows, det)
+
+
+def test_a_zero_pivot_catches_up_every_deferred_row(catch_ups):
+    # not symmetric: step 0 has pivot 2, and rows 2..6, all 0 on columns 0
+    # and 1, are deferred at 1.  At k = 2 rows 2 and 3 are caught up as
+    # pivot rows and their minor is 0, so rows 4 and 5 swap in.  Row 6 is
+    # neither a pivot row nor swapped, yet it is caught up there, from
+    # column 2, with the others; deferred again at pivot 2, it is the last
+    # diagonal entry at (6, 2, 2)
+    e = [[int(i == j) for j in range(7)] for i in range(7)]
+    rows = [[1, 1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0, 0, 0], e[4], e[5], e[2], e[3]]
+    rows.append([3 * x for x in e[6]])
+    assert det_bareiss(SquareMatrix(rows)) == 6
+    assert catch_ups == [(2, 2, 1)] * 5 + [(4, 2, 2)] * 2 + [(6, 2, 2)]
+    check_both_tags(rows, 6)
 
 
 def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
@@ -686,14 +700,10 @@ def _gcd_plus_q(n):
 @pytest.mark.parametrize(
     "m, message, site",
     [
-        (gcd_matrix(range(1, 11)), "integer division is not exact", "det_bareiss"),
-        (_gcd_plus_q(6), "polynomial division leaves a remainder", "det_bareiss"),
-        (SquareMatrix(INEXACT_CATCH_UP), "integer division is not exact", "_rescale"),
-        (
-            as_poly(SquareMatrix(INEXACT_CATCH_UP)),
-            "polynomial division leaves a remainder",
-            "_rescale",
-        ),
+        (gcd_matrix(range(1, 11)), "division is not exact", "det_bareiss"),
+        (_gcd_plus_q(6), "division is not exact", "det_bareiss"),
+        (SquareMatrix(INEXACT_CATCH_UP), "division is not exact", "_rescale"),
+        (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "division is not exact", "_rescale"),
     ],
     ids=["int", "poly", "int-deferred", "poly-deferred"],
 )

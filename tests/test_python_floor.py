@@ -1,8 +1,8 @@
 """The oldest Python that pyproject.toml accepts reproduces the pinned output.
 
 pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
-on PATH reports version 3.10, fourteen pinned invocations run under it in a
-subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of each
+on PATH reports version 3.10, each pinned invocation runs under it in a
+subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of its
 stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
 test is skipped; put a 3.10 interpreter first on PATH to run it.
 """

@@ -184,8 +184,8 @@ def test_deferred_rows_match_sympy_on_sparse_products(monkeypatch, n, symmetric,
     m = f.transpose() @ g
     assert m.is_symmetric() is symmetric
     calls = []
-    exact_int_div = matrix.exact_int_div
-    monkeypatch.setattr(matrix, "exact_int_div", lambda a, b: calls.append(b) or exact_int_div(a, b))
+    exact_div = matrix.exact_div
+    monkeypatch.setattr(matrix, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
     products = [m] if not singular else [shuffled(rng, m), shuffled(rng, m)]
     for p in products:
         rows = [[sympy.ZZ(p[i, j]) for j in range(n)] for i in range(n)]
