@@ -292,11 +292,11 @@ def _defaults_help(key: str) -> str:
 
 
 def _emit(cases, machine: bool, name: str, seed) -> int:
-    """Print every report, then a reproduce line for each case (a list of
-    reports) with a FAIL; exit 2 on a failed hypothesis, else 1 on a FAIL."""
+    """Print every report in one write, then a reproduce line for each case
+    (a list or tuple of reports, never a bare report, which is itself a
+    tuple) with a FAIL; exit 2 on a failed hypothesis, else 1 on a FAIL."""
     reports = [r for case in cases for r in case]
-    for report in reports:
-        print(report.machine_line() if machine else report.line())
+    sys.stdout.write("".join(f"{r.machine_line() if machine else r.line()}\n" for r in reports))
     for i, case in enumerate(cases):
         if any(r.verdict == FAIL for r in case):
             print(f"reproduce: {name} seed={seed} case={i}", file=sys.stderr)

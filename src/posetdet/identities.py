@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import divisors, euler_phi, factorize, kth_root, mobius
 from .matrix import SquareMatrix
@@ -21,9 +20,9 @@ FAIL = "fail"
 HYPOTHESIS_FAILED = "hypothesis-failed"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one determinant-identity check."""
+class IdentityReport(NamedTuple):
+    """Outcome of one determinant-identity check; a named tuple, so it is
+    read-only and cheap to build."""
 
     name: str
     computed: RingValue | None
@@ -55,14 +54,7 @@ def make_report(
 ) -> IdentityReport:
     """Report whose verdict is pass exactly when computed == predicted."""
     verdict = PASS if computed == predicted else FAIL
-    return IdentityReport(
-        name=name,
-        computed=computed,
-        predicted=predicted,
-        verdict=verdict,
-        size=size,
-        detail=detail,
-    )
+    return IdentityReport(name, computed, predicted, verdict, size, detail)
 
 
 def fail_unless(report: IdentityReport, holds: bool, note: str) -> IdentityReport:
@@ -74,7 +66,7 @@ def fail_unless(report: IdentityReport, holds: bool, note: str) -> IdentityRepor
         return report
     computed = None if report.computed == report.predicted else report.computed
     detail = f"{report.detail} {note}" if report.detail else note
-    return replace(report, verdict=FAIL, computed=computed, detail=detail)
+    return report._replace(verdict=FAIL, computed=computed, detail=detail)
 
 
 def _check_host(p: Poset, *fns: IncidenceFunction) -> None:

@@ -157,9 +157,9 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     of orders k + 1 and k + 2, and for odd n the last a_kk that of order n.
     """
     n = m.n
-    zero = zero_like(m[0, 0])
-    prev = one_like(m[0, 0])
-    a = [list(m.row(i)) for i in range(n)]
+    a = list(map(list, m._rows))
+    zero = zero_like(a[0][0])
+    prev = one_like(a[0][0])
     symmetric = m.is_symmetric()
     negate = False
     stale = {}  # deferred row -> the pivot its entries were last current at

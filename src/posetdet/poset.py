@@ -28,7 +28,15 @@ def _check_size(n: int) -> None:
 def _smallest_first_order(n: int, succ: Sequence[Iterable[int]]) -> tuple[int, ...]:
     """Kahn's algorithm on 0..n-1 with arcs u -> succ[u], taking the
     smallest ready index first so the order is deterministic.  The result
-    is shorter than n exactly when the arcs contain a directed cycle."""
+    is shorter than n exactly when the arcs contain a directed cycle.
+
+    When every arc goes from a smaller to a larger index, as on random
+    posets, rejection-sampled semilattices and divisor posets of
+    ascending values, the answer is 0..n-1 with no heap: once 0..u-1 are
+    placed, u is ready (all its tails are smaller) and it is the
+    smallest element left."""
+    if all(not out or min(out) > u for u, out in enumerate(succ)):
+        return tuple(range(n))
     indeg = [0] * n
     for out in succ:
         for v in out:
@@ -123,12 +131,10 @@ class Poset:
         Raises ValueError when the covers contain a directed cycle.
         """
         _check_size(n)
-        covers = list(covers)
+        adj = [set() for _ in range(n)]
         for a, b in covers:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"cover ({a}, {b}) out of range")
-        adj = [set() for _ in range(n)]
-        for a, b in covers:
             adj[a].add(b)
         order = _smallest_first_order(n, adj)
         if len(order) < n:

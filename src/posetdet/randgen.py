@@ -3,12 +3,16 @@
 Posets are random DAGs where each forward pair becomes a cover with
 probability 1/2, then transitively closed; incidence values are uniform
 integers in [-5, 5], and those of symmetric pairs in [-4, 4].  Everything
-is reproducible from the seed alone.
+is reproducible from the seed alone.  The incidence values and weights
+come from _uniform, which reproduces rng.randint's stream exactly: the
+same values and the same generator state after them.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
+from typing import Iterator
 
 from .arith import divisors
 from .lgv import WeightedDigraph, nonintersecting_weights
@@ -31,9 +35,26 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     return Poset.from_covers(n, covers)
 
 
+def _uniform(rng: random.Random, bound: int) -> Iterator[int]:
+    """Endless draws of rng.randint(-bound, bound), value for value and
+    state for state: CPython's _randbelow takes k = span.bit_length()
+    bits and draws again while they reach span = 2 * bound + 1, here
+    with one getrandbits call per draw and no randint frames."""
+    span = 2 * bound + 1
+    k = span.bit_length()
+    getrandbits = rng.getrandbits
+    while True:
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        yield r - bound
+
+
 def _random_values(rng: random.Random, p: Poset, bound: int) -> dict:
     """A uniform integer in [-bound, bound] at each pair a <= b, by a, then b ascending."""
-    return {(a, b): rng.randint(-bound, bound) for a in range(p.n) for b in sorted(p.above(a))}
+    pairs = [(a, b) for a in range(p.n) for b in sorted(p.above(a))]
+    # zip pulls a pair before a value, so no value is drawn past the last pair.
+    return dict(zip(pairs, _uniform(rng, bound)))
 
 
 def random_incidence(rng: random.Random, p: Poset) -> IncidenceFunction:
@@ -41,7 +62,7 @@ def random_incidence(rng: random.Random, p: Poset) -> IncidenceFunction:
 
 
 def random_weights(rng: random.Random, n: int) -> list[int]:
-    return [rng.randint(-5, 5) for _ in range(n)]
+    return list(islice(_uniform(rng, 5), n))
 
 
 def random_meet_semilattice(rng: random.Random, n: int) -> Poset:

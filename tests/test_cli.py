@@ -147,9 +147,46 @@ def test_verify_main_random(capsys):
 
 
 def test_verify_main_zero_cases_is_vacuous(capsys):
-    code, out, err = run(capsys, "verify", "main", "--cases", "0")
-    assert code == EXIT_OK
-    assert out == ""
+    # No bare newline either: no cases write nothing.
+    for argv in (["verify", "main"], ["verify", "main", "--machine"]):
+        code, out, err = run(capsys, *argv, "--cases", "0")
+        assert (code, out, err) == (EXIT_OK, "", "")
+    assert cli._emit([], False, "main", 0) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
+def test_emit_prints_every_report_of_list_and_tuple_cases_in_order(capsys):
+    a = identities.make_report("a", 1, 2, 2)
+    b = identities.make_report("b", 3, 4, 5)
+    assert cli._emit([(a, b), [a]], False, "x", 9) == EXIT_VIOLATION
+    out, err = capsys.readouterr()
+    assert out == "PASS a det=2 predicted=2\nFAIL b det=4 predicted=5\nPASS a det=2 predicted=2\n"
+    assert err == "reproduce: x seed=9 case=0\n"
+    cli._emit([[a], (b,)], True, "x", 9)
+    assert capsys.readouterr().out == "a\t1\t2\t2\tpass\nb\t3\t4\t5\tfail\n"
+
+
+def test_emit_is_handed_cases_of_reports_never_a_bare_report(capsys, monkeypatch):
+    # A report is itself a tuple, so a bare one would be read as six reports.
+    seen = []
+    emit = cli._emit
+
+    def spy(cases, *rest):
+        seen.extend(cases)
+        return emit(cases, *rest)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for argv in (
+        ["verify", "main", "--cases", "3"],
+        ["verify", "stembridge", "--cases", "2"],
+        ["verify", "tutte", "--n", "3"],
+        ["random-suite", "--cases", "3"],
+    ):
+        run(capsys, *argv)
+    assert len(seen) == 9
+    for case in seen:
+        assert isinstance(case, (list, tuple)) and case
+        assert all(isinstance(r, identities.IdentityReport) for r in case)
 
 
 @pytest.mark.parametrize(

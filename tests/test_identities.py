@@ -359,6 +359,20 @@ def test_fail_unless_keeps_the_det_cleared_after_a_second_failing_check():
     assert twice.line() == "FAIL x det=- predicted=6 (first) (second)"
 
 
+def test_a_report_is_read_only():
+    report = make_report("x", 2, 5, 6)
+    for field in ("name", "computed", "predicted", "verdict", "size", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(report, field, None)
+    assert report == make_report("x", 2, 5, 6)
+
+
+def test_fail_unless_keeps_name_size_and_predicted():
+    failed = fail_unless(make_report("x", 7, 5, 6, "(note)"), False, "(side check)")
+    assert (failed.name, failed.size, failed.predicted) == ("x", 7, 6)
+    assert failed.machine_line() == "x\t7\t5\t6\tfail"
+
+
 def test_divisor_configs_match_their_per_pair_definitions():
     # the per-quotient tables against mobius and kth_root called per pair
     for n in range(1, 65):

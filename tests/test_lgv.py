@@ -576,3 +576,15 @@ def test_polynomial_weights():
     )
     assert path_weight_sum(d, 0, 2) == q * q + q
     assert verify_stembridge(d).passed
+
+
+def test_verify_stembridge_reports_a_failed_hypothesis():
+    # The only nonintersecting family takes source 0 to sink 3 and 1 to 2.
+    d = WeightedDigraph(4, [(0, 3, 1), (1, 2, 1)], sources=(0, 1), sinks=(2, 3))
+    report = verify_stembridge(d)
+    assert (report.name, report.size, report.verdict) == ("stembridge", 2, HYPOTHESIS_FAILED)
+    assert (report.computed, report.predicted) == (None, None)
+    assert report.line() == (
+        "HYPOTHESIS-FAILED stembridge det=- predicted=- "
+        "(a nonidentity permutation admits a nonintersecting family)"
+    )

@@ -1,3 +1,4 @@
+import heapq
 import json
 import pathlib
 import random
@@ -65,7 +66,7 @@ def test_singleton():
 
 
 def test_cycle_is_rejected():
-    for n, covers in ((2, [(0, 1), (1, 0)]), (1, [(0, 0)]), (3, [(0, 1), (1, 2), (2, 0)])):
+    for n, covers in ((2, [(0, 1), (1, 0)]), (1, [(0, 0)]), (3, iter([(0, 1), (1, 2), (2, 0)]))):
         with pytest.raises(ValueError, match="covers contain a directed cycle"):
             Poset.from_covers(n, covers)
 
@@ -73,9 +74,14 @@ def test_cycle_is_rejected():
 def test_cover_out_of_range():
     with pytest.raises(ValueError, match=r"cover \(0, 2\) out of range"):
         Poset.from_covers(2, [(0, 2)])
-    # the range check comes before the cycle check
+    # the range check comes before the cycle check, wherever the bad cover is
     with pytest.raises(ValueError, match="out of range"):
         Poset.from_covers(2, [(0, 1), (1, 0), (1, 5)])
+    for bad in ((3, 0), (0, 3), (-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match=rf"cover \({bad[0]}, {bad[1]}\) out of range"):
+            Poset.from_covers(3, [(0, 1), (1, 2), (2, 0), bad])
+    with pytest.raises(ValueError, match="covers contain a directed cycle"):
+        Poset.from_covers(3, iter([(0, 1), (1, 2), (2, 0)]))
 
 
 def test_size_cap():
@@ -233,6 +239,59 @@ def test_linear_extension_takes_the_smallest_minimal_element_first():
             expected.append(pick)
             remaining.remove(pick)
         assert p.lin_ext == tuple(expected)
+
+
+def heap_order(n, succ):
+    """_smallest_first_order as it was before its forward shortcut: Kahn's
+    algorithm with a heap of ready indices."""
+    indeg = [0] * n
+    for out in succ:
+        for v in out:
+            indeg[v] += 1
+    ready = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(ready, v)
+    return tuple(order)
+
+
+def random_successors(rng, n, kind):
+    """Successor sets on 0..n-1: every arc forward, arcs either way, or
+    either way with a cycle or a self-loop added."""
+    succ = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            if u != v and (v > u or kind != "forward") and rng.random() < 0.3:
+                succ[u].add(v)
+    if kind == "cycle" and n > 1:
+        ring = rng.sample(range(n), rng.randint(2, n))
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            succ[u].add(v)
+    if kind == "self-loop":
+        u = rng.randrange(n)
+        succ[u].add(u)
+    return succ
+
+
+def test_smallest_first_order_matches_the_heap_loop():
+    rng = random.Random("smallest-first")
+    kinds = ("forward", "mixed", "cycle", "self-loop")
+    shapes = (set, frozenset, lambda out: {v: rng.randint(-3, 3) for v in out})
+    short = forward = 0
+    for i in range(2000):
+        n = rng.randint(1, 12)
+        succ = [shapes[i % 3](out) for out in random_successors(rng, n, kinds[i % 4])]
+        expected = heap_order(n, succ)
+        assert poset_module._smallest_first_order(n, succ) == expected
+        short += len(expected) < n
+        forward += expected == tuple(range(n))
+    # Every kind shows up: cycles give short orders, forward arcs the identity.
+    assert short > 500 and forward > 500
 
 
 def closure_oracle(n, covers):
