@@ -46,7 +46,14 @@ from .lgv import (
     verify_stembridge,
 )
 from .matrix import det_and_leading_minors, det_bareiss
-from .poset import MAX_ELEMENTS, Poset, mobius_function, poset_from_dict, zeta_function
+from .poset import (
+    MAX_ELEMENTS,
+    Poset,
+    _check_values,
+    mobius_function,
+    poset_from_dict,
+    zeta_function,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -158,20 +165,19 @@ def run_smith(args, rng, cases) -> list[IdentityReport]:
         # det_bareiss eliminates the GCD matrix several times faster; neither
         # the det nor the totient product depends on the order.
         values.sort()
-        matrix = gcd_matrix(values)  # validates the values, which is_factor_closed assumes
+        _check_values(values)  # is_factor_closed assumes distinct positive values
         if max(values) > SET_VALUE_MAX:
             raise ValueError(f"--set values must be at most {SET_VALUE_MAX}")
         if not is_factor_closed(values):
             raise ValueError(
                 "set is not factor closed: the totient-product identity needs every divisor present"
             )
-        sets, matrices = [values], [matrix]
+        sets = [values]
     else:
         sets = [randgen.random_factor_closed_set(rng) for _ in range(cases)]
-        matrices = [gcd_matrix(s) for s in sets]
     return [
-        make_report("smith", len(s), det_bareiss(m), totient_product(s))
-        for s, m in zip(sets, matrices)
+        make_report("smith", len(s), det_bareiss(gcd_matrix(s)), totient_product(s))
+        for s in sets
     ]
 
 

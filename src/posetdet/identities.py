@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import divisors, euler_phi, factorize, kth_root, mobius
 from .matrix import SquareMatrix
-from .poset import IncidenceFunction, Poset, divisor_poset, mobius_function
+from .poset import IncidenceFunction, Poset, _check_values, divisor_poset, mobius_function
 from .ring import RingValue, TagMismatchError, exact_div, one_like, ring_text
 
 PASS = "pass"
@@ -195,15 +195,19 @@ def weighted_product_det(
 # -- Ramanujan-sum matrix (divided Möbius weights on the divisor order) --
 
 
+def _by_quotient(p: Poset, table: Sequence[RingValue]) -> IncidenceFunction:
+    """The function (a, b) -> table[(b + 1) / (a + 1)] on p = divisor_poset(1..n)."""
+    return IncidenceFunction(
+        p, {(a, b): table[(b + 1) // (a + 1)] for a in range(p.n) for b in p.above(a)}
+    )
+
+
 def _ramanujan_config(n: int):
     if n < 1:
         raise ValueError("need n >= 1")
     p = divisor_poset(range(1, n + 1))
-    mu = [0] + [mobius(q) for q in range(1, n + 1)]
-    pairs = [(a, b) for a in range(n) for b in p.above(a)]
-    f = IncidenceFunction(p, {(a, b): a + 1 for a, b in pairs})
-    g = IncidenceFunction(p, {(a, b): mu[(b + 1) // (a + 1)] for a, b in pairs})
-    return p, f, g
+    f = IncidenceFunction(p, {(a, b): a + 1 for a in range(n) for b in p.above(a)})
+    return p, f, _by_quotient(p, [0] + [mobius(q) for q in range(1, n + 1)])
 
 
 def _holder_mismatch(p: Poset, m: SquareMatrix) -> str:
@@ -259,10 +263,7 @@ def _kth_root_config(n: int, k: int, f_weights: Sequence[RingValue]):
         raise ValueError("need n >= 1 and k >= 1")
     p = divisor_poset(range(1, n + 1))
     # kth_root gives None where q is no k-th power; the entry is then 0
-    roots = [0] + [kth_root(q, k) or 0 for q in range(1, n + 1)]
-    omega = IncidenceFunction(
-        p, {(a, b): roots[(b + 1) // (a + 1)] for a in range(n) for b in p.above(a)}
-    )
+    omega = _by_quotient(p, [0] + [kth_root(q, k) or 0 for q in range(1, n + 1)])
     return p, scale_by_source(omega, f_weights), omega
 
 
@@ -300,12 +301,7 @@ def meet_matrix_det(semilattice: Poset, f: IncidenceFunction) -> RingValue:
 def gcd_matrix(s: Sequence[int]) -> SquareMatrix:
     """Matrix of pairwise greatest common divisors."""
     vals = list(s)
-    if not vals:
-        raise ValueError("need at least one value")
-    if any(v < 1 for v in vals):
-        raise ValueError("values must be positive")
-    if len(set(vals)) != len(vals):
-        raise ValueError("values must be distinct")
+    _check_values(vals)
     return SquareMatrix([tuple(map(math.gcd, repeat(a), vals)) for a in vals])
 
 

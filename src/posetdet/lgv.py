@@ -15,8 +15,7 @@ verification-sized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .identities import HYPOTHESIS_FAILED, IdentityReport, _check_host, make_report
 from .matrix import SquareMatrix, det_bareiss
@@ -87,8 +86,7 @@ class WeightedDigraph:
         return [(u, v, w) for u, s in enumerate(self.succ) for v, w in s]
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """Tuple of vertex-disjoint paths; path i runs from source i to sink perm[i]."""
 
     perm: tuple[int, ...]

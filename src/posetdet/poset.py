@@ -256,16 +256,23 @@ class Poset:
         return f"Poset(n={self.n}, covers={self.cover_pairs()})"
 
 
-def divisor_poset(values: Sequence[int]) -> Poset:
-    """Poset on the given distinct positive integers ordered by divisibility."""
-    if not values:
+def _check_values(vals: Sequence[int]) -> None:
+    """Reject a value list that is empty or not distinct positive integers."""
+    if not vals:
         raise ValueError("need at least one value")
-    _check_size(len(values))
-    vals = list(values)
     if any(v < 1 for v in vals):
         raise ValueError("values must be positive")
     if len(set(vals)) != len(vals):
         raise ValueError("values must be distinct")
+
+
+def divisor_poset(values: Sequence[int]) -> Poset:
+    """Poset on the given distinct positive integers ordered by divisibility."""
+    # Counted before listed, so a huge range fails on its size alone.
+    if values:
+        _check_size(len(values))
+    vals = list(values)
+    _check_values(vals)
     leq = [[b % a == 0 for b in vals] for a in vals]
     return Poset(leq, labels=[str(v) for v in vals])
 

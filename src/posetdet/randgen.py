@@ -25,14 +25,13 @@ SEMILATTICE_TRIES = 5000
 HYPOTHESIS_TRIES = 2000
 
 
+def _random_covers(rng: random.Random, low: int, n: int) -> list[tuple[int, int]]:
+    """Each pair low <= i < j < n, i then j ascending, kept when rng.random() < 0.5."""
+    return [(i, j) for i in range(low, n) for j in range(i + 1, n) if rng.random() < 0.5]
+
+
 def random_poset(rng: random.Random, n: int) -> Poset:
-    covers = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.5
-    ]
-    return Poset.from_covers(n, covers)
+    return Poset.from_covers(n, _random_covers(rng, 0, n))
 
 
 def _uniform(rng: random.Random, bound: int) -> Iterator[int]:
@@ -68,16 +67,8 @@ def random_weights(rng: random.Random, n: int) -> list[int]:
 def random_meet_semilattice(rng: random.Random, n: int) -> Poset:
     """Random poset with a forced bottom element, resampled until every
     pair has a meet."""
-    if n == 1:
-        return Poset.from_covers(1, [])
     for _ in range(SEMILATTICE_TRIES):
-        covers = [(0, j) for j in range(1, n)]
-        covers += [
-            (i, j)
-            for i in range(1, n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.5
-        ]
+        covers = [(0, j) for j in range(1, n)] + _random_covers(rng, 1, n)
         p = Poset.from_covers(n, covers)
         if p.is_meet_semilattice():
             return p

@@ -65,6 +65,41 @@ def test_smith_set_above_the_size_bound_exits_two_before_any_matrix(capsys, monk
     assert err == "error: --set must name at most 240 integers\n"
 
 
+# Every --set rejection in the order run_smith checks them; each set also
+# carries every later fault, so only that order picks the message.
+SMITH_SET_REJECTIONS = {
+    "empty": ("", "--set must name at least one integer"),
+    "too-many": (
+        ",".join(map(str, [0, 0, 2 * 10**6, *range(7, 245)])),
+        "--set must name at most 240 integers",
+    ),
+    "non-positive": ("0,0,2000000,7", "values must be positive"),
+    "duplicate": ("7,7,2000000", "values must be distinct"),
+    "above-range": ("7,2000000", "--set values must be at most 1000000"),
+    "above-range-divisors-present": ("1,2,2000000", "--set values must be at most 1000000"),
+    "not-factor-closed": (
+        "1,4",
+        "set is not factor closed: the totient-product identity needs every divisor present",
+    ),
+}
+
+
+@pytest.mark.parametrize("value_set, message", SMITH_SET_REJECTIONS.values(), ids=SMITH_SET_REJECTIONS)
+def test_smith_set_rejections_keep_their_messages_and_order(capsys, value_set, message):
+    code, out, err = run(capsys, "verify", "smith", "--set", value_set)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value_set, message", SMITH_SET_REJECTIONS.values(), ids=SMITH_SET_REJECTIONS)
+def test_smith_set_rejections_build_no_gcd_matrix(capsys, monkeypatch, value_set, message):
+    def no_matrix(values):
+        raise AssertionError(f"built a GCD matrix of {values!r} before rejecting the --set")
+
+    monkeypatch.setattr(cli, "gcd_matrix", no_matrix)
+    code, out, err = run(capsys, "verify", "smith", "--set", value_set)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {message}\n")
+
+
 def test_verify_smith_set_prints_the_same_in_any_order(capsys):
     # the runner sorts the set, so a shuffled copy is eliminated in the
     # same ascending order and prints the same line

@@ -8,6 +8,8 @@ from posetdet import cli, identities
 from posetdet.arith import divisors, euler_phi, kth_root, mobius, ramanujan_sum
 from posetdet.identities import (
     FAIL,
+    _kth_root_config,
+    _ramanujan_config,
     fail_unless,
     gcd_matrix,
     incidence_matrix,
@@ -901,3 +903,31 @@ def test_meet_closed_instance_matches_the_resorting_loop():
         old_lattice, old_subset = meet_closed_instance_oracle(old)
         assert lattice == old_lattice and subset == old_subset
         assert rng.getstate() == old.getstate()
+
+
+# The divisor-order builders as they were written before _by_quotient
+# served both, kept as the reference for their tables.
+def _loop_ramanujan_tables(n):
+    p = divisor_poset(range(1, n + 1))
+    mu = [0] + [mobius(q) for q in range(1, n + 1)]
+    pairs = [(a, b) for a in range(n) for b in p.above(a)]
+    return {(a, b): a + 1 for a, b in pairs}, {(a, b): mu[(b + 1) // (a + 1)] for a, b in pairs}
+
+
+def _loop_kth_root_tables(n, k):
+    p = divisor_poset(range(1, n + 1))
+    roots = [0] + [kth_root(q, k) or 0 for q in range(1, n + 1)]
+    omega = {(a, b): roots[(b + 1) // (a + 1)] for a in range(n) for b in p.above(a)}
+    # scaled by the weights 1..n, that is, by a + 1 at the source a
+    return {(a, b): v * (a + 1) for (a, b), v in omega.items()}, omega
+
+
+def test_divisor_order_configurations_match_the_inline_builders():
+    for n in range(1, 65):
+        p, f, g = _ramanujan_config(n)
+        assert p == divisor_poset(range(1, n + 1))
+        assert (f._table, g._table) == _loop_ramanujan_tables(n)
+        for k in range(1, 5):
+            p, f, g = _kth_root_config(n, k, range(1, n + 1))
+            assert p == divisor_poset(range(1, n + 1))
+            assert (f._table, g._table) == _loop_kth_root_tables(n, k)

@@ -12,6 +12,7 @@ from posetdet.identities import (
     incidence_product_matrix,
 )
 from posetdet.lgv import (
+    PathFamily,
     WeightedDigraph,
     digraph_from_dict,
     digraph_to_dict,
@@ -210,6 +211,19 @@ def test_nonintersecting_families_single_terminal():
     assert len(fams) == 2
     assert {f.paths[0] for f in fams} == {(0, 1, 3), (0, 2, 3)}
     assert all(f.perm == (0,) for f in fams)
+
+
+def test_path_family_is_a_read_only_record():
+    fam = PathFamily(perm=(1, 0), paths=((0, 3), (1, 2)))
+    assert (fam.perm, fam.paths) == ((1, 0), ((0, 3), (1, 2)))
+    same = PathFamily(perm=(1, 0), paths=((0, 3), (1, 2)))
+    assert fam == same and hash(fam) == hash(same)
+    assert fam != PathFamily(perm=(0, 1), paths=((0, 2), (1, 3)))
+    assert len({fam, same}) == 1
+    for field in ("perm", "paths"):
+        with pytest.raises(AttributeError):
+            setattr(fam, field, ())
+    assert fam.perm == (1, 0)
 
 
 def test_nonintersecting_families_shared_middle_is_empty():

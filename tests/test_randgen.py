@@ -6,7 +6,14 @@ import random
 import pytest
 
 from posetdet import randgen
-from posetdet.randgen import _random_values, _uniform, random_poset, random_weights
+from posetdet.poset import Poset
+from posetdet.randgen import (
+    _random_values,
+    _uniform,
+    random_meet_semilattice,
+    random_poset,
+    random_weights,
+)
 
 
 @pytest.mark.parametrize("bound", [4, 5])
@@ -62,3 +69,58 @@ def test_the_draws_call_no_randint(monkeypatch):
     randgen.random_symmetric_pair(rng, p)
     random_weights(rng, 6)
     assert calls == []
+
+
+# The two cover loops as they were written before _random_covers served
+# both samplers, kept as the reference for their draws.
+def _loop_random_poset(rng, n):
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    ]
+    return Poset.from_covers(n, covers)
+
+
+def _loop_random_meet_semilattice(rng, n):
+    if n == 1:
+        return Poset.from_covers(1, [])
+    for _ in range(randgen.SEMILATTICE_TRIES):
+        covers = [(0, j) for j in range(1, n)]
+        covers += [
+            (i, j)
+            for i in range(1, n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.5
+        ]
+        p = Poset.from_covers(n, covers)
+        if p.is_meet_semilattice():
+            return p
+    raise ValueError(f"could not sample a meet semilattice on {n} elements")
+
+
+@pytest.mark.parametrize(
+    "sampler, reference, largest",
+    [
+        (random_poset, _loop_random_poset, 12),
+        (random_meet_semilattice, _loop_random_meet_semilattice, 6),
+    ],
+    ids=["random_poset", "random_meet_semilattice"],
+)
+def test_samplers_draw_what_the_cover_loops_drew(sampler, reference, largest):
+    for seed in range(3000):
+        ref, rng = random.Random(seed), random.Random(seed)
+        n = rng.randint(1, largest)
+        assert ref.randint(1, largest) == n
+        want, got = reference(ref, n), sampler(rng, n)
+        assert [got.above(a) for a in range(n)] == [want.above(a) for a in range(n)]
+        assert got.lin_ext == want.lin_ext
+        assert rng.getstate() == ref.getstate()
+
+
+def test_one_element_semilattice_draws_nothing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert random_meet_semilattice(rng, 1).n == 1
+    assert rng.getstate() == state

@@ -10,11 +10,12 @@ imported side by side in this one process.  The invocations are one
 benchmark workload's, built by ``perfbench/workloads.py`` (read-only; its
 files go to the temporary directory).  Each round runs every invocation
 once on each side, alternating which side goes first, and checks that
-both sides print the same stdout and exit code.  The output is the ratio
-of total change time to total base time, and the median and quartiles of
-the per-round ratios.  On a machine whose speed drifts from second to
-second, interleaving single invocations cancels most of the drift that
-separates two whole-process runs.  Nothing is written into the repo.
+both sides print the same stdout and stderr and return the same exit
+code.  The output is the ratio of total change time to total base time,
+and the median and quartiles of the per-round ratios.  On a machine
+whose speed drifts from second to second, interleaving single
+invocations cancels most of the drift that separates two whole-process
+runs.  Nothing is written into the repo.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def import_side(tree: Path, name: str, tmp: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def invoke(cli, argv) -> tuple[float, int, str]:
-    out = io.StringIO()
+def invoke(cli, argv) -> tuple[float, int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(list(argv))
-    return time.perf_counter() - start, rc, out.getvalue()
+    return time.perf_counter() - start, rc, out.getvalue(), err.getvalue()
 
 
 def quartiles(xs: list[float]) -> list[float]:
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
             ratios.append(spent[1] / spent[0])
     q1, med, q3 = quartiles(ratios)
     print(f"{args.workload} seed={args.seed}: {len(invocations)} invocations x {args.rounds} "
-          f"rounds, identical stdout and exit codes")
+          f"rounds, identical stdout, stderr and exit codes")
     print(f"base {totals[0] / args.rounds:.4f} s a pass, change {totals[1] / args.rounds:.4f} s")
     print(f"total ratio {totals[1] / totals[0]:.4f}; per-round median {med:.4f}, "
           f"IQR {q1:.4f}-{q3:.4f}")
