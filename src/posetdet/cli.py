@@ -161,9 +161,11 @@ def run_smith(args, rng, cases) -> list[IdentityReport]:
             raise ValueError("--set must name at least one integer")
         if len(values) > SET_SIZE_MAX:
             raise ValueError(f"--set must name at most {SET_SIZE_MAX} integers")
-        # Ascending order is a linear extension of divisibility, in which
-        # det_bareiss eliminates the GCD matrix several times faster; neither
-        # the det nor the totient product depends on the order.
+        # Ascending order is a linear extension of divisibility.  There the
+        # GCD matrix is Eᵀ diag(φ) E with E the 0/1 divisibility matrix, so
+        # every multiplier of det_bareiss is 0 or -1 and no entry is ever
+        # divided; neither the det nor the totient product depends on the
+        # order.
         values.sort()
         _check_values(values)  # is_factor_closed assumes distinct positive values
         if max(values) > SET_VALUE_MAX:

@@ -6,7 +6,14 @@ the upper triangle updated.  A row that a step would only rescale, as it
 has zeros in both eliminated columns, is left alone until it is next
 read, so the sparse incidence products Fᵀ G skip most of their rows;
 on the paper's matrices such a row then catches up by one exact
-multiplication per entry.  det_cofactor is a deliberately independent
+multiplication per entry.  A row stays at the input scale, as its row of
+the Schur complement itself, while its multipliers divide exactly: the
+row minus (a_ik, a_il) M^-1 times the two pivot rows, M the pivot block,
+is its next Schur complement row, with no division per entry, and its
+entries are never larger than Bareiss's, which are the same values
+times a nonzero leading minor.  In linear-extension order the paper's
+matrices are L U with L integral and unit triangular, so their rows
+never leave that scale.  det_cofactor is a deliberately independent
 slow oracle used to cross-check it.
 """
 
@@ -135,22 +142,49 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     A row with a_ik = a_il = 0, and only such a row, has c1 = c2 = 0:
     (c1, c2) is (a_ik, a_il) times a 2 x 2 matrix of determinant -c0 /
     prev, which is nonzero.  The step would only rescale it by pivot /
-    prev, so it is left alone, and stale[i] records the pivot its entries
-    were last current at; the rescales of the steps that skip it
-    telescope to prev / stale[i].  A deferred entry is 0 exactly when its
+    prev, so it is left alone.  Each row's entries are scale[i] times its
+    row of the current Schur complement, where Bareiss keeps them at prev
+    times it; scale[i] is the pivot the row was last current at, and a
+    deferred row keeps it.  A deferred entry is 0 exactly when its
     current value is, so the zero tests read deferred rows as they are.
-    A deferred row is brought current when it is next read: as a pivot
-    row, before a full update, at a zero pivot (every deferred row, before
-    the mirror copy and the row pair search), or as the last diagonal
-    entry.  When stale[i] divides prev, each live entry is multiplied by
-    the quotient; otherwise each nonzero one takes divmod(prev * x,
-    stale[i]), exact too, as old and current entries are both bordered
-    minors.  Without row swaps both pivots are leading principal minors,
-    and on the paper's matrices in linear-extension order (Fᵀ G, GCD
-    matrices of factor-closed sets in ascending order, meet matrices)
-    each is the product of the diagonal factors of its order ideal, so
-    while none is 0 they divide.  The paper's sparse products Fᵀ G skip
-    most of their row-steps; on a dense input stale stays empty.
+    A row whose scale is not prev is brought current when it is next read
+    at prev: as a pivot row, before a full update, at a zero pivot (every
+    such row, before the mirror copy and the row pair search), or as the
+    last diagonal entry.  When scale[i] divides prev, each live entry is
+    multiplied by the quotient; otherwise each nonzero one takes
+    divmod(prev * x, scale[i]), exact too, as old and current entries are
+    both bordered minors.  Without row swaps both pivots are leading
+    principal minors, and on the paper's matrices in linear-extension
+    order (Fᵀ G, GCD matrices of factor-closed sets in ascending order,
+    meet matrices) each is the product of the diagonal factors of its
+    order ideal, so while none is 0 they divide.
+
+    Before step 0 every row is at scale 1: it holds the Schur complement
+    itself.  While both pivot rows are at 1 they are not brought current.
+    Read from them, minor = a_kk a_ll - a_kl a_lk is the Schur
+    complement's own 2 x 2 minor, and the leading principal minors of
+    orders k + 1 and k + 2 are prev a_kk and pivot = prev minor, with no
+    division.  A row at 1 with (a_ik, a_il) != 0 tries q_k = (a_lk a_il -
+    a_ll a_ik) / minor and q_l = (a_kl a_ik - a_kk a_il) / minor with the
+    builtin divmod.  With M the 2 x 2 pivot block, M^-1 = adj(M) / minor,
+    so (q_k, q_l) = -(a_ik, a_il) M^-1 and row_i + q_k row_k + q_l row_l
+    is exactly the row's next Schur complement row, row_i - (a_ik, a_il)
+    M^-1 (row_k, row_l).  When both divide, the row takes it with no
+    division and stays at 1; its entries never exceed Bareiss's, which
+    are the same entries times a leading principal minor, a nonzero ring
+    element.  The first row of a step that is not at 1, or whose
+    quotients do not divide (for a Poly minor whose leading coefficient
+    does not divide, divmod raises), brings both pivot rows to prev, one
+    multiplication per entry, and from it on the step updates as above.
+    Scales are compared by value, as a later leading minor can equal 1
+    while another row waits at a different pivot.  A matrix L U with L
+    unit lower triangular and integral has (q_k, q_l) = -(L_ik, L_il)
+    times the inverse of L's unit 2 x 2 block, integral too, so every row
+    stays at 1.  In linear-extension order that covers Fᵀ G with L = Fᵀ
+    D_F^-1, when f(a, a) divides f(a, b) (Apostol's and Daniloff's
+    matrices), and a factor-closed GCD matrix Eᵀ diag(φ) E, E the 0/1
+    divisibility matrix: their entries stay as small as their Schur
+    complements, with no entry division and no catch-up.
 
     A list minors gets the leading principal minors up to the first 0,
     before which rows never swap: a_kk and the pivot at step k are those
@@ -159,27 +193,38 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     n = m.n
     a = list(map(list, m._rows))
     zero = zero_like(a[0][0])
-    prev = one_like(a[0][0])
+    one = prev = one_like(a[0][0])
     symmetric = m.is_symmetric()
     negate = False
-    stale = {}  # deferred row -> the pivot its entries were last current at
+    scale = [one] * n  # row i holds scale[i] times its Schur complement row
     for k in range(0, n - 1, 2):
         l = k + 1
-        if stale:
-            for i in (k, l):
-                if i in stale:
-                    _rescale(a[i], i if symmetric else k, prev, stale.pop(i))
         row_k, row_l = a[k], a[l]
-        a_kl = row_k[l]
+        s_k, s_l = scale[k], scale[l]
+        low = s_k == one and s_l == one
+        if not low:
+            if s_k != prev:
+                _rescale(row_k, k, prev, s_k)
+            if s_l != prev:
+                _rescale(row_l, l if symmetric else k, prev, s_l)
+        a_kk, a_kl, a_ll = row_k[k], row_k[l], row_l[l]
         a_lk = a_kl if symmetric else row_l[k]
-        minor = row_k[k] * row_l[l] - a_kl * a_lk
-        pivot = exact_div(minor, prev)
+        minor = a_kk * a_ll - a_kl * a_lk
+        pivot = prev * minor if low else exact_div(minor, prev)
         if minors is not None:
-            minors += (row_k[k], pivot) if row_k[k] else (row_k[k],)
+            lead = prev * a_kk if low else a_kk
+            minors += (lead, pivot) if lead else (lead,)
             minors = minors if minors[-1] else None
         if not minor:
-            for i in list(stale):
-                _rescale(a[i], i if symmetric else k, prev, stale.pop(i))
+            # from here every row from k on is read at prev
+            if not low:
+                scale[k] = scale[l] = prev  # caught up above
+            if scale[k:].count(prev) < n - k:
+                for i in range(k, n):
+                    if scale[i] != prev:
+                        _rescale(a[i], i if symmetric else k, prev, scale[i])
+                scale[k:] = [prev] * (n - k)
+            low = False
             if symmetric:
                 for i in range(k + 1, n):
                     for j in range(k, i):
@@ -202,10 +247,8 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                     a[dst], a[src] = a[src], a[dst]
                     negate = not negate
             row_k, row_l = a[k], a[l]
-            a_kl, a_lk = row_k[l], row_l[k]
-            minor = row_k[k] * row_l[l] - a_kl * a_lk
-            pivot = exact_div(minor, prev)
-        a_kk, a_ll = row_k[k], row_l[l]
+            a_kk, a_kl, a_lk, a_ll = row_k[k], row_k[l], row_l[k], row_l[l]
+            pivot = exact_div(a_kk * a_ll - a_kl * a_lk, prev)
         for i in range(l + 1, n):
             row_i = a[i]
             if symmetric:
@@ -213,13 +256,40 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             else:
                 a_ik, a_il, start = row_i[k], row_i[l], l + 1
             if not (a_ik or a_il):
-                # c1 = c2 = 0, so the step would only rescale row i by
-                # pivot / prev: defer that until the row is next read
-                if i not in stale:
-                    stale[i] = prev
+                # c1 = c2 = 0: the row's Schur complement row does not
+                # change, so it keeps its scale until it is next read
                 continue
-            if stale and i in stale:
-                _rescale(row_i, i if symmetric else k, prev, stale.pop(i))
+            s = scale[i]
+            if low:
+                if s == one:
+                    try:
+                        q_k, r = divmod(a_lk * a_il - a_ll * a_ik, minor)
+                        if not r:
+                            q_l, r = divmod(a_kl * a_ik - a_kk * a_il, minor)
+                    except InexactDivisionError:
+                        r = True
+                    if not r:
+                        # on the paper's matrices most rows have one
+                        # multiplier 0, so that pivot row is not read
+                        if q_k and q_l:
+                            for j in range(start, n):
+                                row_i[j] += q_k * row_k[j] + q_l * row_l[j]
+                        else:
+                            q, row = (q_k, row_k) if q_k else (q_l, row_l)
+                            for j in range(start, n):
+                                row_i[j] += q * row[j]
+                        continue
+                # the step leaves the input scale from this row on
+                low = False
+                if prev != one:
+                    _rescale(row_k, k, prev, one)
+                    _rescale(row_l, l if symmetric else k, prev, one)
+                    a_kk, a_kl, a_ll = row_k[k], row_k[l], row_l[l]
+                    a_lk = a_kl if symmetric else row_l[k]
+                    if symmetric:
+                        a_ik, a_il = row_k[i], row_l[i]
+            if s != prev:
+                _rescale(row_i, i if symmetric else k, prev, s)
                 if not symmetric:
                     a_ik, a_il = row_i[k], row_i[l]
             c1 = exact_div(a_kl * a_ik - a_kk * a_il, prev)
@@ -232,10 +302,15 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                     # 0 < |r| < |prev| (deg r < deg prev for Poly), so
                     # prev does not divide r and this raises
                     exact_div(r, prev)
+            scale[i] = pivot
         prev = pivot
-    if n % 2 and n - 1 in stale:
-        _rescale(a[n - 1], n - 1, prev, stale.pop(n - 1))
     d = a[n - 1][n - 1] if n % 2 else prev
+    if n % 2 and scale[n - 1] != prev:
+        if scale[n - 1] == one:  # the Schur complement entry itself
+            d *= prev
+        else:
+            _rescale(a[n - 1], n - 1, prev, scale[n - 1])
+            d = a[n - 1][n - 1]
     if n % 2 and minors is not None:
         minors.append(d)
     return -d if negate else d

@@ -35,6 +35,13 @@ def test_ab_passes_a_tree_against_itself():
     run = _ab(PACKAGE, PACKAGE)
     assert run.returncode == 0, run.stderr
     assert "identical stdout, stderr and exit codes" in run.stdout
+    # after the summary, one total ratio per invocation of the workload,
+    # tutte at n = 2..5, in workload order
+    lines = run.stdout.splitlines()
+    assert lines[2].startswith("total ratio ")
+    assert [line.split(": total ratio ")[0] for line in lines[3:]] == [
+        f"verify tutte --n {n}" for n in (2, 3, 4, 5)
+    ]
 
 
 def test_ab_fails_on_a_change_to_stderr_alone(tmp_path):

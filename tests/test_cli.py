@@ -775,11 +775,22 @@ def _identity_on_three_elements(p, m):
     return SquareMatrix.identity(p.n) if p.n == 3 else m
 
 
+def _bump_last_diagonal_entry(_, m):
+    rows = [list(m.row(i)) for i in range(m.n)]
+    rows[-1][-1] += 1
+    return SquareMatrix(rows)
+
+
 # Each mutation breaks one producer of a report; the verifier must then
 # report FAIL, name a reproduction and exit 1.  A callable bump maps the
 # producer's first argument and result to the mutated result.
 MUTATIONS = [
     (cli, "totient_product", 1, ["verify", "smith", "--set", "1,2,3,4"]),
+    # the built matrices themselves: +1 on the last diagonal entry adds the
+    # leading minor of order n - 1, nonzero, to the det
+    (cli, "gcd_matrix", _bump_last_diagonal_entry, ["verify", "smith", "--set", "1,2,3,4"]),
+    (cli, "incidence_product_matrix", _bump_last_diagonal_entry, ["verify", "apostol", "--n", "12"]),
+    (cli, "incidence_product_matrix", _bump_last_diagonal_entry, ["verify", "daniloff", "--n", "12"]),
     (lgv, "nonintersecting_weights", _bump_identity_weight, ["verify", "stembridge", "--cases", "5"]),
     (cli, "nonintersecting_weights", _bump_identity_weight, ["verify", "three-layer"]),
     # breaks only the family count: weight 2 on every arc of the count sweep

@@ -1,13 +1,17 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from posetdet import matrix, randgen
-from posetdet.arith import divisors
+from posetdet.arith import divisors, euler_phi
 from posetdet.identities import (
+    _kth_root_config,
+    _ramanujan_config,
     gcd_matrix,
+    incidence_matrix,
     incidence_product_matrix,
     meet_matrix,
     totient_product,
@@ -460,79 +464,108 @@ def deferred_row_steps(f):
 
 
 def test_two_step_elimination_division_counts(divisions):
-    # each two-column step divides once for its pivot, twice per updated
-    # row for that row's multipliers and once per updated entry: a symmetric
-    # input updates only j >= i, any other input the whole block below row
-    # k + 1; none of these inputs meets a zero pivot.  The pivot and the
-    # multipliers go through exact_div, each entry through the builtin
-    # divmod with no Python-level call around it.  The meet matrix of a
-    # chain, min(a, b) = Fᵀ F with F all ones on and above the diagonal,
-    # has no zero multiplier pair, so no row is deferred
+    # A step whose pivot rows are at the input scale takes no pivot
+    # division (its pivot is prev times their 2 x 2 minor), and each of its
+    # live rows first tries its two multipliers with one builtin divmod
+    # each, the second only when the first divides.  Every other step
+    # divides once for its pivot, twice per updated row for that row's
+    # multipliers and once per updated entry: a symmetric input updates
+    # only j >= i, any other input the whole block below row k + 1; none
+    # of these inputs meets a zero pivot.  The pivot and the multipliers go
+    # through exact_div, each entry through the builtin divmod with no
+    # Python-level call around it.
+    #
+    # The meet matrix of a chain, min(a, b) = Fᵀ F with F all ones on and
+    # above the diagonal, is L Lᵀ with L = Fᵀ unit lower triangular and
+    # integral, so every multiplier divides and no row leaves the input
+    # scale: two divmods per row-step (no row is deferred) and nothing else
     n = 10
     ones = SquareMatrix([[int(i <= j) for j in range(n)] for i in range(n)])
     chain = SquareMatrix([[min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert chain == ones.transpose() @ ones and deferred_row_steps(ones) == 0
-    scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
-    assert chain.is_symmetric() and not scaled.is_symmetric()
     assert det_bareiss(chain) == 1
+    assert divisions == {"exact_div": 0, "divmod": 2 * row_steps(n)}
+    assert row_steps(n) == 20
+    # Scaling row a by a, or row and column a by a, makes L's entry at row
+    # a, column b < a equal to a / b.  At step 0, prev = 1, and row 3 has
+    # (q_k, q_l) = -(3, 3 / 2) times the inverse of [[1, 0], [2, 1]], that
+    # is (0, -3 / 2): after those two divmods the step goes over to the
+    # full update, from that row on.  No catch-up is needed, as prev = 1,
+    # and the steps that follow take no test.  Every later step's pivot
+    # rows were
+    # fully updated, so they are current at prev and the step is a full
+    # one: the pivot divisions of steps 2, 4, 6 and 8 and 2 multiplier
+    # divisions per updated row, 2 * 8 + 13 + 9 + 5 + 1 = 44, and one
+    # divmod per updated entry plus the two of the test
     steps = range(0, n - 1, 2)
-    assert divisions["exact_div"] == sum(1 + 2 * (n - k - 2) for k in steps) == 45
-    assert divisions["divmod"] == sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 70
+    exact_divs = sum(1 + 2 * (n - k - 2) for k in steps) - 1
+    scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
+    both = SquareMatrix([[a * b * min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    assert chain.is_symmetric() and both.is_symmetric() and not scaled.is_symmetric()
+    divisions.update(exact_div=0, divmod=0)
+    assert det_bareiss(both) == math.factorial(n) ** 2
+    assert divisions["exact_div"] == exact_divs == 44
+    assert divisions["divmod"] == 2 + sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 72
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n)
-    assert divisions["exact_div"] == 45
-    assert divisions["divmod"] == sum((n - k - 2) ** 2 for k in steps) == 120
+    assert divisions["exact_div"] == 44
+    assert divisions["divmod"] == 2 + sum((n - k - 2) ** 2 for k in steps) == 122
     # The gcd matrix on 1..10 is Eᵀ D E, E the divisibility zeta matrix and D
-    # the totients, so row b is deferred at the step on columns a, a + 1
-    # unless a or a + 1 divides b: at a = 3 rows 5, 7 and 10 are, at a = 5
-    # rows 7, 8 and 9, and at a = 7 rows 9 and 10.  That leaves 12 of the
-    # 20 row-steps: 5 pivots + 2 * 12 multipliers = 29 exact divisions.
-    # The entries, symmetric (j >= i): 36 at a = 1 (rows 3..10), 5 + 3 + 2
-    # at a = 3 (rows 6, 8, 9), then catch-ups of the nonzero live entries
-    # and one full update: at a = 5 row 5 (columns 5, 10), row 10 (column
-    # 10) and row 10's update (1); at a = 7 rows 7 and 8 (1 each); at a = 9
-    # rows 9 and 10 (1 each).  Every catch-up is exact (its pivot divides
-    # prev), so it takes one divmod of the pivots however many live entries
-    # it has, and row 5 at a = 5 takes 1, not 2: 36 + 10 + 3 + 2 + 2 = 53.
-    # Scaled (the whole block, catch-ups from column a): 64 at a = 1, 3 * 6
-    # at a = 3, at a = 5 rows 5 and 10 (one divmod each for columns 5 and
-    # 10) and row 10's update (4), at a = 7 and a = 9 one per pivot row:
-    # 64 + 18 + 6 + 2 + 2 = 92
+    # the totients, so L = Eᵀ is 0/1: every multiplier divides, and row b
+    # is deferred at the step on columns a, a + 1 unless a or a + 1 divides
+    # b, 8 of the 20 row-steps.  Scaling row a by a keeps L integral, as
+    # its entries b / a sit where a divides b.  Both take two divmods for
+    # each of the 12 live row-steps, no exact_div and no entry division
     g = gcd_matrix(range(1, n + 1))
     zeta = SquareMatrix([[int(b % a == 0) for b in range(1, n + 1)] for a in range(1, n + 1)])
+    assert g == zeta.transpose() @ SquareMatrix(
+        [[euler_phi(a) * x for x in zeta.row(a - 1)] for a in range(1, n + 1)]
+    )
     assert deferred_row_steps(zeta) == 8 and row_steps(n) == 20
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(g) == totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 5 + 2 * (20 - 8), "divmod": 53}
+    assert divisions == {"exact_div": 0, "divmod": 2 * (20 - 8)}
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 29, "divmod": 92}
+    assert divisions == {"exact_div": 0, "divmod": 24}
 
 
 def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
     # Fᵀ G for sparse upper triangular F and G, symmetric (G = F) or not, in
-    # int and Poly.  With nonzero diagonals no pivot is 0, and the pivot and
-    # multiplier divisions count the row-steps that were not deferred.  A
-    # zero row in F makes the product singular, and shuffled rows make
-    # elimination meet zero pivots, swap rows and, while the product is
-    # symmetric, mirror it
+    # int and Poly.  With nonzero diagonals no pivot is 0.  When F's
+    # diagonal is ±1, Fᵀ G = L U with L = Fᵀ D_F^-1 unit lower triangular
+    # and integral, so every row stays at the input scale: the row-steps
+    # that were not deferred each take the two divmods of the multiplier
+    # test and nothing else divides.  A zero row in F makes the product
+    # singular, and shuffled rows make elimination meet zero pivots, swap
+    # rows and, while the product is symmetric, mirror it
     rng = random.Random("deferred")
     entries = {
         int: lambda: rng.choice((-3, -2, -1, 1, 2, 3)),
         Poly: lambda: Poly((rng.choice((-2, -1, 1, 2)), rng.randint(-1, 1))),
     }
-    deferred = total = singular = 0
+    units = {int: lambda: rng.choice((-1, 1)), Poly: lambda: Poly.const(rng.choice((-1, 1)))}
+    deferred = total = singular = unit_cases = 0
     for tag, entry in entries.items():
         for _ in range(150 if tag is int else 50):
             n = rng.randint(1, 8)
             density = rng.choice((0.1, 0.2, 0.35))
             f = upper(rng, n, density, entry)
+            unit = rng.random() < 0.5
+            if unit:
+                rows = [list(f.row(i)) for i in range(n)]
+                for i in range(n):
+                    rows[i][i] = units[tag]()
+                f = SquareMatrix(rows)
             g = f if rng.random() < 0.4 else upper(rng, n, density, entry)
             m = f.transpose() @ g
-            divisions.update(exact_div=0)
+            divisions.update(exact_div=0, divmod=0)
             assert det_bareiss(m) == det_cofactor(m)
-            assert divisions["exact_div"] == n // 2 + 2 * (row_steps(n) - deferred_row_steps(f))
+            if unit:
+                live = row_steps(n) - deferred_row_steps(f)
+                assert divisions == {"exact_div": 0, "divmod": 2 * live}
+                unit_cases += 1
             deferred += deferred_row_steps(f)
             total += row_steps(n)
             # F and G are upper triangular, so the leading k x k block of
@@ -552,6 +585,7 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
                 check_minors(hard, through_first_zero(leading_minors_oracle(hard)))
     assert deferred > total // 3
     assert singular > 200
+    assert unit_cases > 80
 
 
 @pytest.fixture
@@ -570,8 +604,8 @@ def catch_ups(monkeypatch):
 
 
 def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
-    # a skipped catch-up leaves a row off by its factor prev / stale, 2 at
-    # the first catch-up of each case
+    # a skipped catch-up leaves a row off by its factor prev / scale, 2 at
+    # the first catch-up of each case.  Step 0 has prev = 1 and pivot 2
     f = SquareMatrix(
         [[1, 0, 1, 0, 1], [0, 2, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
     )
@@ -579,28 +613,32 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
         [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 2, 1], [0, 0, 0, 0, 1]]
     )
     cases = [
-        # symmetric, pivot 2 at k = 0; row 4 is 0 on columns 0 and 1, so it
-        # is deferred, and the leading 4 x 4 minor is 0: the mirror copy at
-        # k = 2 must read row 4 current.  Rows 3 and 4 then move up, and
-        # the row that lands in row 4 is deferred again and is the last
-        # diagonal entry
+        # symmetric: at k = 0 rows 2 and 3 have multipliers (-1, 0) and
+        # (0, -1), so they stay at scale 1, and row 4 is 0 on columns 0 and
+        # 1, so it is deferred at 1.  The leading 4 x 4 minor is 0: at k = 2
+        # the pivot rows' own minor is 0, and rows 2, 3 and 4 are caught up
+        # from their diagonals before the mirror copy reads them.  Rows 3
+        # and 4 then move up, and the row that lands in row 4 is deferred
+        # again and is the last diagonal entry
         (
             [[1, 1, 1, 1, 0], [1, 3, 1, 3, 0], [1, 1, 1, 1, 1], [1, 3, 1, 4, 1], [0, 0, 1, 1, 1]],
             -2,
-            [(4, 2, 1), (4, -2, 2)],
+            [(2, 2, 1), (3, 2, 1), (4, 2, 1), (4, -2, 2)],
         ),
-        # not symmetric, the same shape: at k = 2 rows 3 and 4 supply the
-        # pivot pair, and deferred row 4 is caught up from column 2 before
-        # it moves up
+        # not symmetric, the same shape: the three rows are caught up from
+        # column 2, then rows 3 and 4 supply the pivot pair
         (
             [[1, 1, 1, 0, 2], [1, 3, 0, 1, 1], [1, 1, 1, 0, 3], [1, 3, 1, 2, 1], [0, 0, 2, 1, 1]],
             -2,
-            [(2, 2, 1), (4, -2, 2)],
+            [(2, 2, 1)] * 3 + [(4, -2, 2)],
         ),
-        # Fᵀ G with F[2][4] = F[3][4] = 0: row 4 is updated at k = 0 and
-        # deferred at k = 2, at pivot 2, and it is the last diagonal entry
-        # when the final pivot is 4
-        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(4, 4, 2)]),
+        # Fᵀ G = L U with L = Fᵀ D_F^-1, whose entry L[3][1] = F[1][3] / 2
+        # is not an integer.  At k = 0 row 2's multipliers (-1, 0) divide,
+        # so it stays at 1; row 3's do not, so rows 3 and 4 take the full
+        # update, at pivot 2.  At k = 2 row 2 is caught up from column 2 as
+        # a pivot row, and row 4, with F[2][4] = F[3][4] = 0, is deferred
+        # at 2: it is the last diagonal entry when the final pivot is 4
+        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1), (4, 4, 2)]),
     ]
     for rows, det, expected in cases:
         catch_ups.clear()
@@ -611,16 +649,17 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
 
 def test_a_zero_pivot_catches_up_every_deferred_row(catch_ups):
     # not symmetric: step 0 has pivot 2, and rows 2..6, all 0 on columns 0
-    # and 1, are deferred at 1.  At k = 2 rows 2 and 3 are caught up as
-    # pivot rows and their minor is 0, so rows 4 and 5 swap in.  Row 6 is
-    # neither a pivot row nor swapped, yet it is caught up there, from
-    # column 2, with the others; deferred again at pivot 2, it is the last
-    # diagonal entry at (6, 2, 2)
+    # and 1, are deferred at 1.  At k = 2 pivot rows 2 and 3, at 1, have
+    # the minor 0, so rows 2..6 are caught up from column 2 and rows 4 and
+    # 5 swap in.  Row 6 is neither a pivot row nor swapped, yet it is
+    # caught up there with the others.  The pivot of k = 2 is 2 again, so
+    # rows 4..6, deferred at 2, are current when they are next read, as
+    # pivot rows and as the last diagonal entry, and take no catch-up
     e = [[int(i == j) for j in range(7)] for i in range(7)]
     rows = [[1, 1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0, 0, 0], e[4], e[5], e[2], e[3]]
     rows.append([3 * x for x in e[6]])
     assert det_bareiss(SquareMatrix(rows)) == 6
-    assert catch_ups == [(2, 2, 1)] * 5 + [(4, 2, 2)] * 2 + [(6, 2, 2)]
+    assert catch_ups == [(2, 2, 1)] * 5
     check_both_tags(rows, 6)
 
 
@@ -641,11 +680,6 @@ def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
         det_bareiss(incidence_product_matrix(p, small_diagonal(p), small_diagonal(p)))
     assert len(catch_ups) > 2000
     assert all(num % den == 0 for _, num, den in catch_ups)
-    catch_ups.clear()
-    for m in (360, 5040, 55440, 720720):
-        det_bareiss(gcd_matrix(divisors(m)))
-    assert len(catch_ups) == 3647
-    assert all(num % den == 0 for _, num, den in catch_ups)
     # Meet matrices, kept only while every Lindström factor is nonzero; a
     # zero factor zeroes a leading minor, after which pivots need not divide
     kept, inexact_elsewhere = [], 0
@@ -660,6 +694,170 @@ def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
     assert len(kept) > 1000
     assert all(num % den == 0 for _, num, den in kept)
     assert inexact_elsewhere > 0
+
+
+def test_the_papers_matrices_stay_at_the_input_scale(divisions, catch_ups):
+    # In linear-extension order these matrices are L U with L unit lower
+    # triangular and integral: a factor-closed GCD matrix Eᵀ diag(φ) E, E
+    # the divisibility matrix in ascending order, has L = Eᵀ, and Apostol's
+    # and Daniloff's Fᵀ G has L = Fᵀ D_F^-1, as f(a, a) divides f(a, b).
+    # So every multiplier divides and every row stays at the input scale:
+    # each row-step that is not deferred takes the two divmods of its
+    # multiplier test, and nothing else divides or catches up
+    cases = []
+    for m in (360, 5040, 55440, 720720):
+        s = divisors(m)
+        zeta = SquareMatrix([[int(b % a == 0) for b in s] for a in s])
+        cases.append((gcd_matrix(s), zeta, totient_product(s)))
+    configs = [_ramanujan_config(64)] + [_kth_root_config(64, k, range(1, 65)) for k in (1, 2, 3)]
+    for p, f, g in configs:
+        m = incidence_product_matrix(p, f, g)
+        cases.append((m, incidence_matrix(p, f), math.factorial(64)))
+    for m, f, det in cases:
+        divisions.update(exact_div=0, divmod=0)
+        assert det_bareiss(m) == det
+        assert divisions == {"exact_div": 0, "divmod": 2 * (row_steps(m.n) - deferred_row_steps(f))}
+    assert [m.n for m, _, _ in cases] == [24, 60, 120, 240, 64, 64, 64, 64]
+    assert catch_ups == []
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals, kept in
+    integers by clearing each row's quotient: row_i becomes a_kk row_i -
+    a_ik row_k, which scales the det by a_kk, and the product of the
+    pivots over the product of those scales is one Fraction at the end.
+    No exact division, no fraction-free step, nothing shared with
+    det_bareiss."""
+    a = [list(row) for row in rows]
+    n, num, den = len(a), 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            num = -num
+        row_k = a[k]
+        pivot = row_k[k]
+        num *= pivot
+        for row in a[k + 1 :]:
+            t = row[k]
+            if t:
+                den *= pivot
+                for j in range(k + 1, n):
+                    row[j] = pivot * row[j] - t * row_k[j]
+    det = Fraction(num, den)
+    assert det.denominator == 1
+    return det.numerator
+
+
+def test_scale_transitions_match_a_fraction_oracle():
+    # Rows leave the input scale where a multiplier stops dividing or a
+    # pivot block is singular, and deferred rows wait at older pivots, so
+    # one step can hold rows at 1, at prev and at earlier pivots.  A later
+    # leading minor can equal 1 while a row waits at another pivot: a row
+    # counts as at the input scale by the value of its own scale, never
+    # because prev is 1 (in symmetric mode a_ik is read from the pivot
+    # rows, so a pivot row taken for one at 1 breaks every row below it).
+    # Sparse symmetric matrices meet all of that; L U and L D Lᵀ with L
+    # unit lower triangular stay at 1 until a non-unit diagonal entry of L
+    # or a shuffle; shuffled GCD matrices are positive definite.  Poly
+    # versions: constant entries, whose pivots can equal the ring's one
+    # without being that object, x (1 + q), whose pivots' leading coefficients need not
+    # divide, and m + q B, checked at enough integer nodes
+    rng = random.Random("scale transitions")
+
+    def sparse_symmetric(n):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((0, 0, 0, 1, -1, 2, -2, 3))
+        return SquareMatrix(rows)
+
+    def triangular_product(n):
+        lower = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.4:
+                    lower[i][j] = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.3:
+            i = rng.randrange(n)
+            lower[i][i] = rng.choice((-2, 2, 3))
+        nonzero = (-3, -2, -1, 1, 2, 3)
+        if rng.random() < 0.5:
+            d = [rng.choice(nonzero) for _ in range(n)]
+            right = [[d[i] * lower[j][i] for j in range(n)] for i in range(n)]
+        else:
+            right = [[rng.choice((-2, 0, 0, 1, 2)) * (j > i) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                right[i][i] = rng.choice(nonzero)
+        m = SquareMatrix(lower) @ SquareMatrix(right)
+        return shuffled(rng, m) if rng.random() < 0.3 else m
+
+    def shuffled_gcd(n):
+        s = rng.sample(range(1, 49), n)
+        return SquareMatrix([[math.gcd(a, b) for b in s] for a in s])
+
+    def plus_q(m):
+        # m + q B for a sparse 0, ±1 matrix B, symmetric when m is
+        sym = m.is_symmetric()
+        b = [[rng.choice((-1, 1)) * (rng.random() < 0.2) for _ in range(m.n)] for _ in range(m.n)]
+        return SquareMatrix(
+            [
+                [Poly((m[i, j], b[min(i, j)][max(i, j)] if sym else b[i][j])) for j in range(m.n)]
+                for i in range(m.n)
+            ]
+        )
+
+    def witness(n):
+        # found by search: leading minors -2, -2, -1, 1 and 0.  Row 6 is
+        # updated at step 0 and deferred at step 2, so it still waits at -2
+        # at step 4, where prev = 1 and the pivot rows are at 1
+        return SquareMatrix(WAITS_AT_MINUS_TWO)
+
+    counts = {}
+    builds = [
+        (sparse_symmetric, 20000),
+        (triangular_product, 6000),
+        (shuffled_gcd, 2000),
+        (witness, 1),
+    ]
+    for build, cases in builds:
+        for case in range(cases):
+            m = build(rng.randint(4, 7))
+            rows = [m.row(i) for i in range(m.n)]
+            det = fraction_det(rows)
+            assert det_bareiss(m) == det
+            if case % 16 == 0:
+                constant = SquareMatrix([[Poly((x,)) for x in row] for row in rows])
+                assert det_bareiss(constant) == Poly((det,))
+            elif case % 16 == 1:
+                assert det_bareiss(as_poly(m)) == Poly((det,)) * Poly((1, 1)) ** m.n
+            elif case % 32 == 2:
+                pm = plus_q(m)
+                pdet = det_bareiss(pm)
+                bound = sum(max(0, *(x.degree for x in pm.row(i))) for i in range(m.n))
+                assert pdet.degree <= bound
+                for x in range(bound + 1):
+                    at_x = [[y.evaluate(x) for y in pm.row(i)] for i in range(m.n)]
+                    assert pdet.evaluate(x) == fraction_det(at_x)
+            key = build.__name__, det != 0
+            counts[key] = counts.get(key, 0) + 1
+    # about 6% of the sparse symmetric matrices are singular; a product
+    # of two triangular factors with nonzero diagonals never is
+    assert counts["sparse_symmetric", False] > 1000
+    assert counts["triangular_product", True] == 6000 and counts["shuffled_gcd", True] == 2000
+
+
+WAITS_AT_MINUS_TWO = [
+    [-2, 0, -1, 1, 1, 0, 0],
+    [0, 1, 0, 1, 2, 0, -1],
+    [-1, 0, 0, 1, 1, -1, 0],
+    [1, 1, 1, 0, 0, 0, -1],
+    [1, 2, 1, 0, 0, 0, 2],
+    [0, 0, -1, 0, 0, 0, -1],
+    [0, -1, 0, -1, 2, -1, -2],
+]
 
 
 # The direct sum of [[2, 1], [1, 2]] on rows 0 and 3, [[1, 1], [1, 2]] on
@@ -685,13 +883,17 @@ def test_an_inexact_catch_up_falls_back_to_entry_division(catch_ups):
     assert (4, square * square * 3, square * 2) in catch_ups
 
 
-def _gcd_plus_q(n):
-    # the gcd matrix plus q on the diagonal: each pivot is monic in q, of
-    # positive degree from the second step on
-    q = Poly.variable()
+def _gcd_plus(n, d):
+    # the gcd matrix on 1..n plus d on the diagonal, d = 1 or q: at step
+    # 0 the pivot block's minor is (1 + d)(2 + d) - 1, 5 or q^2 + 3q + 1,
+    # and row 3's first multiplier, (1 - (2 + d)) / that minor, does not
+    # divide, so every row of the step takes the full update, at prev = 1.
+    # From the second step on each pivot is a non-unit and every row's
+    # entries divide by it
+    one = d**0
     return SquareMatrix(
         [
-            [Poly.const(math.gcd(a, b)) + (q if a == b else Poly()) for b in range(1, n + 1)]
+            [one * math.gcd(a, b) + (d if a == b else d * 0) for b in range(1, n + 1)]
             for a in range(1, n + 1)
         ]
     )
@@ -700,25 +902,26 @@ def _gcd_plus_q(n):
 @pytest.mark.parametrize(
     "m, message, site",
     [
-        (gcd_matrix(range(1, 11)), "division is not exact", "det_bareiss"),
-        (_gcd_plus_q(6), "division is not exact", "det_bareiss"),
+        (_gcd_plus(6, 1), "division is not exact", "det_bareiss"),
+        (_gcd_plus(6, Poly.variable()), "division is not exact", "det_bareiss"),
         (SquareMatrix(INEXACT_CATCH_UP), "division is not exact", "_rescale"),
         (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "division is not exact", "_rescale"),
     ],
     ids=["int", "poly", "int-deferred", "poly-deferred"],
 )
 def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, message, site):
-    # one entry numerator off by one, at the first division by a non-unit
-    # that site makes: det_bareiss must raise on the remainder, not drop
-    # it.  In _rescale that is the catch-up of a deferred row, with one
-    # entry bumped while the row waited; its first division is the ratio
-    # of its two pivots, which is skipped.  A catch-up whose pivots divide
-    # has no entry division, so the catch-up tested is INEXACT_CATCH_UP's.
-    # The gcd matrix on 1..10 updates row 10 in full after a pivot of 4,
-    # so the entry loop is tested there
+    # one entry numerator off by one, at the first entry division by a
+    # non-unit that site makes: det_bareiss must raise on the remainder,
+    # not drop it.  Each site's first division by a non-unit is not an
+    # entry's, so it is skipped.  In det_bareiss that is _gcd_plus's
+    # multiplier test at step 0, which leaves the input scale; the next is
+    # the first entry of the full update at step 2.  In _rescale it is the
+    # ratio of the two pivots of a deferred row's catch-up, with one entry
+    # bumped while the row waited.  A catch-up whose pivots divide has no
+    # entry division, so the catch-up tested is INEXACT_CATCH_UP's
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
-    skip = int(site == "_rescale")
+    skip = 1
     seen = []
 
     def off_by_one(a, b):

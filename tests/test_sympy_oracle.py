@@ -13,15 +13,14 @@ import random
 
 import pytest
 
-from posetdet import matrix
 from posetdet.arith import divisors
 from posetdet.chromatic import chromatic_join_det, chromatic_join_matrix
-from posetdet.identities import gcd_matrix, kth_root_matrix, ramanujan_matrix
+from posetdet.identities import gcd_matrix, kth_root_matrix, ramanujan_matrix, totient_product
 from posetdet.lgv import WeightedDigraph, stembridge_matrix
 from posetdet.matrix import SquareMatrix, det_bareiss
 from posetdet.randgen import random_hypothesis_digraph
 from posetdet.ring import Poly
-from test_matrix import deferred_row_steps, row_steps, shuffled, upper
+from test_matrix import deferred_row_steps, divisions, row_steps, shuffled, upper  # noqa: F401
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -109,6 +108,18 @@ def _pivot_heavy(n, symmetric):
     )
 
 
+def _unit_lu(n):
+    """L U with L unit lower triangular and U upper triangular, both
+    integral with small entries: every multiplier of the elimination
+    divides, so det_bareiss keeps every row at the input scale."""
+    rng = random.Random(f"unit-lu-{n}")
+    lower = [[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        upper[i][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return SquareMatrix(lower) @ SquareMatrix(upper)
+
+
 @pytest.mark.parametrize(
     "build, symmetric",
     [
@@ -117,6 +128,7 @@ def _pivot_heavy(n, symmetric):
         (lambda: ramanujan_matrix(24), False),
         (lambda: _dense(9), False),
         (lambda: _dense(40), False),
+        (lambda: _unit_lu(64), False),
         (lambda: _pivot_heavy(9, False), False),
         (lambda: _pivot_heavy(16, False), False),
         (lambda: _pivot_heavy(25, False), False),
@@ -132,6 +144,7 @@ def _pivot_heavy(n, symmetric):
         "ramanujan-24",
         "dense-9",
         "dense-40",
+        "unit-lu-64",
         "pivot-heavy-9",
         "pivot-heavy-16",
         "pivot-heavy-25",
@@ -154,6 +167,20 @@ def test_large_integer_det_matches_sympy(build, symmetric):
     assert det == int(expected)
 
 
+def test_gcd_matrix_on_the_divisors_of_720720_matches_sympy():
+    # the largest set smith --set accepts, in ascending order, where every
+    # row stays at the input scale, and with its rows and columns shuffled
+    # alike, which leaves the det unchanged and makes the multipliers
+    # fractions.  One sympy det, about 4 s, serves both
+    s = divisors(720720)
+    m = gcd_matrix(s)
+    rows = [[sympy.ZZ(m[i, j]) for j in range(m.n)] for i in range(m.n)]
+    expected = int(DomainMatrix(rows, (m.n, m.n), sympy.ZZ).det())
+    assert m.n == 240 and expected == totient_product(s)
+    assert det_bareiss(m) == expected
+    assert det_bareiss(shuffled(random.Random("gcd-720720"), m)) == expected
+
+
 @pytest.mark.parametrize(
     "n, symmetric, singular",
     [
@@ -165,12 +192,14 @@ def test_large_integer_det_matches_sympy(build, symmetric):
         (64, False, True),
     ],
 )
-def test_deferred_rows_match_sympy_on_sparse_products(monkeypatch, n, symmetric, singular):
+def test_deferred_rows_match_sympy_on_sparse_products(divisions, n, symmetric, singular):
     # Fᵀ G for sparse upper triangular F and G (G = F when symmetric), as in
-    # test_matrix: the pivot and multiplier divisions count the row-steps
-    # that were not deferred.  A singular product has a zero row in F, and
-    # it and a second copy of the product are shuffled, so that elimination
-    # meets zero pivots with rows still deferred
+    # test_matrix.  A nonsingular product has F's diagonal ±1, so it is L U
+    # with L = Fᵀ D_F^-1 integral: every row stays at the input scale, and
+    # each row-step that is not deferred takes the two divmods of its
+    # multiplier test and nothing else divides.  A singular product has a
+    # zero row in F, and it and a second copy of the product are shuffled,
+    # so that elimination meets zero pivots with rows still deferred
     rng = random.Random(f"sparse-product-{n}-{symmetric}-{singular}")
 
     def entry():
@@ -180,12 +209,14 @@ def test_deferred_rows_match_sympy_on_sparse_products(monkeypatch, n, symmetric,
     if singular:
         c = rng.randrange(n)
         f = SquareMatrix([[x if i != c else 0 for x in f.row(i)] for i in range(n)])
+    else:
+        rows = [list(f.row(i)) for i in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice((-1, 1))
+        f = SquareMatrix(rows)
     g = f if symmetric else upper(rng, n, 0.06, entry)
     m = f.transpose() @ g
     assert m.is_symmetric() is symmetric
-    calls = []
-    exact_div = matrix.exact_div
-    monkeypatch.setattr(matrix, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
     products = [m] if not singular else [shuffled(rng, m), shuffled(rng, m)]
     for p in products:
         rows = [[sympy.ZZ(p[i, j]) for j in range(n)] for i in range(n)]
@@ -194,5 +225,5 @@ def test_deferred_rows_match_sympy_on_sparse_products(monkeypatch, n, symmetric,
         assert det_bareiss(p) == expected
     if not singular:
         deferred = deferred_row_steps(f)
-        assert len(calls) == n // 2 + 2 * (row_steps(n) - deferred)
+        assert divisions == {"exact_div": 0, "divmod": 2 * (row_steps(n) - deferred)}
         assert deferred > row_steps(n) // 2

@@ -12,7 +12,9 @@ files go to the temporary directory).  Each round runs every invocation
 once on each side, alternating which side goes first, and checks that
 both sides print the same stdout and stderr and return the same exit
 code.  The output is the ratio of total change time to total base time,
-and the median and quartiles of the per-round ratios.  On a machine
+and the median and quartiles of the per-round ratios, then one line per
+invocation with its own total ratio, so that a change which speeds up
+one invocation and slows another shows.  On a machine
 whose speed drifts from second to second, interleaving single
 invocations cancels most of the drift that separates two whole-process
 runs.  Nothing is written into the repo.
@@ -85,6 +87,7 @@ def main(argv=None) -> int:
         clis = [import_side(tree, f"posetdet_ab_{side}", tmp)
                 for tree, side in zip((args.base, args.change), SIDES)]
         totals = [0.0, 0.0]
+        by_invocation = [[0.0, 0.0] for _ in invocations]
         ratios = []
         for rnd in range(args.rounds):
             spent = [0.0, 0.0]
@@ -94,6 +97,7 @@ def main(argv=None) -> int:
                 for side in (first, 1 - first):
                     results[side] = invoke(clis[side], inv.argv)
                     spent[side] += results[side][0]
+                    by_invocation[i][side] += results[side][0]
                 if results[0][1:] != results[1][1:]:
                     print(f"error: the two sides differ on {inv.key}", file=sys.stderr)
                     return 1
@@ -105,6 +109,9 @@ def main(argv=None) -> int:
     print(f"base {totals[0] / args.rounds:.4f} s a pass, change {totals[1] / args.rounds:.4f} s")
     print(f"total ratio {totals[1] / totals[0]:.4f}; per-round median {med:.4f}, "
           f"IQR {q1:.4f}-{q3:.4f}")
+    for inv, (base, change) in zip(invocations, by_invocation):
+        key = inv.key if len(inv.key) <= 48 else inv.key[:45] + "..."
+        print(f"{key}: total ratio {change / base:.4f}, base {base / args.rounds:.4f} s a pass")
     return 0
 
 
