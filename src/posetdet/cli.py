@@ -71,6 +71,8 @@ def _load_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # bad JSON, bad UTF-8, an int past the digit limit
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_poset(path: str) -> Poset:
@@ -161,12 +163,7 @@ def run_smith(args, rng, cases) -> list[IdentityReport]:
             raise ValueError("--set must name at least one integer")
         if len(values) > SET_SIZE_MAX:
             raise ValueError(f"--set must name at most {SET_SIZE_MAX} integers")
-        # Ascending order is a linear extension of divisibility.  There the
-        # GCD matrix is Eᵀ diag(φ) E with E the 0/1 divisibility matrix, so
-        # every multiplier of det_bareiss is 0 or -1 and no entry is ever
-        # divided; neither the det nor the totient product depends on the
-        # order.
-        values.sort()
+        values.sort()  # the order det_bareiss is fastest in: see gcd_matrix
         _check_values(values)  # is_factor_closed assumes distinct positive values
         if max(values) > SET_VALUE_MAX:
             raise ValueError(f"--set values must be at most {SET_VALUE_MAX}")

@@ -4,16 +4,13 @@ det_bareiss is the workhorse: Bareiss's two-step elimination, with one
 exact division per entry per two columns and, on a symmetric input, only
 the upper triangle updated.  A row that a step would only rescale, as it
 has zeros in both eliminated columns, is left alone until it is next
-read, so the sparse incidence products Fᵀ G skip most of their rows;
-on the paper's matrices such a row then catches up by one exact
-multiplication per entry.  A row stays at the input scale, as its row of
-the Schur complement itself, while its multipliers divide exactly: the
-row minus (a_ik, a_il) M^-1 times the two pivot rows, M the pivot block,
-is its next Schur complement row, with no division per entry, and its
-entries are never larger than Bareiss's, which are the same values
-times a nonzero leading minor.  In linear-extension order the paper's
-matrices are L U with L integral and unit triangular, so their rows
-never leave that scale.  det_cofactor is a deliberately independent
+read, so the sparse incidence products Fᵀ G skip most of their rows.  A
+step whose two pivot rows are still at the input scale divides no row:
+a row whose multipliers divide takes its next Schur complement row
+itself, and any other a multiple of it, with no division either.  In
+linear-extension order the factor-closed GCD matrices and Apostol's and
+Daniloff's are L U with L integral and unit triangular, so their rows
+never leave the input scale.  det_cofactor is a deliberately independent
 slow oracle used to cross-check it.
 """
 
@@ -88,20 +85,10 @@ class SquareMatrix:
 
 
 def _rescale(row: list[RingValue], start: int, num: RingValue, den: RingValue) -> None:
-    """row[j] = num * row[j] / den for every j >= start, in place.  When
-    den divides num, one builtin divmod gives the quotient and each entry
-    is multiplied by it.  Otherwise each nonzero entry is divided by the
-    builtin divmod, as in det_bareiss's entry loop, and a nonzero
-    remainder goes on to exact_div, which raises.  A Poly den whose
-    leading coefficient does not divide num's raises from divmod, which
-    here only means that the quotient is not in Z[q]."""
-    try:
-        step, r = divmod(num, den)
-    except InexactDivisionError:
-        r = True
-    if not r:
-        row[start:] = [x * step for x in row[start:]]
-        return
+    """row[j] = num * row[j] / den for every j >= start, in place.  Each
+    nonzero entry is divided by the builtin divmod, as in det_bareiss's
+    entry loop, and a nonzero remainder goes on to exact_div, which
+    raises."""
     for j in range(start, len(row)):
         if row[j]:
             row[j], r = divmod(num * row[j], den)
@@ -114,19 +101,20 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
 
     Each step eliminates two columns k and l = k + 1 at once.  With prev
     the previous step's pivot (1 at the start), the pivot is the 2 x 2
-    minor c0 = (a_kk a_ll - a_kl a_lk) / prev; each row i > l gets
-    c1 = (a_kl a_ik - a_kk a_il) / prev and c2 = (a_lk a_il - a_ll a_ik)
-    / prev, and each of its entries becomes (c0 a_ij + c1 a_lj + c2 a_kj)
-    / prev.  By Sylvester's identity c0, c1, c2 and every new entry are
-    bordered minors of the input, so every division is exact in the
+    minor (a_kk a_ll - a_kl a_lk) / prev.  Each row i > l has the
+    numerators c1 = a_kl a_ik - a_kk a_il and c2 = a_lk a_il - a_ll a_ik
+    of its multipliers c1 / prev and c2 / prev, and each of its entries
+    becomes (pivot a_ij + c1 / prev a_lj + c2 / prev a_kj) / prev.  By
+    Sylvester's identity the pivot, the multipliers and every new entry
+    are bordered minors of the input, so every division is exact in the
     entry domain; an inexact one raises InexactDivisionError, which means
     the invariant was broken, not that the input was bad.  Per entry and
     per two columns that is 3 multiplications and 1 division, where
     one-step elimination takes 4 and 2 (Bareiss, Math. Comp. 22, 1968).
     The entry division is the builtin divmod, with no Python-level call,
-    for int and Poly alike; only a nonzero remainder goes on to the
-    ring's exact division, which raises.  The pivot and the multipliers,
-    O(n) per step, divide through it directly.
+    for int and Poly alike; only a nonzero remainder goes on to the ring's
+    exact division, which raises.  The pivot and the multipliers, O(n) per
+    step, divide through it directly.
 
     The pivot is the 2 x 2 minor, not a_kk.  When it is 0, the first row
     pair r < s of rows k..n-1 with a nonzero minor on columns k and l is
@@ -139,52 +127,49 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     into the lower one, and from there every entry is updated and rows
     may swap.  GCD matrices are positive definite, so they never get there.
 
-    A row with a_ik = a_il = 0, and only such a row, has c1 = c2 = 0:
-    (c1, c2) is (a_ik, a_il) times a 2 x 2 matrix of determinant -c0 /
-    prev, which is nonzero.  The step would only rescale it by pivot /
-    prev, so it is left alone.  Each row's entries are scale[i] times its
-    row of the current Schur complement, where Bareiss keeps them at prev
-    times it; scale[i] is the pivot the row was last current at, and a
-    deferred row keeps it.  A deferred entry is 0 exactly when its
-    current value is, so the zero tests read deferred rows as they are.
-    A row whose scale is not prev is brought current when it is next read
-    at prev: as a pivot row, before a full update, at a zero pivot (every
-    such row, before the mirror copy and the row pair search), or as the
-    last diagonal entry.  When scale[i] divides prev, each live entry is
-    multiplied by the quotient; otherwise each nonzero one takes
-    divmod(prev * x, scale[i]), exact too, as old and current entries are
-    both bordered minors.  Without row swaps both pivots are leading
-    principal minors, and on the paper's matrices in linear-extension
-    order (Fᵀ G, GCD matrices of factor-closed sets in ascending order,
-    meet matrices) each is the product of the diagonal factors of its
-    order ideal, so while none is 0 they divide.
+    Each row's entries are scale[i] times its row of the current Schur
+    complement, where Bareiss keeps them at prev times it; before step 0
+    every row is at scale 1.  Scales are compared by value, never by
+    identity.  A row with a_ik = a_il = 0, and only such a row, has c1 =
+    c2 = 0: (c1, c2) is (a_ik, a_il) times a 2 x 2 matrix of determinant
+    -minor, which is nonzero.  The step would only rescale it, so it is
+    left alone and keeps its scale.  A deferred entry is 0 exactly when
+    its current value is, so the zero tests read deferred rows as they
+    are.
 
-    Before step 0 every row is at scale 1: it holds the Schur complement
-    itself.  While both pivot rows are at 1 they are not brought current.
-    Read from them, minor = a_kk a_ll - a_kl a_lk is the Schur
-    complement's own 2 x 2 minor, and the leading principal minors of
-    orders k + 1 and k + 2 are prev a_kk and pivot = prev minor, with no
-    division.  A row at 1 with (a_ik, a_il) != 0 tries q_k = (a_lk a_il -
-    a_ll a_ik) / minor and q_l = (a_kl a_ik - a_kk a_il) / minor with the
-    builtin divmod.  With M the 2 x 2 pivot block, M^-1 = adj(M) / minor,
-    so (q_k, q_l) = -(a_ik, a_il) M^-1 and row_i + q_k row_k + q_l row_l
-    is exactly the row's next Schur complement row, row_i - (a_ik, a_il)
-    M^-1 (row_k, row_l).  When both divide, the row takes it with no
-    division and stays at 1; its entries never exceed Bareiss's, which
-    are the same entries times a leading principal minor, a nonzero ring
-    element.  The first row of a step that is not at 1, or whose
-    quotients do not divide (for a Poly minor whose leading coefficient
-    does not divide, divmod raises), brings both pivot rows to prev, one
-    multiplication per entry, and from it on the step updates as above.
-    Scales are compared by value, as a later leading minor can equal 1
-    while another row waits at a different pivot.  A matrix L U with L
-    unit lower triangular and integral has (q_k, q_l) = -(L_ik, L_il)
-    times the inverse of L's unit 2 x 2 block, integral too, so every row
-    stays at 1.  In linear-extension order that covers Fᵀ G with L = Fᵀ
-    D_F^-1, when f(a, a) divides f(a, b) (Apostol's and Daniloff's
-    matrices), and a factor-closed GCD matrix Eᵀ diag(φ) E, E the 0/1
-    divisibility matrix: their entries stay as small as their Schur
-    complements, with no entry division and no catch-up.
+    A step fixes its mode at its start.  When both pivot rows are at 1,
+    they hold the Schur complement's own rows: minor = a_kk a_ll - a_kl
+    a_lk is its 2 x 2 minor, the leading principal minors of orders k + 1
+    and k + 2 are prev a_kk and pivot = prev minor, and no row is divided
+    or brought current.  With M the 2 x 2 pivot block, M^-1 = adj(M) /
+    minor, so q_k = c2 / minor and q_l = c1 / minor give (q_k, q_l) =
+    -(a_ik, a_il) M^-1, and row_i + q_k row_k + q_l row_l is the row's
+    next Schur complement row.  A row at 1 tries both with the builtin
+    divmod (for a Poly minor whose leading coefficient does not divide,
+    divmod raises); when they divide it takes that row, with no
+    division, and stays at 1.  Any other live row, at scale s, takes
+    minor row_i + c1 row_l + c2 row_k, which is s minor times its next
+    Schur complement row, and its scale becomes s minor; on symmetric
+    input c1 and c2 are read at 1 from the pivot rows and scaled by s
+    first.  That runs in Bareiss's entry loop, with divisor 1 for prev.
+    Its entries never exceed Bareiss's, which are the same values times
+    pivot = prev minor: when s divides prev, s minor divides the pivot.
+    A matrix L U with L unit lower triangular and integral has (q_k,
+    q_l) = -(L_ik, L_il) times the inverse of L's unit 2 x 2 block,
+    integral too, so every row stays at 1.  In linear-extension order
+    that covers Fᵀ G with L = Fᵀ D_F^-1, when f(a, a) divides f(a, b)
+    (Apostol's and Daniloff's matrices), and a factor-closed GCD matrix
+    Eᵀ diag(φ) E, E the 0/1 divisibility matrix: their entries stay as
+    small as their Schur complements, with no entry division and no
+    catch-up.
+
+    Any other step is Bareiss's, with divisor prev.  A row whose scale is
+    not prev is brought current when it is read at prev: as a pivot row,
+    before its update, at a zero pivot (every such row, before the mirror
+    copy and the row pair search), or as the last diagonal entry.  Each
+    nonzero entry x then takes divmod(prev x, scale[i]), exact as its old
+    and current values are scale[i] and prev times the same Schur
+    complement entry, and prev times it is a bordered minor.
 
     A list minors gets the leading principal minors up to the first 0,
     before which rows never swap: a_kk and the pivot at step k are those
@@ -249,6 +234,8 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             row_k, row_l = a[k], a[l]
             a_kk, a_kl, a_lk, a_ll = row_k[k], row_k[l], row_l[k], row_l[l]
             pivot = exact_div(a_kk * a_ll - a_kl * a_lk, prev)
+        # a live row not taken at 1 becomes (w row_i + c1 row_l + c2 row_k) / t
+        w, t = (minor, one) if low else (pivot, prev)
         for i in range(l + 1, n):
             row_i = a[i]
             if symmetric:
@@ -260,49 +247,41 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                 # change, so it keeps its scale until it is next read
                 continue
             s = scale[i]
-            if low:
-                if s == one:
-                    try:
-                        q_k, r = divmod(a_lk * a_il - a_ll * a_ik, minor)
-                        if not r:
-                            q_l, r = divmod(a_kl * a_ik - a_kk * a_il, minor)
-                    except InexactDivisionError:
-                        r = True
-                    if not r:
-                        # on the paper's matrices most rows have one
-                        # multiplier 0, so that pivot row is not read
-                        if q_k and q_l:
-                            for j in range(start, n):
-                                row_i[j] += q_k * row_k[j] + q_l * row_l[j]
-                        else:
-                            q, row = (q_k, row_k) if q_k else (q_l, row_l)
-                            for j in range(start, n):
-                                row_i[j] += q * row[j]
-                        continue
-                # the step leaves the input scale from this row on
-                low = False
-                if prev != one:
-                    _rescale(row_k, k, prev, one)
-                    _rescale(row_l, l if symmetric else k, prev, one)
-                    a_kk, a_kl, a_ll = row_k[k], row_k[l], row_l[l]
-                    a_lk = a_kl if symmetric else row_l[k]
-                    if symmetric:
-                        a_ik, a_il = row_k[i], row_l[i]
-            if s != prev:
+            if not low and s != prev:
                 _rescale(row_i, i if symmetric else k, prev, s)
                 if not symmetric:
                     a_ik, a_il = row_i[k], row_i[l]
-            c1 = exact_div(a_kl * a_ik - a_kk * a_il, prev)
-            c2 = exact_div(a_lk * a_il - a_ll * a_ik, prev)
+            c1 = a_kl * a_ik - a_kk * a_il
+            c2 = a_lk * a_il - a_ll * a_ik
+            if not low:
+                c1, c2 = exact_div(c1, prev), exact_div(c2, prev)
+            elif s == one:
+                try:
+                    q_k, r = divmod(c2, minor)
+                    if not r:
+                        q_l, r = divmod(c1, minor)
+                except InexactDivisionError:
+                    r = True
+                if not r:
+                    # on the paper's matrices most rows have one
+                    # multiplier 0, so that pivot row is not read
+                    if q_k and q_l:
+                        for j in range(start, n):
+                            row_i[j] += q_k * row_k[j] + q_l * row_l[j]
+                    else:
+                        q, row = (q_k, row_k) if q_k else (q_l, row_l)
+                        for j in range(start, n):
+                            row_i[j] += q * row[j]
+                    continue
+            elif symmetric:
+                c1, c2 = s * c1, s * c2
             for j in range(start, n):
-                row_i[j], r = divmod(
-                    pivot * row_i[j] + c1 * row_l[j] + c2 * row_k[j], prev
-                )
+                row_i[j], r = divmod(w * row_i[j] + c1 * row_l[j] + c2 * row_k[j], t)
                 if r:
-                    # 0 < |r| < |prev| (deg r < deg prev for Poly), so
-                    # prev does not divide r and this raises
-                    exact_div(r, prev)
-            scale[i] = pivot
+                    # 0 < |r| < |t| (deg r < deg t for Poly), so t does
+                    # not divide r and this raises
+                    exact_div(r, t)
+            scale[i] = s * minor if low else pivot
         prev = pivot
     d = a[n - 1][n - 1] if n % 2 else prev
     if n % 2 and scale[n - 1] != prev:

@@ -544,6 +544,29 @@ def test_deeply_nested_json_file_exits_two(tmp_path, capsys, command):
     assert err == f"error: {path}: JSON nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["mobius"], ["verify", "main", "--poset"], ["verify", "stembridge", "--digraph"]],
+    ids=" ".join,
+)
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"n": 3, "leq": ', "Expecting value: line 1 column 17 (char 16)"),
+        ('{"n": ' + "7" * 5000 + "}", "Exceeds the limit (4300"),
+    ],
+    ids=["truncated", "5000-digit-int"],
+)
+def test_unreadable_json_file_is_named_in_the_error(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith(f"error: {path}: {reason}")
+    assert err.count("\n") == 1
+
+
 GOOD_DIGRAPH = {
     "vertices": 4,
     "arcs": [[0, 2, 2], [0, 3, 5], [1, 3, 3]],
@@ -638,7 +661,7 @@ def test_det_above_the_int_to_str_digit_limit_is_printed(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "stembridge", "--digraph", str(path))
     assert code == EXIT_INPUT
     assert out == ""
-    assert err.startswith("error: Exceeds the limit (4300 digits)")
+    assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits)")
 
 
 def test_stembridge_digraph_file_with_polynomial_weights(tmp_path, capsys):

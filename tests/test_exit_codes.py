@@ -3,7 +3,8 @@
 Every run of ``cli.main`` returns 0 (pass), 1 (violation) or 2 (bad
 input) and never raises.  It returns 2 only with an ``error:`` line or a
 hypothesis-failed report, and 1 only with a FAIL line.  The inputs are
-mutations of every fixture file and the edge values of the size flags.
+mutations of every fixture file, malformed copies of them and the edge
+values of the size flags.
 Everything runs in-process: no processes or threads.
 """
 
@@ -97,6 +98,7 @@ def _assert_contract(capsys, argv):
         ), argv
     if code == 1:
         assert any(line.startswith("FAIL ") for line in lines), argv
+    return code, captured.err
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
@@ -108,6 +110,18 @@ def test_mutated_fixture_files_keep_the_exit_code_contract(tmp_path, capsys, nam
         path.write_text(_mutant(doc, rng))
         for argv in _commands(name, str(path)):
             _assert_contract(capsys, argv)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_malformed_fixture_files_exit_two_naming_the_file(tmp_path, capsys, name):
+    # cut off halfway, and with a 5000-digit integer, past the parse limit
+    text = (FIXTURES / name).read_text()
+    path = tmp_path / name
+    for bad in (text[: len(text) // 2], text.replace("{", '{"x": ' + "7" * 5000 + ", ", 1)):
+        path.write_text(bad)
+        for argv in _commands(name, str(path)):
+            code, err = _assert_contract(capsys, argv)
+            assert code == 2 and err.startswith(f"error: {path}: "), argv
 
 
 SIZE_VALUES = ["0", "1", "64", "65", str(10**12)]

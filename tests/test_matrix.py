@@ -466,8 +466,10 @@ def deferred_row_steps(f):
 def test_two_step_elimination_division_counts(divisions):
     # A step whose pivot rows are at the input scale takes no pivot
     # division (its pivot is prev times their 2 x 2 minor), and each of its
-    # live rows first tries its two multipliers with one builtin divmod
-    # each, the second only when the first divides.  Every other step
+    # live rows at that scale first tries its two multipliers with one
+    # builtin divmod each, the second only when the first divides; a row
+    # that is not at 1, or whose multipliers do not divide, takes one
+    # divmod by 1 per updated entry.  Every other step
     # divides once for its pivot, twice per updated row for that row's
     # multipliers and once per updated entry: a symmetric input updates
     # only j >= i, any other input the whole block below row k + 1; none
@@ -487,29 +489,39 @@ def test_two_step_elimination_division_counts(divisions):
     assert divisions == {"exact_div": 0, "divmod": 2 * row_steps(n)}
     assert row_steps(n) == 20
     # Scaling row a by a, or row and column a by a, makes L's entry at row
-    # a, column b < a equal to a / b.  At step 0, prev = 1, and row 3 has
-    # (q_k, q_l) = -(3, 3 / 2) times the inverse of [[1, 0], [2, 1]], that
-    # is (0, -3 / 2): after those two divmods the step goes over to the
-    # full update, from that row on.  No catch-up is needed, as prev = 1,
-    # and the steps that follow take no test.  Every later step's pivot
-    # rows were
-    # fully updated, so they are current at prev and the step is a full
-    # one: the pivot divisions of steps 2, 4, 6 and 8 and 2 multiplier
-    # divisions per updated row, 2 * 8 + 13 + 9 + 5 + 1 = 44, and one
-    # divmod per updated entry plus the two of the test
-    steps = range(0, n - 1, 2)
-    exact_divs = sum(1 + 2 * (n - k - 2) for k in steps) - 1
+    # a, column b < a equal to a / b.  At step 0 both pivot rows are at the
+    # input scale, and row a has (q_k, q_l) = -(a, a / 2) times the inverse
+    # of [[1, 0], [2, 1]], that is (0, -a / 2): each of the 8 rows below
+    # takes both divmods of the test.  The 4 rows with a even stay at 1;
+    # the 4 with a odd, at indices 2, 4, 6 and 8, take the division-free
+    # update, one divmod by 1 per updated entry, and end at scale minor.
+    # Every later step has one of those as its pivot row k, so it is
+    # Bareiss's: at step 2 the rows with a even (indices 3, 5, 7 and 9),
+    # still at 1, are brought to prev, one divmod per entry in _rescale,
+    # from column i when symmetric and from column 2 otherwise.  Steps 2,
+    # 4, 6 and 8 divide once for the pivot and twice per updated row for
+    # its multipliers, 4 + 2 * (6 + 4 + 2) = 28, and once per updated entry
+    odd_a, even_a, later = range(2, n, 2), range(3, n, 2), range(2, n - 1, 2)
+    exact_divs = sum(1 + 2 * (n - k - 2) for k in later)
+    tests = 2 * (n - 2)
     scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
     both = SquareMatrix([[a * b * min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert chain.is_symmetric() and both.is_symmetric() and not scaled.is_symmetric()
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(both) == math.factorial(n) ** 2
-    assert divisions["exact_div"] == exact_divs == 44
-    assert divisions["divmod"] == 2 + sum(sum(n - i for i in range(k + 2, n)) for k in steps) == 72
+    assert divisions["exact_div"] == exact_divs == 28
+    # 16 tests, 8 + 6 + 4 + 2 entries at step 0, 7 + 5 + 3 + 1 caught up
+    # and 21 + 10 + 3 + 0 entries at the later steps
+    upper_entries = sum(n - i for i in odd_a) + sum(n - i for i in even_a)
+    bareiss = sum(sum(n - i for i in range(k + 2, n)) for k in later)
+    assert divisions["divmod"] == tests + upper_entries + bareiss == 86
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n)
-    assert divisions["exact_div"] == 44
-    assert divisions["divmod"] == 2 + sum((n - k - 2) ** 2 for k in steps) == 122
+    assert divisions["exact_div"] == 28
+    # 16 tests, 4 rows of 8 at step 0, 4 rows of 8 caught up and 36 + 16
+    # + 4 + 0 entries at the later steps
+    bareiss = sum((n - k - 2) ** 2 for k in later)
+    assert divisions["divmod"] == tests + 2 * 4 * (n - 2) + bareiss == 136
     # The gcd matrix on 1..10 is Eᵀ D E, E the divisibility zeta matrix and D
     # the totients, so L = Eᵀ is 0/1: every multiplier divides, and row b
     # is deferred at the step on columns a, a + 1 unless a or a + 1 divides
@@ -633,12 +645,15 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
             [(2, 2, 1)] * 3 + [(4, -2, 2)],
         ),
         # Fᵀ G = L U with L = Fᵀ D_F^-1, whose entry L[3][1] = F[1][3] / 2
-        # is not an integer.  At k = 0 row 2's multipliers (-1, 0) divide,
-        # so it stays at 1; row 3's do not, so rows 3 and 4 take the full
-        # update, at pivot 2.  At k = 2 row 2 is caught up from column 2 as
-        # a pivot row, and row 4, with F[2][4] = F[3][4] = 0, is deferred
-        # at 2: it is the last diagonal entry when the final pivot is 4
-        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1), (4, 4, 2)]),
+        # is not an integer.  At k = 0 rows 2 and 4 have multipliers (-1,
+        # 0), which divide, so they stay at 1; row 3's do not, so it takes
+        # the division-free update and ends at the step's minor, 2.  At k =
+        # 2 the pivot rows are at 1 and 2, so the step is Bareiss's and row
+        # 2 is caught up from column 2 as a pivot row.  Row 4, with F[2][4]
+        # = F[3][4] = 0, is deferred at 1: it is the last diagonal entry,
+        # the Schur complement's own, and takes the final pivot 4 as a
+        # factor with no catch-up
+        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1)]),
     ]
     for rows, det, expected in cases:
         catch_ups.clear()
@@ -860,14 +875,52 @@ WAITS_AT_MINUS_TWO = [
 ]
 
 
-# The direct sum of [[2, 1], [1, 2]] on rows 0 and 3, [[1, 1], [1, 2]] on
-# rows 1 and 4 and [1] on row 2, with leading principal minors 2, 2, 2, 3
-# and 3.  Row 4 is 0 on columns 2 and 3 after the first step, so it is
-# deferred at pivot 2 and caught up, as the last diagonal entry, at pivot
-# 3: a catch-up ratio of 3 / 2, and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
+# Symmetric, with leading principal minors 2, 2, 6, 4, 4, -7 and -11.
+# Step 0's pivot block [[2, 0], [0, 1]] has minor 2; row 4's multiplier
+# -1 / 2 does not divide, so it ends at 2, and rows 2, 3, 5 and 6 are 0
+# on columns 0 and 1, so they wait at 1.  At step 2 the pivot rows are at
+# 1 while prev = 2, and the pivot block [[3, 1], [1, 1]] has minor 2: row
+# 6's multipliers (0, -1) divide and it stays at 1; row 5's (1 / 2, -3 /
+# 2) do not, so it takes 2 row_5 - 3 row_3 + row_2 and ends at 2; row 4,
+# waiting at 2, reads c1 = 1 and c2 = -1 at 1 from the pivot rows, takes
+# 2 row_4 + 2 row_3 - 2 row_2 and ends at 4.
+STEP_AT_THE_INPUT_SCALE = [
+    [2, 0, 0, 0, 1, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 3, 1, 1, 0, 1],
+    [0, 0, 1, 1, 0, 1, 1],
+    [1, 0, 1, 0, 2, 1, 0],
+    [0, 0, 0, 1, 1, 2, 0],
+    [0, 0, 1, 1, 0, 0, 2],
+]
+
+
+def test_a_step_at_the_input_scale_brings_no_row_current(catch_ups):
+    # Step 2 divides no row and catches none up: the only catch-ups are
+    # step 4's, at prev = 4, of row 5 from 2 and row 6 from 1.  Had row 4
+    # taken c1 and c2 unscaled, it would hold 2 row_4 + row_3 - row_2 at
+    # the scale 4, and step 4, where it is a pivot row, would raise
+    # InexactDivisionError
+    m = SquareMatrix(STEP_AT_THE_INPUT_SCALE)
+    assert m.is_symmetric()
+    rows = [m.row(i) for i in range(m.n)]
+    det, minors = det_and_leading_minors(m)
+    assert det == fraction_det(rows) == -11
+    assert minors == [fraction_det([r[:k] for r in rows[:k]]) for k in range(1, m.n + 1)]
+    assert minors[1] == 2 and minors[3] == 4
+    assert catch_ups == [(5, 4, 2), (6, 4, 1)]
+    assert det_bareiss(as_poly(m)) == Poly((det,)) * Poly((1, 1)) ** m.n
+
+
+# The direct sum of [[2, 1], [1, 2]] on rows 0 and 3 and on rows 1 and 4,
+# and [1] on row 2, with leading principal minors 2, 4, 4, 6 and 9.  At
+# step 0 rows 3 and 4 have the multipliers -1 / 2 and end at the minor 4.
+# Row 4 is 0 on columns 2 and 3 after that step, so it waits at 4 and is
+# caught up, as the last diagonal entry, at pivot 6: a catch-up ratio of
+# 3 / 2, and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
 INEXACT_CATCH_UP = [
     [2, 0, 0, 1, 0],
-    [0, 1, 0, 0, 1],
+    [0, 2, 0, 0, 1],
     [0, 0, 1, 0, 0],
     [1, 0, 0, 2, 0],
     [0, 1, 0, 0, 2],
@@ -876,20 +929,21 @@ INEXACT_CATCH_UP = [
 
 def test_an_inexact_catch_up_falls_back_to_entry_division(catch_ups):
     # the catch-up of row 4 divides each live entry, in int and in Z[q],
-    # where Poly's divmod refuses the ratio on its leading coefficient
-    check_both_tags(INEXACT_CATCH_UP, 3)
+    # where no quotient of the two scales exists
+    check_both_tags(INEXACT_CATCH_UP, 9)
     square = Poly((1, 1)) ** 2
-    assert (4, 3, 2) in catch_ups
-    assert (4, square * square * 3, square * 2) in catch_ups
+    assert (4, 6, 4) in catch_ups
+    assert (4, square * square * 6, square * 4) in catch_ups
 
 
 def _gcd_plus(n, d):
     # the gcd matrix on 1..n plus d on the diagonal, d = 1 or q: at step
     # 0 the pivot block's minor is (1 + d)(2 + d) - 1, 5 or q^2 + 3q + 1,
-    # and row 3's first multiplier, (1 - (2 + d)) / that minor, does not
-    # divide, so every row of the step takes the full update, at prev = 1.
-    # From the second step on each pivot is a non-unit and every row's
-    # entries divide by it
+    # and each row's first multiplier, (gcd(a, 2) - (2 + d)) / that minor,
+    # does not divide, so the 4 rows below take one divmod each for the
+    # test and the division-free update, by 1, to scale minor.  From the
+    # second step on each step is Bareiss's, its divisor prev is a
+    # non-unit, and every row's entries divide by it
     one = d**0
     return SquareMatrix(
         [
@@ -900,28 +954,26 @@ def _gcd_plus(n, d):
 
 
 @pytest.mark.parametrize(
-    "m, message, site",
+    "m, site, skip",
     [
-        (_gcd_plus(6, 1), "division is not exact", "det_bareiss"),
-        (_gcd_plus(6, Poly.variable()), "division is not exact", "det_bareiss"),
-        (SquareMatrix(INEXACT_CATCH_UP), "division is not exact", "_rescale"),
-        (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "division is not exact", "_rescale"),
+        (_gcd_plus(6, 1), "det_bareiss", 4),
+        (_gcd_plus(6, Poly.variable()), "det_bareiss", 4),
+        (SquareMatrix(INEXACT_CATCH_UP), "_rescale", 0),
+        (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "_rescale", 0),
     ],
     ids=["int", "poly", "int-deferred", "poly-deferred"],
 )
-def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, message, site):
+def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, site, skip):
     # one entry numerator off by one, at the first entry division by a
     # non-unit that site makes: det_bareiss must raise on the remainder,
-    # not drop it.  Each site's first division by a non-unit is not an
-    # entry's, so it is skipped.  In det_bareiss that is _gcd_plus's
-    # multiplier test at step 0, which leaves the input scale; the next is
-    # the first entry of the full update at step 2.  In _rescale it is the
-    # ratio of the two pivots of a deferred row's catch-up, with one entry
-    # bumped while the row waited.  A catch-up whose pivots divide has no
-    # entry division, so the catch-up tested is INEXACT_CATCH_UP's
+    # not drop it.  Divisions by a unit cannot leave a remainder, so they
+    # are let through.  In det_bareiss the first skip = 4 divisions by a
+    # non-unit are _gcd_plus's multiplier tests at step 0; the next is the
+    # first entry of step 2, a Bareiss step.  In _rescale every division
+    # is an entry's, and the first by a non-unit is row 4's catch-up in
+    # INEXACT_CATCH_UP, with one entry bumped while the row waited
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
-    skip = 1
     seen = []
 
     def off_by_one(a, b):
@@ -933,7 +985,7 @@ def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, messa
 
     expected = det_bareiss(m)
     monkeypatch.setattr(matrix, "divmod", off_by_one, raising=False)
-    with pytest.raises(InexactDivisionError, match=f"^{message}$"):
+    with pytest.raises(InexactDivisionError, match="^division is not exact$"):
         det_bareiss(m)
     assert len(seen) == skip + 1
     monkeypatch.undo()
