@@ -304,8 +304,8 @@ def gcd_matrix(s: Sequence[int]) -> SquareMatrix:
     divisibility, and there a factor-closed set's matrix is Eᵀ diag(φ) E,
     E the 0/1 divisibility matrix, which det_bareiss eliminates with no
     entry division.  The det does not depend on the order, but its cost
-    does: on the 240 divisors of 720720 a shuffled order took 3.6-4.2 s
-    against 0.023 s ascending, on a 2-vCPU VM."""
+    does: on the 240 divisors of 720720 a shuffled order took 5.7-6.9 s
+    against 0.023-0.026 s ascending, on a 2-vCPU VM."""
     vals = list(s)
     _check_values(vals)
     return SquareMatrix([tuple(map(math.gcd, repeat(a), vals)) for a in vals])

@@ -1,12 +1,12 @@
 """Exact square matrices and fraction-free determinants.
 
-det_bareiss is the workhorse: Bareiss's two-step elimination, with one
-exact division per entry per two columns and, on a symmetric input, only
-the upper triangle updated.  A row that a step would only rescale, as it
-has zeros in both eliminated columns, is left alone until it is next
-read, so the sparse incidence products Fᵀ G skip most of their rows.  A
-step whose two pivot rows are still at the input scale divides no row:
-a row whose multipliers divide takes its next Schur complement row
+det_bareiss is the workhorse: Bareiss's one-step elimination, with one
+exact division per entry per column eliminated and, on a symmetric
+input, only the upper triangle updated.  A row that a step would only
+rescale, as it is 0 in the eliminated column, is left alone until it is
+next read, so the sparse incidence products Fᵀ G skip most of their
+rows.  A step whose pivot row is still at the input scale divides no
+row: a row whose multiplier divides takes its next Schur complement row
 itself, and any other a multiple of it, with no division either.  In
 linear-extension order the factor-closed GCD matrices and Apostol's and
 Daniloff's are L U with L integral and unit triangular, so their rows
@@ -97,83 +97,70 @@ def _rescale(row: list[RingValue], start: int, num: RingValue, den: RingValue) -
 
 
 def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValue:
-    """Exact determinant by two-step fraction-free elimination.
+    """Exact determinant by one-step fraction-free elimination.
 
-    Each step eliminates two columns k and l = k + 1 at once.  With prev
-    the previous step's pivot (1 at the start), the pivot is the 2 x 2
-    minor (a_kk a_ll - a_kl a_lk) / prev.  Each row i > l has the
-    numerators c1 = a_kl a_ik - a_kk a_il and c2 = a_lk a_il - a_ll a_ik
-    of its multipliers c1 / prev and c2 / prev, and each of its entries
-    becomes (pivot a_ij + c1 / prev a_lj + c2 / prev a_kj) / prev.  By
-    Sylvester's identity the pivot, the multipliers and every new entry
-    are bordered minors of the input, so every division is exact in the
-    entry domain; an inexact one raises InexactDivisionError, which means
-    the invariant was broken, not that the input was bad.  Per entry and
-    per two columns that is 3 multiplications and 1 division, where
-    one-step elimination takes 4 and 2 (Bareiss, Math. Comp. 22, 1968).
-    The entry division is the builtin divmod, with no Python-level call,
-    for int and Poly alike; only a nonzero remainder goes on to the ring's
-    exact division, which raises.  The pivot and the multipliers, O(n) per
-    step, divide through it directly.
-
-    The pivot is the 2 x 2 minor, not a_kk.  When it is 0, the first row
-    pair r < s of rows k..n-1 with a nonzero minor on columns k and l is
-    swapped into rows k and l; when there is none, those two columns have
-    rank at most 1 and the determinant is 0.
+    Step k eliminates column k.  With prev the previous step's pivot (1
+    at the start), Bareiss's step takes each entry of each row i > k to
+    (a_kk a_ij - a_ik a_kj) / prev, and a_kk becomes the pivot (Bareiss,
+    Math. Comp. 22, 1968).  By Sylvester's identity the pivot is the
+    leading principal minor of order k + 1 and each new entry the minor
+    of the input on rows 0..k and i and columns 0..k and j, so every
+    division is exact in the entry domain; an inexact one raises
+    InexactDivisionError, which means the invariant was broken, not that
+    the input was bad.  The entry division is the builtin divmod, with no
+    Python-level call, for int and Poly alike; only a nonzero remainder
+    goes on to the ring's exact division, which raises.  The determinant
+    is the last pivot, negated once per row swap.
 
     While the matrix is symmetric, so is every intermediate, and only
-    entries with j >= i are updated; a_ik and a_il are read from rows k
-    and l.  The first zero pivot copies the upper triangle of rows k..n-1
-    into the lower one, and from there every entry is updated and rows
-    may swap.  GCD matrices are positive definite, so they never get there.
+    entries with j >= i are updated; a_ik is read from row k.
 
     Each row's entries are scale[i] times its row of the current Schur
     complement, where Bareiss keeps them at prev times it; before step 0
     every row is at scale 1.  Scales are compared by value, never by
-    identity.  A row with a_ik = a_il = 0, and only such a row, has c1 =
-    c2 = 0: (c1, c2) is (a_ik, a_il) times a 2 x 2 matrix of determinant
-    -minor, which is nonzero.  The step would only rescale it, so it is
-    left alone and keeps its scale.  A deferred entry is 0 exactly when
-    its current value is, so the zero tests read deferred rows as they
-    are.
+    identity.  A row with a_ik = 0 keeps its Schur complement row, so the
+    step would only rescale it: it is left alone and keeps its scale.  A
+    deferred entry is 0 exactly when its current value is, so the zero
+    tests read deferred rows as they are.
 
-    A step fixes its mode at its start.  When both pivot rows are at 1,
-    they hold the Schur complement's own rows: minor = a_kk a_ll - a_kl
-    a_lk is its 2 x 2 minor, the leading principal minors of orders k + 1
-    and k + 2 are prev a_kk and pivot = prev minor, and no row is divided
-    or brought current.  With M the 2 x 2 pivot block, M^-1 = adj(M) /
-    minor, so q_k = c2 / minor and q_l = c1 / minor give (q_k, q_l) =
-    -(a_ik, a_il) M^-1, and row_i + q_k row_k + q_l row_l is the row's
-    next Schur complement row.  A row at 1 tries both with the builtin
-    divmod (for a Poly minor whose leading coefficient does not divide,
-    divmod raises); when they divide it takes that row, with no
-    division, and stays at 1.  Any other live row, at scale s, takes
-    minor row_i + c1 row_l + c2 row_k, which is s minor times its next
-    Schur complement row, and its scale becomes s minor; on symmetric
-    input c1 and c2 are read at 1 from the pivot rows and scaled by s
-    first.  That runs in Bareiss's entry loop, with divisor 1 for prev.
-    Its entries never exceed Bareiss's, which are the same values times
-    pivot = prev minor: when s divides prev, s minor divides the pivot.
-    A matrix L U with L unit lower triangular and integral has (q_k,
-    q_l) = -(L_ik, L_il) times the inverse of L's unit 2 x 2 block,
-    integral too, so every row stays at 1.  In linear-extension order
-    that covers Fᵀ G with L = Fᵀ D_F^-1, when f(a, a) divides f(a, b)
-    (Apostol's and Daniloff's matrices), and a factor-closed GCD matrix
-    Eᵀ diag(φ) E, E the 0/1 divisibility matrix: their entries stay as
-    small as their Schur complements, with no entry division and no
-    catch-up.
+    A step whose pivot row is at 1 is at the input scale: row k is the
+    Schur complement's own, with p = a_kk, the pivot prev p is the leading
+    principal minor of order k + 1, and no row is divided or brought
+    current.  A row at 1 tries its multiplier a_ik / p with the builtin
+    divmod; a Poly divmod that raises, as p's leading coefficient does not
+    divide a coefficient of the long division, counts as not dividing.
+    When it divides, the row takes row_i - (a_ik / p) row_k, its next
+    Schur complement row, with no division, and stays at 1.  Any other
+    live row takes the division-free update w row_i - c row_k.  A row at 1
+    has w = prev p and c = prev a_ik, and ends at the pivot, Bareiss's
+    scale, so it is never brought current for being updated here.  A row
+    at another scale s has w = p and c = s times its Schur complement
+    entry, which is a_ik itself except on symmetric input, where a_ik is
+    read at 1 from row k; it ends at s p, and its entries never exceed
+    Bareiss's when s divides prev.  A matrix L U with L unit lower
+    triangular and integral has the multipliers L_ik, so every row stays
+    at 1.  In linear-extension order that covers Fᵀ G with L = Fᵀ D_F^-1,
+    when f(a, a) divides f(a, b) (Apostol's and Daniloff's matrices), and
+    a factor-closed GCD matrix Eᵀ diag(φ) E, E the 0/1 divisibility
+    matrix: their entries stay as small as their Schur complements, with
+    no entry division and no catch-up.
 
     Any other step is Bareiss's, with divisor prev.  A row whose scale is
-    not prev is brought current when it is read at prev: as a pivot row,
-    before its update, at a zero pivot (every such row, before the mirror
-    copy and the row pair search), or as the last diagonal entry.  Each
+    not prev is brought current where it is read at prev: as the pivot
+    row, as a live row before its update, or at a zero pivot.  Each
     nonzero entry x then takes divmod(prev x, scale[i]), exact as its old
     and current values are scale[i] and prev times the same Schur
     complement entry, and prev times it is a bordered minor.
 
-    A list minors gets the leading principal minors up to the first 0,
-    before which rows never swap: a_kk and the pivot at step k are those
-    of orders k + 1 and k + 2, and for odd n the last a_kk that of order n.
+    A zero a_kk brings every row from k on current and, on symmetric
+    input, copies the upper triangle of those rows into the lower one;
+    from there every entry is updated and rows may swap.  The first row
+    below k with a nonzero entry in column k is swapped into row k, and
+    when there is none the determinant is 0.  GCD matrices are positive
+    definite, so they never get there.
+
+    A list minors gets one leading principal minor per step, the pivot,
+    up to and including the first 0, before which rows never swap.
     """
     n = m.n
     a = list(map(list, m._rows))
@@ -182,117 +169,77 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     symmetric = m.is_symmetric()
     negate = False
     scale = [one] * n  # row i holds scale[i] times its Schur complement row
-    for k in range(0, n - 1, 2):
-        l = k + 1
-        row_k, row_l = a[k], a[l]
-        s_k, s_l = scale[k], scale[l]
-        low = s_k == one and s_l == one
-        if not low:
-            if s_k != prev:
-                _rescale(row_k, k, prev, s_k)
-            if s_l != prev:
-                _rescale(row_l, l if symmetric else k, prev, s_l)
-        a_kk, a_kl, a_ll = row_k[k], row_k[l], row_l[l]
-        a_lk = a_kl if symmetric else row_l[k]
-        minor = a_kk * a_ll - a_kl * a_lk
-        pivot = prev * minor if low else exact_div(minor, prev)
+    for k in range(n):
+        row_k = a[k]
+        low = scale[k] == one
+        if not low and scale[k] != prev:
+            _rescale(row_k, k, prev, scale[k])
+            scale[k] = prev
+        p = row_k[k]
+        pivot = prev * p if low else p
         if minors is not None:
-            lead = prev * a_kk if low else a_kk
-            minors += (lead, pivot) if lead else (lead,)
-            minors = minors if minors[-1] else None
-        if not minor:
+            minors.append(pivot)
+            minors = minors if pivot else None
+        if not p:
             # from here every row from k on is read at prev
-            if not low:
-                scale[k] = scale[l] = prev  # caught up above
-            if scale[k:].count(prev) < n - k:
-                for i in range(k, n):
-                    if scale[i] != prev:
-                        _rescale(a[i], i if symmetric else k, prev, scale[i])
-                scale[k:] = [prev] * (n - k)
+            for i in range(k, n):
+                if scale[i] != prev:
+                    _rescale(a[i], i if symmetric else k, prev, scale[i])
+            scale[k:] = [prev] * (n - k)
             low = False
             if symmetric:
                 for i in range(k + 1, n):
                     for j in range(k, i):
                         a[i][j] = a[j][i]
                 symmetric = False
-            # Deterministic pivot: the first row pair r < s with a nonzero
-            # minor.  Rows above the first row r nonzero on columns k and l
-            # are zero there, so r is that row and s the first row after
-            # it that is not a multiple of it.
-            r = k
-            while r < n and not (a[r][k] or a[r][l]):
-                r += 1
-            s = r + 1
-            while s < n and not a[r][k] * a[s][l] - a[r][l] * a[s][k]:
-                s += 1
-            if s >= n:
+            r = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if r is None:
                 return zero
-            for dst, src in zip((k, l), (r, s)):
-                if src != dst:
-                    a[dst], a[src] = a[src], a[dst]
-                    negate = not negate
-            row_k, row_l = a[k], a[l]
-            a_kk, a_kl, a_lk, a_ll = row_k[k], row_k[l], row_l[k], row_l[l]
-            pivot = exact_div(a_kk * a_ll - a_kl * a_lk, prev)
-        # a live row not taken at 1 becomes (w row_i + c1 row_l + c2 row_k) / t
-        w, t = (minor, one) if low else (pivot, prev)
-        for i in range(l + 1, n):
+            a[k], a[r] = a[r], row_k
+            row_k = a[k]
+            negate = not negate
+            pivot = p = row_k[k]
+        for i in range(k + 1, n):
             row_i = a[i]
             if symmetric:
-                a_ik, a_il, start = row_k[i], row_l[i], i
+                a_ik, start = row_k[i], i
             else:
-                a_ik, a_il, start = row_i[k], row_i[l], l + 1
-            if not (a_ik or a_il):
-                # c1 = c2 = 0: the row's Schur complement row does not
-                # change, so it keeps its scale until it is next read
-                continue
+                a_ik, start = row_i[k], k + 1
+            if not a_ik:
+                continue  # deferred
             s = scale[i]
-            if not low and s != prev:
-                _rescale(row_i, i if symmetric else k, prev, s)
-                if not symmetric:
-                    a_ik, a_il = row_i[k], row_i[l]
-            c1 = a_kl * a_ik - a_kk * a_il
-            c2 = a_lk * a_il - a_ll * a_ik
             if not low:
-                c1, c2 = exact_div(c1, prev), exact_div(c2, prev)
-            elif s == one:
+                if s != prev:
+                    _rescale(row_i, i if symmetric else k, prev, s)
+                    if not symmetric:
+                        a_ik = row_i[k]
+                for j in range(start, n):
+                    row_i[j], r = divmod(p * row_i[j] - a_ik * row_k[j], prev)
+                    if r:
+                        # 0 < |r| < |prev| (deg r < deg prev for Poly), so
+                        # prev does not divide r and this raises
+                        exact_div(r, prev)
+                scale[i] = p
+                continue
+            if s == one:
                 try:
-                    q_k, r = divmod(c2, minor)
-                    if not r:
-                        q_l, r = divmod(c1, minor)
+                    q, r = divmod(a_ik, p)
                 except InexactDivisionError:
                     r = True
                 if not r:
-                    # on the paper's matrices most rows have one
-                    # multiplier 0, so that pivot row is not read
-                    if q_k and q_l:
-                        for j in range(start, n):
-                            row_i[j] += q_k * row_k[j] + q_l * row_l[j]
-                    else:
-                        q, row = (q_k, row_k) if q_k else (q_l, row_l)
-                        for j in range(start, n):
-                            row_i[j] += q * row[j]
+                    for j in range(start, n):
+                        row_i[j] -= q * row_k[j]
                     continue
-            elif symmetric:
-                c1, c2 = s * c1, s * c2
+                w, a_ik = pivot, prev * a_ik
+            else:
+                w = p
+                if symmetric:
+                    a_ik *= s
             for j in range(start, n):
-                row_i[j], r = divmod(w * row_i[j] + c1 * row_l[j] + c2 * row_k[j], t)
-                if r:
-                    # 0 < |r| < |t| (deg r < deg t for Poly), so t does
-                    # not divide r and this raises
-                    exact_div(r, t)
-            scale[i] = s * minor if low else pivot
+                row_i[j] = w * row_i[j] - a_ik * row_k[j]
+            scale[i] = s * w
         prev = pivot
-    d = a[n - 1][n - 1] if n % 2 else prev
-    if n % 2 and scale[n - 1] != prev:
-        if scale[n - 1] == one:  # the Schur complement entry itself
-            d *= prev
-        else:
-            _rescale(a[n - 1], n - 1, prev, scale[n - 1])
-            d = a[n - 1][n - 1]
-    if n % 2 and minors is not None:
-        minors.append(d)
-    return -d if negate else d
+    return -prev if negate else prev
 
 
 def det_cofactor(m: SquareMatrix) -> RingValue:

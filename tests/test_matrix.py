@@ -46,7 +46,7 @@ def random_poly_matrix(rng, n, max_deg=3):
 def symmetrized(rng, m):
     """m with its lower triangle replaced by the upper one and about a
     third of its diagonal set to zero, so that the symmetric elimination
-    meets zero diagonal entries, and some zero 2 x 2 pivots, at any step."""
+    meets zero pivots at any step."""
     rows = [[m[min(i, j), max(i, j)] for j in range(m.n)] for i in range(m.n)]
     for i in range(m.n):
         if rng.random() < 0.35:
@@ -56,9 +56,9 @@ def symmetrized(rng, m):
 
 def degenerate_lead(m):
     """m with its leading 2 x 2 block replaced by the rank-1 block
-    (x, y)^T (u, v), symmetric when m is: the first two-column step must
-    swap rows or find those columns of rank at most 1.  A zero x and y
-    give the zero block."""
+    (x, y)^T (u, v), symmetric when m is: its leading minor of order 2 is
+    0, so step 0 or step 1 meets a zero pivot and must swap rows or find
+    the column zero below it.  A zero x and y give the zero block."""
     x, y = m[0, 0], m[0, 1]
     u, v = (x, y) if m.is_symmetric() else (m[1, 0], m[1, 1])
     rows = [list(m.row(i)) for i in range(m.n)]
@@ -168,7 +168,7 @@ def test_zero_pivot_handling():
     # n = 1 needs no elimination step
     check_both_tags([[0]], 0)
     check_both_tags([[-7]], -7)
-    # a zero a_00 under a nonzero 2 x 2 leading minor needs no swap
+    # a zero a_00 swaps in the first row below that is nonzero in column 0
     check_both_tags([[0, 1], [1, 0]], -1)
     check_both_tags([[0, 1, 2], [1, 0, 3], [2, 3, 0]], 12)
     check_both_tags([[0, 2, 1], [2, 1, 0], [1, 0, 5]], -21)
@@ -176,23 +176,26 @@ def test_zero_pivot_handling():
     check_both_tags([[0, 0], [0, 0]], 0)
     check_both_tags([[0, 1], [0, 2]], 0)
     check_both_tags([[0, 2, 1], [0, 0, 3], [5, 0, 0]], 30)
-    # a zero 2 x 2 leading minor: rows 0 and 2 have the first nonzero
-    # minor on columns 0 and 1, so row 2 moves up and the sign flips
+    # a zero leading minor of order 2: at k = 1, a_11 = 0 and row 2 is the
+    # first row below that is nonzero in column 1, so it moves up and the
+    # sign flips
     check_both_tags([[1, 2, 0], [2, 4, 1], [0, 1, 0]], -1)
-    # rows 2 and 3 move up into rows 0 and 1: two swaps, sign kept
+    # rows 2 and 3 move up into rows 0 and 1, at k = 0 and k = 1: two
+    # swaps, sign kept
     check_both_tags([[0, 0, 1, 2], [0, 0, 3, 1], [1, 2, 0, 0], [3, 4, 0, 0]], 10)
-    # symmetric inputs: the zero minor at k = 0 mirrors the whole matrix,
-    # and the row that supplies the swap is read from the mirrored
-    # upper triangle, not from stale entries
+    # symmetric inputs: the zero pivot at k = 1 mirrors the matrix, and
+    # the row that supplies the swap is read from the mirrored upper
+    # triangle, not from stale entries
     check_both_tags([[1, 1, 2], [1, 1, 3], [2, 3, 0]], -1)
     check_both_tags([[1, 1, 2], [1, 1, 2], [2, 2, 5]], 0)
-    # columns k and k + 1 of rank 1 under a nonzero diagonal return 0,
-    # at k = 0 and at k = 2
+    # a column that is a multiple of the one before it is 0 from the
+    # diagonal down once that one is eliminated, and returns 0, at k = 1
+    # and at k = 3
     check_both_tags([[1, 2, 3, 4], [2, 4, 5, 6], [3, 6, 7, 9], [4, 8, 1, 2]], 0)
     check_both_tags([[2, 1, 1, 2], [1, 3, 2, 4], [1, 1, 3, 6], [5, 2, 1, 2]], 0)
     # a dense symmetric 5 x 5 whose leading 4 x 4 minor is 0: the first
-    # step runs on the upper triangle, the zero minor at k = 2 mirrors
-    # it, and rows 2 and 4 supply the swap
+    # three steps run on the upper triangle, the zero pivot at k = 3
+    # mirrors it, and row 4 supplies the swap
     rng = random.Random("pivot-congruent")
     block = SquareMatrix(
         [
@@ -281,13 +284,13 @@ def test_leading_principal_minors():
 
 
 def test_leading_minors_after_a_zero_pivot():
-    # minors 1, 0 (singular 2 x 2 block): recording stops there, before
+    # minors 1, 0 (a zero pivot at k = 1): recording stops there, before
     # the row swap that reaches the nonzero determinant
     m = SquareMatrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert leading_minors_oracle(m) == [1, 0, -1]
     check_minors(m, [1, 0])
     assert det_bareiss(m, []) == -1
-    # a zero first entry and a nonzero full determinant, with no swap
+    # a zero first entry: recording stops at once, before the swap
     m = SquareMatrix([[0, 1], [1, 0]])
     check_minors(m, [0])
     assert det_bareiss(m, []) == -1
@@ -408,8 +411,9 @@ def test_is_symmetric():
 
 @pytest.fixture
 def divisions(monkeypatch):
-    """Counts of det_bareiss's divisions: "exact_div" for the pivots and the
-    multipliers, "divmod" for the entries."""
+    """Counts of det_bareiss's divisions: "divmod" for the multiplier tests,
+    the entries and the catch-ups, "exact_div" for a nonzero remainder,
+    which raises, so it stays 0 on any run that returns."""
     calls = {"exact_div": 0, "divmod": 0}
 
     def counting(name, div):
@@ -447,100 +451,90 @@ def shuffled(rng, m):
 
 
 def row_steps(n):
-    """Rows a two-step elimination of an n x n matrix updates, summed over steps."""
-    return sum(n - k - 2 for k in range(0, n - 1, 2))
+    """Rows a one-step elimination of an n x n matrix updates, summed over steps."""
+    return n * (n - 1) // 2
 
 
 def deferred_row_steps(f):
     """How many row-steps det_bareiss defers on Fᵀ G, for F and G upper
     triangular with nonzero diagonals.  Fᵀ G is then L U with L = Fᵀ, and
     after k columns the Schur complement is L[k:, k:] U[k:, k:], so a_ik
-    and a_il at step k are both 0 exactly when F[k][i] and F[k + 1][i] are:
-    neither k nor k + 1 is below i in F's support."""
+    at step k is F[k][i] G[k][k], 0 exactly when F[k][i] is: k is not
+    below i in F's support."""
     n = f.n
-    return sum(
-        not (f[k, i] or f[k + 1, i]) for k in range(0, n - 1, 2) for i in range(k + 2, n)
-    )
+    return sum(not f[k, i] for k in range(n) for i in range(k + 1, n))
 
 
-def test_two_step_elimination_division_counts(divisions):
-    # A step whose pivot rows are at the input scale takes no pivot
-    # division (its pivot is prev times their 2 x 2 minor), and each of its
-    # live rows at that scale first tries its two multipliers with one
-    # builtin divmod each, the second only when the first divides; a row
-    # that is not at 1, or whose multipliers do not divide, takes one
-    # divmod by 1 per updated entry.  Every other step
-    # divides once for its pivot, twice per updated row for that row's
-    # multipliers and once per updated entry: a symmetric input updates
-    # only j >= i, any other input the whole block below row k + 1; none
-    # of these inputs meets a zero pivot.  The pivot and the multipliers go
-    # through exact_div, each entry through the builtin divmod with no
-    # Python-level call around it.
+def test_one_step_elimination_division_counts(divisions):
+    # A step whose pivot row is at the input scale divides no pivot (its
+    # pivot is prev a_kk) and no entry: each of its live rows at that
+    # scale tries its multiplier with one builtin divmod, and a row that
+    # is not at 1, or whose multiplier does not divide, takes the
+    # division-free update.  Every other step is Bareiss's: it brings
+    # each stale row it reads current, one divmod per nonzero entry in
+    # _rescale, and divides each updated entry once, a symmetric input
+    # only j >= i, any other input the whole block below row k; none of
+    # these inputs meets a zero pivot.  exact_div is reached only on a
+    # nonzero remainder, so it is never called here.
     #
     # The meet matrix of a chain, min(a, b) = Fᵀ F with F all ones on and
     # above the diagonal, is L Lᵀ with L = Fᵀ unit lower triangular and
     # integral, so every multiplier divides and no row leaves the input
-    # scale: two divmods per row-step (no row is deferred) and nothing else
+    # scale: one divmod per row-step (no row is deferred) and nothing else
     n = 10
     ones = SquareMatrix([[int(i <= j) for j in range(n)] for i in range(n)])
     chain = SquareMatrix([[min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert chain == ones.transpose() @ ones and deferred_row_steps(ones) == 0
     assert det_bareiss(chain) == 1
-    assert divisions == {"exact_div": 0, "divmod": 2 * row_steps(n)}
-    assert row_steps(n) == 20
+    assert divisions == {"exact_div": 0, "divmod": row_steps(n)}
+    assert row_steps(n) == 45
     # Scaling row a by a, or row and column a by a, makes L's entry at row
-    # a, column b < a equal to a / b.  At step 0 both pivot rows are at the
-    # input scale, and row a has (q_k, q_l) = -(a, a / 2) times the inverse
-    # of [[1, 0], [2, 1]], that is (0, -a / 2): each of the 8 rows below
-    # takes both divmods of the test.  The 4 rows with a even stay at 1;
-    # the 4 with a odd, at indices 2, 4, 6 and 8, take the division-free
-    # update, one divmod by 1 per updated entry, and end at scale minor.
-    # Every later step has one of those as its pivot row k, so it is
-    # Bareiss's: at step 2 the rows with a even (indices 3, 5, 7 and 9),
-    # still at 1, are brought to prev, one divmod per entry in _rescale,
-    # from column i when symmetric and from column 2 otherwise.  Steps 2,
-    # 4, 6 and 8 divide once for the pivot and twice per updated row for
-    # its multipliers, 4 + 2 * (6 + 4 + 2) = 28, and once per updated entry
-    odd_a, even_a, later = range(2, n, 2), range(3, n, 2), range(2, n - 1, 2)
-    exact_divs = sum(1 + 2 * (n - k - 2) for k in later)
-    tests = 2 * (n - 2)
+    # a, column b < a equal to a / b.  Step 0 has the multipliers a, so
+    # the 9 rows below stay at 1.  Step 1 has the multipliers a / 2: the 4
+    # rows with a even stay at 1, and the 4 with a odd, at indices 2, 4,
+    # 6 and 8, take the division-free update and end at the pivot.  Row 2
+    # is step 2's pivot row, so steps 2 to 8 are Bareiss's: at step 2 the
+    # rows still at 1, at indices 3, 5, 7 and 9, are brought current, from
+    # column i when symmetric and from column 2 otherwise, and each step
+    # divides every updated entry once
+    tests, later = (n - 1) + (n - 2), range(2, n - 1)
     scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
     both = SquareMatrix([[a * b * min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert chain.is_symmetric() and both.is_symmetric() and not scaled.is_symmetric()
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(both) == math.factorial(n) ** 2
-    assert divisions["exact_div"] == exact_divs == 28
-    # 16 tests, 8 + 6 + 4 + 2 entries at step 0, 7 + 5 + 3 + 1 caught up
-    # and 21 + 10 + 3 + 0 entries at the later steps
-    upper_entries = sum(n - i for i in odd_a) + sum(n - i for i in even_a)
-    bareiss = sum(sum(n - i for i in range(k + 2, n)) for k in later)
-    assert divisions["divmod"] == tests + upper_entries + bareiss == 86
+    # 17 tests, 7 + 5 + 3 + 1 entries caught up and 28 + 21 + 15 + 10 + 6
+    # + 3 + 1 entries at the later steps
+    caught_up = sum(n - i for i in range(3, n, 2))
+    bareiss = sum(sum(n - i for i in range(k + 1, n)) for k in later)
+    assert divisions == {"exact_div": 0, "divmod": tests + caught_up + bareiss}
+    assert tests + caught_up + bareiss == 117
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n)
-    assert divisions["exact_div"] == 28
-    # 16 tests, 4 rows of 8 at step 0, 4 rows of 8 caught up and 36 + 16
-    # + 4 + 0 entries at the later steps
-    bareiss = sum((n - k - 2) ** 2 for k in later)
-    assert divisions["divmod"] == tests + 2 * 4 * (n - 2) + bareiss == 136
+    # 17 tests, 4 rows of 8 caught up and 49 + 36 + ... + 1 entries at the
+    # later steps
+    bareiss = sum((n - k - 1) ** 2 for k in later)
+    assert divisions == {"exact_div": 0, "divmod": tests + 4 * (n - 2) + bareiss}
+    assert tests + 4 * (n - 2) + bareiss == 189
     # The gcd matrix on 1..10 is Eᵀ D E, E the divisibility zeta matrix and D
     # the totients, so L = Eᵀ is 0/1: every multiplier divides, and row b
-    # is deferred at the step on columns a, a + 1 unless a or a + 1 divides
-    # b, 8 of the 20 row-steps.  Scaling row a by a keeps L integral, as
-    # its entries b / a sit where a divides b.  Both take two divmods for
-    # each of the 12 live row-steps, no exact_div and no entry division
+    # is deferred at the step on column a unless a divides b, 28 of the 45
+    # row-steps.  Scaling row a by a keeps L integral, as its entries b / a
+    # sit where a divides b.  Both take one divmod for each of the 17 live
+    # row-steps, no exact_div and no entry division
     g = gcd_matrix(range(1, n + 1))
     zeta = SquareMatrix([[int(b % a == 0) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert g == zeta.transpose() @ SquareMatrix(
         [[euler_phi(a) * x for x in zeta.row(a - 1)] for a in range(1, n + 1)]
     )
-    assert deferred_row_steps(zeta) == 8 and row_steps(n) == 20
+    assert deferred_row_steps(zeta) == 28
     scaled = SquareMatrix([[a * x for x in g.row(a - 1)] for a in range(1, n + 1)])
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(g) == totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 0, "divmod": 2 * (20 - 8)}
+    assert divisions == {"exact_div": 0, "divmod": 45 - 28}
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n) * totient_product(range(1, n + 1))
-    assert divisions == {"exact_div": 0, "divmod": 24}
+    assert divisions == {"exact_div": 0, "divmod": 17}
 
 
 def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
@@ -548,7 +542,7 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
     # int and Poly.  With nonzero diagonals no pivot is 0.  When F's
     # diagonal is ±1, Fᵀ G = L U with L = Fᵀ D_F^-1 unit lower triangular
     # and integral, so every row stays at the input scale: the row-steps
-    # that were not deferred each take the two divmods of the multiplier
+    # that were not deferred each take the one divmod of the multiplier
     # test and nothing else divides.  A zero row in F makes the product
     # singular, and shuffled rows make elimination meet zero pivots, swap
     # rows and, while the product is symmetric, mirror it
@@ -576,7 +570,7 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
             assert det_bareiss(m) == det_cofactor(m)
             if unit:
                 live = row_steps(n) - deferred_row_steps(f)
-                assert divisions == {"exact_div": 0, "divmod": 2 * live}
+                assert divisions == {"exact_div": 0, "divmod": live}
                 unit_cases += 1
             deferred += deferred_row_steps(f)
             total += row_steps(n)
@@ -617,43 +611,47 @@ def catch_ups(monkeypatch):
 
 def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
     # a skipped catch-up leaves a row off by its factor prev / scale, 2 at
-    # the first catch-up of each case.  Step 0 has prev = 1 and pivot 2
+    # the first catch-up of each case.  Steps 0 and 1 have pivots 1 and 2
     f = SquareMatrix(
-        [[1, 0, 1, 0, 1], [0, 2, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
+        [[1, 0, 1, 0, 1], [0, 2, 1, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
     )
     g = SquareMatrix(
         [[1, 1, 0, 0, 1], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 2, 1], [0, 0, 0, 0, 1]]
     )
     cases = [
-        # symmetric: at k = 0 rows 2 and 3 have multipliers (-1, 0) and
-        # (0, -1), so they stay at scale 1, and row 4 is 0 on columns 0 and
-        # 1, so it is deferred at 1.  The leading 4 x 4 minor is 0: at k = 2
-        # the pivot rows' own minor is 0, and rows 2, 3 and 4 are caught up
-        # from their diagonals before the mirror copy reads them.  Rows 3
-        # and 4 then move up, and the row that lands in row 4 is deferred
-        # again and is the last diagonal entry
+        # symmetric: at k = 0 rows 1, 2 and 3 have the multiplier 1 and
+        # stay at scale 1, and row 4 is 0 in column 0, so it is deferred at
+        # 1.  At k = 1 row 3's multiplier 2 / 2 divides, and rows 2 and 4
+        # are deferred.  The leading 3 x 3 minor is 0: at k = 2, a_22 = 0,
+        # and rows 2, 3 and 4 are caught up from their diagonals before the
+        # mirror copy reads them.  Row 4 moves up, and the rows now in rows
+        # 3 and 4, 0 in column 2, are deferred at the pivot 2, which no
+        # later step changes, so they are current when they are next read
         (
             [[1, 1, 1, 1, 0], [1, 3, 1, 3, 0], [1, 1, 1, 1, 1], [1, 3, 1, 4, 1], [0, 0, 1, 1, 1]],
             -2,
-            [(2, 2, 1), (3, 2, 1), (4, 2, 1), (4, -2, 2)],
+            [(2, 2, 1), (3, 2, 1), (4, 2, 1)],
         ),
         # not symmetric, the same shape: the three rows are caught up from
-        # column 2, then rows 3 and 4 supply the pivot pair
+        # column 2 and row 3 moves up; the row now in row 3 is deferred at
+        # 2.  At k = 3 that row's a_33 is 0, so row 4 moves up, the pivot
+        # becomes -2, and the row moved down, deferred at 2, is caught up
+        # as the last pivot row
         (
             [[1, 1, 1, 0, 2], [1, 3, 0, 1, 1], [1, 1, 1, 0, 3], [1, 3, 1, 2, 1], [0, 0, 2, 1, 1]],
             -2,
             [(2, 2, 1)] * 3 + [(4, -2, 2)],
         ),
-        # Fᵀ G = L U with L = Fᵀ D_F^-1, whose entry L[3][1] = F[1][3] / 2
-        # is not an integer.  At k = 0 rows 2 and 4 have multipliers (-1,
-        # 0), which divide, so they stay at 1; row 3's do not, so it takes
-        # the division-free update and ends at the step's minor, 2.  At k =
-        # 2 the pivot rows are at 1 and 2, so the step is Bareiss's and row
-        # 2 is caught up from column 2 as a pivot row.  Row 4, with F[2][4]
-        # = F[3][4] = 0, is deferred at 1: it is the last diagonal entry,
-        # the Schur complement's own, and takes the final pivot 4 as a
-        # factor with no catch-up
-        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1)]),
+        # Fᵀ G = L U with L = Fᵀ D_F^-1, whose entries L[2][1] = F[1][2] / 2
+        # and L[3][1] = F[1][3] / 2 are not integers.  At k = 0 rows 2 and
+        # 4 have the multiplier 1 and stay at 1.  At k = 1 rows 2 and 3
+        # take the division-free update and end at the pivot 2, and row 4,
+        # with F[1][4] = 0, is deferred at 1.  Step 2's pivot row is at 2,
+        # so the step is Bareiss's: row 3, with F[2][3] = 0, is deferred
+        # and already current, and row 4 is caught up from column 2 before
+        # its update.  Step 3 has the pivot 4, and row 4, with F[3][4] = 0,
+        # is deferred at 2 and caught up as the last pivot row
+        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1), (4, 4, 2)]),
     ]
     for rows, det, expected in cases:
         catch_ups.clear()
@@ -663,13 +661,14 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
 
 
 def test_a_zero_pivot_catches_up_every_deferred_row(catch_ups):
-    # not symmetric: step 0 has pivot 2, and rows 2..6, all 0 on columns 0
-    # and 1, are deferred at 1.  At k = 2 pivot rows 2 and 3, at 1, have
-    # the minor 0, so rows 2..6 are caught up from column 2 and rows 4 and
-    # 5 swap in.  Row 6 is neither a pivot row nor swapped, yet it is
-    # caught up there with the others.  The pivot of k = 2 is 2 again, so
-    # rows 4..6, deferred at 2, are current when they are next read, as
-    # pivot rows and as the last diagonal entry, and take no catch-up
+    # not symmetric: row 1's multiplier -1 divides at k = 0, and rows
+    # 2..6, all 0 on columns 0 and 1, are deferred at 1 through k = 1,
+    # whose pivot is 2.  At k = 2, a_22 = 0, so rows 2..6 are caught up
+    # from column 2 and row 4 swaps in.  Row 6 is neither the pivot row
+    # nor swapped, yet it is caught up there with the others.  Every
+    # later pivot but the last is 2 again (a_33 = 0 swaps row 5 in, with
+    # every row current), so rows 3..6, deferred at 2, are current when
+    # they are next read, as pivot rows, and take no catch-up
     e = [[int(i == j) for j in range(7)] for i in range(7)]
     rows = [[1, 1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0, 0, 0], e[4], e[5], e[2], e[3]]
     rows.append([3 * x for x in e[6]])
@@ -682,7 +681,7 @@ def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
     # On an order ideal in linear-extension order every leading minor of
     # these matrices is a product of diagonal factors, so while none is 0
     # each catch-up ratio prev / stale, a ratio of two leading minors, is
-    # an integer and _rescale multiplies by it
+    # an integer
     rng = random.Random("exact catch-up")
 
     def small_diagonal(p):
@@ -717,7 +716,7 @@ def test_the_papers_matrices_stay_at_the_input_scale(divisions, catch_ups):
     # the divisibility matrix in ascending order, has L = Eᵀ, and Apostol's
     # and Daniloff's Fᵀ G has L = Fᵀ D_F^-1, as f(a, a) divides f(a, b).
     # So every multiplier divides and every row stays at the input scale:
-    # each row-step that is not deferred takes the two divmods of its
+    # each row-step that is not deferred takes the one divmod of its
     # multiplier test, and nothing else divides or catches up
     cases = []
     for m in (360, 5040, 55440, 720720):
@@ -731,7 +730,7 @@ def test_the_papers_matrices_stay_at_the_input_scale(divisions, catch_ups):
     for m, f, det in cases:
         divisions.update(exact_div=0, divmod=0)
         assert det_bareiss(m) == det
-        assert divisions == {"exact_div": 0, "divmod": 2 * (row_steps(m.n) - deferred_row_steps(f))}
+        assert divisions == {"exact_div": 0, "divmod": row_steps(m.n) - deferred_row_steps(f)}
     assert [m.n for m, _, _ in cases] == [24, 60, 120, 240, 64, 64, 64, 64]
     assert catch_ups == []
 
@@ -768,12 +767,12 @@ def fraction_det(rows):
 
 def test_scale_transitions_match_a_fraction_oracle():
     # Rows leave the input scale where a multiplier stops dividing or a
-    # pivot block is singular, and deferred rows wait at older pivots, so
-    # one step can hold rows at 1, at prev and at earlier pivots.  A later
-    # leading minor can equal 1 while a row waits at another pivot: a row
-    # counts as at the input scale by the value of its own scale, never
-    # because prev is 1 (in symmetric mode a_ik is read from the pivot
-    # rows, so a pivot row taken for one at 1 breaks every row below it).
+    # pivot is 0, and deferred rows wait at older pivots, so one step can
+    # hold rows at 1, at prev and at earlier pivots.  A later leading
+    # minor can equal 1 while a row waits at another pivot: a row counts
+    # as at the input scale by the value of its own scale, never because
+    # prev is 1 (in symmetric mode a_ik is read from the pivot row, so a
+    # pivot row taken for one at 1 breaks every row below it).
     # Sparse symmetric matrices meet all of that; L U and L D Lᵀ with L
     # unit lower triangular stay at 1 until a non-unit diagonal entry of L
     # or a shuffle; shuffled GCD matrices are positive definite.  Poly
@@ -825,10 +824,13 @@ def test_scale_transitions_match_a_fraction_oracle():
         )
 
     def witness(n):
-        # found by search: leading minors -2, -2, -1, 1 and 0.  Row 6 is
-        # updated at step 0 and deferred at step 2, so it still waits at -2
-        # at step 4, where prev = 1 and the pivot rows are at 1
-        return SquareMatrix(WAITS_AT_MINUS_TWO)
+        # found by search: leading minors -2, -4, 2, 1, -13 and -38.  Row 5
+        # is updated at step 2, whose pivot is 2, and deferred at step 3,
+        # whose pivot is 1, so it still waits at 2 at step 4, where prev = 1
+        # and the pivot row, updated at step 3, is at 1.  It reads a_54 at
+        # 1 from row 4, scales it by 2, ends at -26 and is caught up, at
+        # the ratio 1 / 2, as the last pivot row
+        return SquareMatrix(WAITS_AT_TWO)
 
     counts = {}
     builds = [
@@ -864,59 +866,56 @@ def test_scale_transitions_match_a_fraction_oracle():
     assert counts["triangular_product", True] == 6000 and counts["shuffled_gcd", True] == 2000
 
 
-WAITS_AT_MINUS_TWO = [
-    [-2, 0, -1, 1, 1, 0, 0],
-    [0, 1, 0, 1, 2, 0, -1],
-    [-1, 0, 0, 1, 1, -1, 0],
-    [1, 1, 1, 0, 0, 0, -1],
-    [1, 2, 1, 0, 0, 0, 2],
-    [0, 0, -1, 0, 0, 0, -1],
-    [0, -1, 0, -1, 2, -1, -2],
+WAITS_AT_TWO = [
+    [-2, -2, 0, 1, 0, 2],
+    [-2, 0, -1, 0, 3, -1],
+    [0, -1, 0, 0, -2, 1],
+    [1, 0, 0, 0, 0, 0],
+    [0, 3, -2, 0, -1, 0],
+    [2, -1, 1, 0, 0, 3],
 ]
 
 
-# Symmetric, with leading principal minors 2, 2, 6, 4, 4, -7 and -11.
-# Step 0's pivot block [[2, 0], [0, 1]] has minor 2; row 4's multiplier
-# -1 / 2 does not divide, so it ends at 2, and rows 2, 3, 5 and 6 are 0
-# on columns 0 and 1, so they wait at 1.  At step 2 the pivot rows are at
-# 1 while prev = 2, and the pivot block [[3, 1], [1, 1]] has minor 2: row
-# 6's multipliers (0, -1) divide and it stays at 1; row 5's (1 / 2, -3 /
-# 2) do not, so it takes 2 row_5 - 3 row_3 + row_2 and ends at 2; row 4,
-# waiting at 2, reads c1 = 1 and c2 = -1 at 1 from the pivot rows, takes
-# 2 row_4 + 2 row_3 - 2 row_2 and ends at 4.
+# Symmetric, with leading principal minors 2, -2, -4, 6, 22 and -29.  At
+# step 0 (a_00 = 2) row 2's multiplier 1 divides and it stays at 1; row
+# 3's, -1 / 2, does not, so it ends at the pivot 2; rows 1, 4 and 5 are 0
+# in column 0 and wait at 1.  At step 1 (a_11 = -1, pivot -2) rows 2 and 4
+# stay at 1, and row 3, 0 in column 1, waits at 2.  At step 2 row 2 is at
+# 1 while prev = -2, and a_22 = 2: row 4's multiplier 1 divides and it
+# stays at 1; row 5's, 1 / 2, does not, so it takes -4 row_5 + 2 row_2
+# and ends at the pivot -4; row 3, waiting at 2, reads a_32 = 2 at 1 from
+# row 2, takes 2 row_3 - 4 row_2 and ends at 4.
 STEP_AT_THE_INPUT_SCALE = [
-    [2, 0, 0, 0, 1, 0, 0],
-    [0, 1, 0, 0, 0, 0, 0],
-    [0, 0, 3, 1, 1, 0, 1],
-    [0, 0, 1, 1, 0, 1, 1],
-    [1, 0, 1, 0, 2, 1, 0],
-    [0, 0, 0, 1, 1, 2, 0],
-    [0, 0, 1, 1, 0, 0, 2],
+    [2, 0, 2, -1, 0, 0],
+    [0, -1, 2, 0, 1, 0],
+    [2, 2, 0, 1, 0, 1],
+    [-1, 0, 1, 1, 0, 0],
+    [0, 1, 0, 0, 2, 1],
+    [0, 0, 1, 0, 1, -1],
 ]
 
 
 def test_a_step_at_the_input_scale_brings_no_row_current(catch_ups):
     # Step 2 divides no row and catches none up: the only catch-ups are
-    # step 4's, at prev = 4, of row 5 from 2 and row 6 from 1.  Had row 4
-    # taken c1 and c2 unscaled, it would hold 2 row_4 + row_3 - row_2 at
-    # the scale 4, and step 4, where it is a pivot row, would raise
-    # InexactDivisionError
+    # step 3's, at prev = -4, of row 3 from 4 as the pivot row and of row
+    # 4 from 1 before its update.  Had row 3 read a_32 unscaled, it would
+    # hold 2 row_3 - 2 row_2 at the scale 4, and the det would be wrong
     m = SquareMatrix(STEP_AT_THE_INPUT_SCALE)
     assert m.is_symmetric()
     rows = [m.row(i) for i in range(m.n)]
     det, minors = det_and_leading_minors(m)
-    assert det == fraction_det(rows) == -11
+    assert det == fraction_det(rows) == -29
     assert minors == [fraction_det([r[:k] for r in rows[:k]]) for k in range(1, m.n + 1)]
-    assert minors[1] == 2 and minors[3] == 4
-    assert catch_ups == [(5, 4, 2), (6, 4, 1)]
+    assert minors[1] == -2 and minors[2] == -4
+    assert catch_ups == [(3, -4, 4), (4, -4, 1)]
     assert det_bareiss(as_poly(m)) == Poly((det,)) * Poly((1, 1)) ** m.n
 
 
 # The direct sum of [[2, 1], [1, 2]] on rows 0 and 3 and on rows 1 and 4,
-# and [1] on row 2, with leading principal minors 2, 4, 4, 6 and 9.  At
-# step 0 rows 3 and 4 have the multipliers -1 / 2 and end at the minor 4.
-# Row 4 is 0 on columns 2 and 3 after that step, so it waits at 4 and is
-# caught up, as the last diagonal entry, at pivot 6: a catch-up ratio of
+# and [1] on row 2, with leading principal minors 2, 4, 4, 6 and 9.  Row
+# 3's multiplier at step 0 and row 4's at step 1 are 1 / 2, so they end
+# at the pivots 2 and 4.  Row 4 is 0 in columns 2 and 3, so it waits at 4
+# and is caught up, as the last pivot row, at prev 6: a catch-up ratio of
 # 3 / 2, and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
 INEXACT_CATCH_UP = [
     [2, 0, 0, 1, 0],
@@ -936,14 +935,34 @@ def test_an_inexact_catch_up_falls_back_to_entry_division(catch_ups):
     assert (4, square * square * 6, square * 4) in catch_ups
 
 
+# Symmetric in Z[q] with a_00 = 2q + 1: row 1's multiplier q / (2q + 1)
+# makes Poly's divmod raise, as 2 does not divide the leading coefficient
+# 1, and row 2's, 1 / (2q + 1), leaves the remainder 1.  Both rows are at
+# the input scale and take the division-free update.
+POLY_LEAD_DOES_NOT_DIVIDE = [
+    [Poly((1, 2)), Poly((0, 1)), Poly((1,))],
+    [Poly((0, 1)), Poly((1, 1)), Poly((2,))],
+    [Poly((1,)), Poly((2,)), Poly((0, 1))],
+]
+
+
+def test_a_poly_multiplier_whose_division_raises_is_not_integral():
+    m = SquareMatrix(POLY_LEAD_DOES_NOT_DIVIDE)
+    assert m.is_symmetric()
+    with pytest.raises(InexactDivisionError):
+        divmod(m[1, 0], m[0, 0])
+    assert det_bareiss(m) == det_cofactor(m)
+    check_minors(m, leading_minors_oracle(m))
+    assert all(leading_minors_oracle(m))
+
+
 def _gcd_plus(n, d):
     # the gcd matrix on 1..n plus d on the diagonal, d = 1 or q: at step
-    # 0 the pivot block's minor is (1 + d)(2 + d) - 1, 5 or q^2 + 3q + 1,
-    # and each row's first multiplier, (gcd(a, 2) - (2 + d)) / that minor,
-    # does not divide, so the 4 rows below take one divmod each for the
-    # test and the division-free update, by 1, to scale minor.  From the
-    # second step on each step is Bareiss's, its divisor prev is a
-    # non-unit, and every row's entries divide by it
+    # 0, a_00 = 1 + d, and each row's multiplier 1 / (1 + d) does not
+    # divide, so the 5 rows below take one divmod each for the test and
+    # the division-free update to the pivot 1 + d.  From step 1 on each
+    # step is Bareiss's, its divisor prev is a non-unit, and every row's
+    # entries divide by it
     one = d**0
     return SquareMatrix(
         [
@@ -956,8 +975,8 @@ def _gcd_plus(n, d):
 @pytest.mark.parametrize(
     "m, site, skip",
     [
-        (_gcd_plus(6, 1), "det_bareiss", 4),
-        (_gcd_plus(6, Poly.variable()), "det_bareiss", 4),
+        (_gcd_plus(6, 1), "det_bareiss", 5),
+        (_gcd_plus(6, Poly.variable()), "det_bareiss", 5),
         (SquareMatrix(INEXACT_CATCH_UP), "_rescale", 0),
         (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "_rescale", 0),
     ],
@@ -967,11 +986,11 @@ def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, site,
     # one entry numerator off by one, at the first entry division by a
     # non-unit that site makes: det_bareiss must raise on the remainder,
     # not drop it.  Divisions by a unit cannot leave a remainder, so they
-    # are let through.  In det_bareiss the first skip = 4 divisions by a
+    # are let through.  In det_bareiss the first skip = 5 divisions by a
     # non-unit are _gcd_plus's multiplier tests at step 0; the next is the
-    # first entry of step 2, a Bareiss step.  In _rescale every division
-    # is an entry's, and the first by a non-unit is row 4's catch-up in
-    # INEXACT_CATCH_UP, with one entry bumped while the row waited
+    # first entry of step 1, a Bareiss step.  In _rescale every division
+    # is an entry's, and the first by a non-unit is row 3's catch-up, from
+    # 2 to 4, in INEXACT_CATCH_UP
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
     seen = []

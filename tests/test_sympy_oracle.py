@@ -71,7 +71,7 @@ def _dense(n):
 
 def _pivot_heavy(n, symmetric):
     """A nonsingular integer matrix on which elimination meets many zero
-    2 x 2 pivots.  A sparse unit lower triangular L times a sparse upper
+    pivots.  A sparse unit lower triangular L times a sparse upper
     triangular U with a nonzero diagonal has its rows shuffled; for a
     symmetric matrix, L H L^T with H made of 2 x 2 blocks [[0, c], [c, 0]]
     (and a last 1 x 1 block when n is odd) has its rows and columns
@@ -157,7 +157,7 @@ def _unit_lu(n):
 )
 def test_large_integer_det_matches_sympy(build, symmetric):
     # above det_cofactor's size cap, on both elimination paths and through
-    # the 2 x 2 pivot search
+    # the zero-pivot row search
     m = build()
     assert m.is_symmetric() is symmetric
     rows = [[sympy.ZZ(m[i, j]) for j in range(m.n)] for i in range(m.n)]
@@ -196,10 +196,13 @@ def test_deferred_rows_match_sympy_on_sparse_products(divisions, n, symmetric, s
     # Fᵀ G for sparse upper triangular F and G (G = F when symmetric), as in
     # test_matrix.  A nonsingular product has F's diagonal ±1, so it is L U
     # with L = Fᵀ D_F^-1 integral: every row stays at the input scale, and
-    # each row-step that is not deferred takes the two divmods of its
-    # multiplier test and nothing else divides.  A singular product has a
-    # zero row in F, and it and a second copy of the product are shuffled,
-    # so that elimination meets zero pivots with rows still deferred
+    # each row-step that is not deferred takes the one divmod of its
+    # multiplier test and nothing else divides: 116 of the 2016 row-steps
+    # of the 64 x 64 non-symmetric product.  A row-step is deferred where
+    # F[k][i] is 0, and F is 6% dense above its diagonal.  A singular
+    # product has a zero row in F, and it and a second copy of the product
+    # are shuffled, so that elimination meets zero pivots with rows still
+    # deferred
     rng = random.Random(f"sparse-product-{n}-{symmetric}-{singular}")
 
     def entry():
@@ -225,5 +228,5 @@ def test_deferred_rows_match_sympy_on_sparse_products(divisions, n, symmetric, s
         assert det_bareiss(p) == expected
     if not singular:
         deferred = deferred_row_steps(f)
-        assert divisions == {"exact_div": 0, "divmod": 2 * (row_steps(n) - deferred)}
+        assert divisions == {"exact_div": 0, "divmod": row_steps(n) - deferred}
         assert deferred > row_steps(n) // 2
