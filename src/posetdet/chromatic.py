@@ -39,9 +39,12 @@ class SetPartition:
             b.sort()
             if not b:
                 raise ValueError("blocks must be nonempty")
-            if seen & set(b):
+            elements = set(b)
+            if len(elements) < len(b):
+                raise ValueError(f"block {b} repeats an element")
+            if seen & elements:
                 raise ValueError("blocks must be disjoint")
-            seen.update(b)
+            seen |= elements
             cleaned.append(tuple(b))
         if seen != set(range(1, n + 1)):
             raise ValueError(f"blocks must cover 1..{n} exactly")

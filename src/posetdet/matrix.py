@@ -1,13 +1,14 @@
 """Exact square matrices and fraction-free determinants.
 
-det_bareiss is the workhorse: Bareiss's one-step elimination, with one
-exact division per entry per column eliminated and, on a symmetric
-input, only the upper triangle updated.  A row that a step would only
-rescale, as it is 0 in the eliminated column, is left alone until it is
-next read, so the sparse incidence products Fᵀ G skip most of their
-rows.  A step whose pivot row is still at the input scale divides no
-row: a row whose multiplier divides takes its next Schur complement row
-itself, and any other a multiple of it, with no division either.  In
+det_bareiss is the workhorse: Bareiss's one-step elimination, with at
+most one exact division per entry per column eliminated and, on a
+symmetric input, only the upper triangle updated.  Each row keeps its
+own scale, and one rule updates it: a row that is 0 in the eliminated
+column is not touched, so the sparse incidence products Fᵀ G skip most
+of their rows; a row whose multiplier divides, in a step whose pivot row
+is still at the input scale, takes its next Schur complement row with no
+division; any other row takes Bareiss's entries, divided once by what
+its own scale and the pivot row's leave of the previous pivot.  In
 linear-extension order the factor-closed GCD matrices and Apostol's and
 Daniloff's are L U with L integral and unit triangular, so their rows
 never leave the input scale.  det_cofactor is a deliberately independent
@@ -84,18 +85,6 @@ class SquareMatrix:
         return f"SquareMatrix[{body}]"
 
 
-def _rescale(row: list[RingValue], start: int, num: RingValue, den: RingValue) -> None:
-    """row[j] = num * row[j] / den for every j >= start, in place.  Each
-    nonzero entry is divided by the builtin divmod, as in det_bareiss's
-    entry loop, and a nonzero remainder goes on to exact_div, which
-    raises."""
-    for j in range(start, len(row)):
-        if row[j]:
-            row[j], r = divmod(num * row[j], den)
-            if r:
-                exact_div(r, den)
-
-
 def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValue:
     """Exact determinant by one-step fraction-free elimination.
 
@@ -112,52 +101,45 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     goes on to the ring's exact division, which raises.  The determinant
     is the last pivot, negated once per row swap.
 
-    While the matrix is symmetric, so is every intermediate, and only
-    entries with j >= i are updated; a_ik is read from row k.
-
     Each row's entries are scale[i] times its row of the current Schur
     complement, where Bareiss keeps them at prev times it; before step 0
     every row is at scale 1.  Scales are compared by value, never by
-    identity.  A row with a_ik = 0 keeps its Schur complement row, so the
-    step would only rescale it: it is left alone and keeps its scale.  A
-    deferred entry is 0 exactly when its current value is, so the zero
-    tests read deferred rows as they are.
+    identity.  Let p = a_kk and t = scale[k]: the pivot is prev p / t.
+    Row i, at scale s, reads a_ik at s, and one rule updates it:
 
-    A step whose pivot row is at 1 is at the input scale: row k is the
-    Schur complement's own, with p = a_kk, the pivot prev p is the leading
-    principal minor of order k + 1, and no row is divided or brought
-    current.  A row at 1 tries its multiplier a_ik / p with the builtin
-    divmod; a Poly divmod that raises, as p's leading coefficient does not
-    divide a coefficient of the long division, counts as not dividing.
-    When it divides, the row takes row_i - (a_ik / p) row_k, its next
-    Schur complement row, with no division, and stays at 1.  Any other
-    live row takes the division-free update w row_i - c row_k.  A row at 1
-    has w = prev p and c = prev a_ik, and ends at the pivot, Bareiss's
-    scale, so it is never brought current for being updated here.  A row
-    at another scale s has w = p and c = s times its Schur complement
-    entry, which is a_ik itself except on symmetric input, where a_ik is
-    read at 1 from row k; it ends at s p, and its entries never exceed
-    Bareiss's when s divides prev.  A matrix L U with L unit lower
-    triangular and integral has the multipliers L_ik, so every row stays
-    at 1.  In linear-extension order that covers Fᵀ G with L = Fᵀ D_F^-1,
-    when f(a, a) divides f(a, b) (Apostol's and Daniloff's matrices), and
-    a factor-closed GCD matrix Eᵀ diag(φ) E, E the 0/1 divisibility
-    matrix: their entries stay as small as their Schur complements, with
-    no entry division and no catch-up.
+    - a row with a_ik = 0 keeps its Schur complement row, so it is not
+      touched and keeps its scale; its zero tests read it as it is;
+    - when t = 1 and p divides a_ik (a Poly divmod that raises, as p's
+      leading coefficient does not divide, counts as not dividing), the
+      row takes row_i - (a_ik / p) row_k, its next Schur complement row
+      times s, with no division, and keeps s;
+    - any other row takes (p row_i - a_ik row_k) prev / (s t), which is
+      the pivot times its next Schur complement row, Bareiss's bordered
+      minors, and ends at the pivot.  prev cancels against t or against
+      s when either equals it, so each entry takes at most one divmod,
+      and none when the divisor is 1: a row at 1 in a step whose pivot
+      row is at 1 takes prev p row_i - prev a_ik row_k.
 
-    Any other step is Bareiss's, with divisor prev.  A row whose scale is
-    not prev is brought current where it is read at prev: as the pivot
-    row, as a live row before its update, or at a zero pivot.  Each
-    nonzero entry x then takes divmod(prev x, scale[i]), exact as its old
-    and current values are scale[i] and prev times the same Schur
-    complement entry, and prev times it is a bordered minor.
+    Every entry a row would hold, were all its entries updated, is
+    integral, so the few divisions by a scale outside the entry loop,
+    through exact_div, are exact: the pivot when t is neither 1 nor
+    prev, and a_ik read at s and the mirror below.
 
-    A zero a_kk brings every row from k on current and, on symmetric
-    input, copies the upper triangle of those rows into the lower one;
-    from there every entry is updated and rows may swap.  The first row
-    below k with a nonzero entry in column k is swapped into row k, and
-    when there is none the determinant is 0.  GCD matrices are positive
-    definite, so they never get there.
+    A matrix L U with L unit lower triangular and integral has the
+    multipliers L_ik, so every row stays at 1.  In linear-extension order
+    that covers Fᵀ G with L = Fᵀ D_F^-1, when f(a, a) divides f(a, b)
+    (Apostol's and Daniloff's matrices), and a factor-closed GCD matrix
+    Eᵀ diag(φ) E, E the 0/1 divisibility matrix: their entries stay as
+    small as their Schur complements, with no entry division.
+
+    While the matrix is symmetric, so is every intermediate, and only
+    entries with j >= i are updated; a_ik at s is row k's entry a_ki
+    times s / t.  A zero a_kk ends that: the lower triangle of the rows
+    below k is filled from the upper one at each row's scale, and from
+    there every entry is updated and rows may swap.  The first row below
+    k with a nonzero entry in column k is swapped into row k, with its
+    scale, and when there is none the determinant is 0.  GCD matrices
+    are positive definite, so they never get there.
 
     A list minors gets one leading principal minor per step, the pivot,
     up to and including the first 0, before which rows never swap.
@@ -171,34 +153,30 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     scale = [one] * n  # row i holds scale[i] times its Schur complement row
     for k in range(n):
         row_k = a[k]
-        low = scale[k] == one
-        if not low and scale[k] != prev:
-            _rescale(row_k, k, prev, scale[k])
-            scale[k] = prev
         p = row_k[k]
-        pivot = prev * p if low else p
-        if minors is not None:
-            minors.append(pivot)
-            minors = minors if pivot else None
         if not p:
-            # from here every row from k on is read at prev
-            for i in range(k, n):
-                if scale[i] != prev:
-                    _rescale(a[i], i if symmetric else k, prev, scale[i])
-            scale[k:] = [prev] * (n - k)
-            low = False
+            if minors is not None:
+                minors.append(zero)
+                minors = None
             if symmetric:
                 for i in range(k + 1, n):
+                    s = scale[i]
                     for j in range(k, i):
-                        a[i][j] = a[j][i]
+                        x, t = a[j][i], scale[j]
+                        a[i][j] = x if s == t else exact_div(x * s, t)
                 symmetric = False
             r = next((i for i in range(k + 1, n) if a[i][k]), None)
             if r is None:
                 return zero
             a[k], a[r] = a[r], row_k
+            scale[k], scale[r] = scale[r], scale[k]
             row_k = a[k]
             negate = not negate
-            pivot = p = row_k[k]
+            p = row_k[k]
+        t = scale[k]
+        pivot = p if t == prev else prev * p if t == one else exact_div(prev * p, t)
+        if minors is not None:
+            minors.append(pivot)
         for i in range(k + 1, n):
             row_i = a[i]
             if symmetric:
@@ -206,22 +184,11 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             else:
                 a_ik, start = row_i[k], k + 1
             if not a_ik:
-                continue  # deferred
-            s = scale[i]
-            if not low:
-                if s != prev:
-                    _rescale(row_i, i if symmetric else k, prev, s)
-                    if not symmetric:
-                        a_ik = row_i[k]
-                for j in range(start, n):
-                    row_i[j], r = divmod(p * row_i[j] - a_ik * row_k[j], prev)
-                    if r:
-                        # 0 < |r| < |prev| (deg r < deg prev for Poly), so
-                        # prev does not divide r and this raises
-                        exact_div(r, prev)
-                scale[i] = p
                 continue
-            if s == one:
+            s = scale[i]
+            if symmetric and s != t:
+                a_ik = a_ik * s if t == one else exact_div(a_ik * s, t)
+            if t == one:
                 try:
                     q, r = divmod(a_ik, p)
                 except InexactDivisionError:
@@ -230,14 +197,23 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
                     for j in range(start, n):
                         row_i[j] -= q * row_k[j]
                     continue
-                w, a_ik = pivot, prev * a_ik
+            if t == prev:
+                w, d = p, s
+            elif s == prev:
+                w, d = p, t
             else:
-                w = p
-                if symmetric:
-                    a_ik *= s
-            for j in range(start, n):
-                row_i[j] = w * row_i[j] - a_ik * row_k[j]
-            scale[i] = s * w
+                w, a_ik, d = prev * p, prev * a_ik, s * t
+            if d == one:
+                for j in range(start, n):
+                    row_i[j] = w * row_i[j] - a_ik * row_k[j]
+            else:
+                for j in range(start, n):
+                    row_i[j], r = divmod(w * row_i[j] - a_ik * row_k[j], d)
+                    if r:
+                        # 0 < |r| < |d| (deg r < deg d for Poly), so d
+                        # does not divide r and this raises
+                        exact_div(r, d)
+            scale[i] = pivot
         prev = pivot
     return -prev if negate else prev
 

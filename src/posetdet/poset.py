@@ -398,5 +398,7 @@ def incidence_from_dict(p: Poset, doc: dict) -> IncidenceFunction:
         a, b, v = entry
         if type(a) is not int or type(b) is not int:
             raise ValueError("entry indices must be integers")
+        if (a, b) in values:
+            raise ValueError(f"duplicate entry ({a}, {b})")
         values[(a, b)] = ring_value_from_json(v)
     return IncidenceFunction(p, values)

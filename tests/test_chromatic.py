@@ -51,6 +51,9 @@ def test_set_partition_validation():
         SetPartition(3, [[1, 2], [2, 3]])  # overlap
     with pytest.raises(ValueError):
         SetPartition(3, [[1, 2, 3], []])  # empty block
+    # a repeated element would build 1,1,2, unequal to 1,2 yet refined by it
+    with pytest.raises(ValueError, match=r"block \[1, 1, 2\] repeats an element"):
+        SetPartition(2, [[1, 1, 2]])
     with pytest.raises(ValueError, match="ground sets differ"):
         refines(SetPartition(2, [[1, 2]]), SetPartition(3, [[1, 2, 3]]))
 

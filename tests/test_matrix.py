@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,8 +11,10 @@ from posetdet.identities import (
     _ramanujan_config,
     gcd_matrix,
     incidence_matrix,
+    incidence_product_det,
     incidence_product_matrix,
     meet_matrix,
+    meet_matrix_det,
     totient_product,
 )
 from posetdet.matrix import (
@@ -411,9 +412,12 @@ def test_is_symmetric():
 
 @pytest.fixture
 def divisions(monkeypatch):
-    """Counts of det_bareiss's divisions: "divmod" for the multiplier tests,
-    the entries and the catch-ups, "exact_div" for a nonzero remainder,
-    which raises, so it stays 0 on any run that returns."""
+    """Counts of det_bareiss's divisions: "divmod" for the multiplier tests
+    and the entries, "exact_div" for the divisions by a scale outside the
+    entry loop (a pivot row's pivot prev a_kk / t when t is neither 1 nor
+    prev, a symmetric a_ik read at a row's scale s from a pivot row at t
+    when s != t and t != 1, and the mirror at a zero pivot between rows
+    at two scales) and for a nonzero entry remainder, which raises."""
     calls = {"exact_div": 0, "divmod": 0}
 
     def counting(name, div):
@@ -456,9 +460,9 @@ def row_steps(n):
 
 
 def deferred_row_steps(f):
-    """How many row-steps det_bareiss defers on Fᵀ G, for F and G upper
-    triangular with nonzero diagonals.  Fᵀ G is then L U with L = Fᵀ, and
-    after k columns the Schur complement is L[k:, k:] U[k:, k:], so a_ik
+    """How many row-steps det_bareiss defers, leaving the row untouched, on
+    Fᵀ G, for F and G upper triangular with nonzero diagonals.  Fᵀ G is
+    then L U with L = Fᵀ, and after k columns the Schur complement is L[k:, k:] U[k:, k:], so a_ik
     at step k is F[k][i] G[k][k], 0 exactly when F[k][i] is: k is not
     below i in F's support."""
     n = f.n
@@ -466,16 +470,16 @@ def deferred_row_steps(f):
 
 
 def test_one_step_elimination_division_counts(divisions):
-    # A step whose pivot row is at the input scale divides no pivot (its
-    # pivot is prev a_kk) and no entry: each of its live rows at that
-    # scale tries its multiplier with one builtin divmod, and a row that
-    # is not at 1, or whose multiplier does not divide, takes the
-    # division-free update.  Every other step is Bareiss's: it brings
-    # each stale row it reads current, one divmod per nonzero entry in
-    # _rescale, and divides each updated entry once, a symmetric input
-    # only j >= i, any other input the whole block below row k; none of
-    # these inputs meets a zero pivot.  exact_div is reached only on a
-    # nonzero remainder, so it is never called here.
+    # A step whose pivot row is at the input scale (t = 1) divides no
+    # pivot (its pivot is prev a_kk): each live row tries its multiplier
+    # with one builtin divmod, and a row whose multiplier does not divide
+    # takes the update (p row_i - a_ik row_k) prev / s, with no division
+    # when s is 1.  In any other step a live row takes that update divided
+    # by s when t = prev, by t when s = prev, and by s t otherwise, one
+    # divmod per updated entry unless the divisor is 1: a symmetric input
+    # updates only j >= i, any other input the whole row from k + 1.  A
+    # symmetric a_ik read from a pivot row at t != 1 for a row at s != t
+    # is one exact_div; none of these inputs meets a zero pivot.
     #
     # The meet matrix of a chain, min(a, b) = Fᵀ F with F all ones on and
     # above the diagonal, is L Lᵀ with L = Fᵀ unit lower triangular and
@@ -489,33 +493,36 @@ def test_one_step_elimination_division_counts(divisions):
     assert divisions == {"exact_div": 0, "divmod": row_steps(n)}
     assert row_steps(n) == 45
     # Scaling row a by a, or row and column a by a, makes L's entry at row
-    # a, column b < a equal to a / b.  Step 0 has the multipliers a, so
-    # the 9 rows below stay at 1.  Step 1 has the multipliers a / 2: the 4
-    # rows with a even stay at 1, and the 4 with a odd, at indices 2, 4,
-    # 6 and 8, take the division-free update and end at the pivot.  Row 2
-    # is step 2's pivot row, so steps 2 to 8 are Bareiss's: at step 2 the
-    # rows still at 1, at indices 3, 5, 7 and 9, are brought current, from
-    # column i when symmetric and from column 2 otherwise, and each step
-    # divides every updated entry once
-    tests, later = (n - 1) + (n - 2), range(2, n - 1)
+    # a, column b < a equal to a / b.  Step 0 has the multipliers a and
+    # the pivot 1, so the 9 rows below stay at 1.  Step 1 has the
+    # multipliers a / 2: the 4 rows with a even stay at 1, and the 4 with
+    # a odd, at indices 2, 4, 6 and 8, take the update with prev = s = 1,
+    # which divides nothing, and end at the pivot.  Row 2 is step 2's
+    # pivot row, at t = prev: its rows still at 1, at indices 3, 5, 7 and
+    # 9, divide by s = 1, that is not at all, and the 3 rows at prev,
+    # at indices 4, 6 and 8, divide each updated entry, from column i
+    # when symmetric and from column 3 otherwise.  Every row is then at
+    # prev, so steps 3 to 8 are Bareiss's and divide every updated entry
+    tests, later = (n - 1) + (n - 2), range(3, n - 1)
     scaled = SquareMatrix([[a * x for x in chain.row(a - 1)] for a in range(1, n + 1)])
     both = SquareMatrix([[a * b * min(a, b) for b in range(1, n + 1)] for a in range(1, n + 1)])
     assert chain.is_symmetric() and both.is_symmetric() and not scaled.is_symmetric()
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(both) == math.factorial(n) ** 2
-    # 17 tests, 7 + 5 + 3 + 1 entries caught up and 28 + 21 + 15 + 10 + 6
-    # + 3 + 1 entries at the later steps
-    caught_up = sum(n - i for i in range(3, n, 2))
+    # 17 tests, 6 + 4 + 2 entries at step 2 and 21 + 15 + 10 + 6 + 3 + 1
+    # at the later steps; the 4 rows at 1 read a_i2 from row 2, at prev,
+    # with one exact_div each
+    step_2 = sum(n - i for i in range(4, n, 2))
     bareiss = sum(sum(n - i for i in range(k + 1, n)) for k in later)
-    assert divisions == {"exact_div": 0, "divmod": tests + caught_up + bareiss}
-    assert tests + caught_up + bareiss == 117
+    assert divisions == {"exact_div": 4, "divmod": tests + step_2 + bareiss}
+    assert tests + step_2 + bareiss == 85
     divisions.update(exact_div=0, divmod=0)
     assert det_bareiss(scaled) == math.factorial(n)
-    # 17 tests, 4 rows of 8 caught up and 49 + 36 + ... + 1 entries at the
+    # 17 tests, 3 rows of 7 at step 2 and 36 + 25 + ... + 1 entries at the
     # later steps
     bareiss = sum((n - k - 1) ** 2 for k in later)
-    assert divisions == {"exact_div": 0, "divmod": tests + 4 * (n - 2) + bareiss}
-    assert tests + 4 * (n - 2) + bareiss == 189
+    assert divisions == {"exact_div": 0, "divmod": tests + 3 * (n - 3) + bareiss}
+    assert tests + 3 * (n - 3) + bareiss == 129
     # The gcd matrix on 1..10 is Eᵀ D E, E the divisibility zeta matrix and D
     # the totients, so L = Eᵀ is 0/1: every multiplier divides, and row b
     # is deferred at the step on column a unless a divides b, 28 of the 45
@@ -594,24 +601,12 @@ def test_deferred_rows_match_the_oracle_on_sparse_products(divisions):
     assert unit_cases > 80
 
 
-@pytest.fixture
-def catch_ups(monkeypatch):
-    """Every catch-up det_bareiss makes, as (first column, prev, the pivot
-    the row was last current at)."""
-    seen = []
-    rescale = matrix._rescale
-
-    def spy(row, start, num, den):
-        seen.append((start, num, den))
-        rescale(row, start, num, den)
-
-    monkeypatch.setattr(matrix, "_rescale", spy)
-    return seen
-
-
-def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
-    # a skipped catch-up leaves a row off by its factor prev / scale, 2 at
-    # the first catch-up of each case.  Steps 0 and 1 have pivots 1 and 2
+def test_untouched_rows_are_read_at_their_own_scale(divisions):
+    # A row with a_ik = 0 is not touched and keeps its scale while prev
+    # moves on; where it is next read, as a live row or as a pivot row,
+    # its scale is divided out in that step's one division, so treating
+    # it as current leaves it off by prev / scale and the det wrong.
+    # Steps 0 and 1 have pivots 1 and 2
     f = SquareMatrix(
         [[1, 0, 1, 0, 1], [0, 2, 1, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]]
     )
@@ -620,68 +615,98 @@ def test_deferred_rows_are_caught_up_where_they_are_read(catch_ups):
     )
     cases = [
         # symmetric: at k = 0 rows 1, 2 and 3 have the multiplier 1 and
-        # stay at scale 1, and row 4 is 0 in column 0, so it is deferred at
-        # 1.  At k = 1 row 3's multiplier 2 / 2 divides, and rows 2 and 4
-        # are deferred.  The leading 3 x 3 minor is 0: at k = 2, a_22 = 0,
-        # and rows 2, 3 and 4 are caught up from their diagonals before the
-        # mirror copy reads them.  Row 4 moves up, and the rows now in rows
-        # 3 and 4, 0 in column 2, are deferred at the pivot 2, which no
-        # later step changes, so they are current when they are next read
+        # stay at scale 1, and row 4 is 0 in column 0 and not touched.  At
+        # k = 1 row 3's multiplier 2 / 2 divides, and rows 2 and 4 are not
+        # touched.  The leading 3 x 3 minor is 0: at k = 2, a_22 = 0, the
+        # mirror copies between rows that are all at 1, and row 4 moves
+        # up.  Every later pivot row is at 1 and every later row is 0 in
+        # its column, so the 4 multiplier tests are the only divisions
         (
             [[1, 1, 1, 1, 0], [1, 3, 1, 3, 0], [1, 1, 1, 1, 1], [1, 3, 1, 4, 1], [0, 0, 1, 1, 1]],
             -2,
-            [(2, 2, 1), (3, 2, 1), (4, 2, 1)],
+            {"exact_div": 0, "divmod": 4},
         ),
-        # not symmetric, the same shape: the three rows are caught up from
-        # column 2 and row 3 moves up; the row now in row 3 is deferred at
-        # 2.  At k = 3 that row's a_33 is 0, so row 4 moves up, the pivot
-        # becomes -2, and the row moved down, deferred at 2, is caught up
-        # as the last pivot row
+        # not symmetric, the same shape, and row 3 moves up at k = 2.  Row
+        # 4's multiplier 2 / 1 divides there, and at k = 3, a_33 = 0 swaps
+        # it up: 5 multiplier tests, with every row still at 1
         (
             [[1, 1, 1, 0, 2], [1, 3, 0, 1, 1], [1, 1, 1, 0, 3], [1, 3, 1, 2, 1], [0, 0, 2, 1, 1]],
             -2,
-            [(2, 2, 1)] * 3 + [(4, -2, 2)],
+            {"exact_div": 0, "divmod": 5},
         ),
         # Fᵀ G = L U with L = Fᵀ D_F^-1, whose entries L[2][1] = F[1][2] / 2
         # and L[3][1] = F[1][3] / 2 are not integers.  At k = 0 rows 2 and
         # 4 have the multiplier 1 and stay at 1.  At k = 1 rows 2 and 3
-        # take the division-free update and end at the pivot 2, and row 4,
-        # with F[1][4] = 0, is deferred at 1.  Step 2's pivot row is at 2,
-        # so the step is Bareiss's: row 3, with F[2][3] = 0, is deferred
-        # and already current, and row 4 is caught up from column 2 before
-        # its update.  Step 3 has the pivot 4, and row 4, with F[3][4] = 0,
-        # is deferred at 2 and caught up as the last pivot row
-        ([list((f.transpose() @ g).row(i)) for i in range(5)], 12, [(2, 2, 1), (4, 4, 2)]),
+        # fail their tests and end at the pivot 2, dividing nothing as
+        # prev = 1, and row 4, with F[1][4] = 0, is not touched at 1.  At
+        # k = 2 the pivot row is at t = prev = 2: row 3, with F[2][3] = 0,
+        # is not touched, and row 4 divides by its own scale 1, so not at
+        # all, and ends at 2.  At k = 3 and 4 the pivot rows are at 2 and
+        # prev is 2 and 4: step 3's pivot is a_33, and step 4's is 4 a_44 /
+        # 2, one exact_div.  So 4 tests and no entry division
+        (
+            [list((f.transpose() @ g).row(i)) for i in range(5)],
+            12,
+            {"exact_div": 1, "divmod": 4},
+        ),
     ]
     for rows, det, expected in cases:
-        catch_ups.clear()
+        divisions.update(exact_div=0, divmod=0)
         assert det_bareiss(SquareMatrix(rows)) == det
-        assert catch_ups == expected
+        assert divisions == expected
         check_both_tags(rows, det)
 
 
-def test_a_zero_pivot_catches_up_every_deferred_row(catch_ups):
+# Symmetric, with leading principal minors 3, -4 and 0.  At step 0 rows 1
+# and 2 fail their tests (-2 / 3 and -1 / 3) and end at 3, and rows 3 and
+# 4 are not touched.  At step 1 (pivot row at prev = 3, pivot -4) row 2
+# divides its 3 entries by s = 3, and row 4, at 1, reads a_41 from row 1
+# as exact_div(a_14, 3) and divides nothing; both end at -4.  At step 2,
+# a_22 = 0: rows 2 and 4 are at -4 and row 3 at 1, so the mirror scales
+# a_23 and a_34 by the ratio of their rows' scales (2 exact_divs), and row
+# 3 swaps into row 2 with its scale 1.  Step 2 is at the input scale: row
+# 4's multiplier divides, and the row moved down, still at -4, is not
+# touched.  At step 3 it is the pivot row at t = -4 with prev = 8: its
+# pivot is 8 a_33 / -4, and row 4, also at -4, divides its entry by s t =
+# 16.
+ZERO_PIVOT_AT_TWO_SCALES = [
+    [3, -2, -1, 0, 0],
+    [-2, 0, 0, 0, -1],
+    [-1, 0, 0, -2, 0],
+    [0, 0, -2, 3, 0],
+    [0, -1, 0, 0, 0],
+]
+
+
+def test_a_zero_pivot_keeps_every_rows_scale(divisions):
     # not symmetric: row 1's multiplier -1 divides at k = 0, and rows
-    # 2..6, all 0 on columns 0 and 1, are deferred at 1 through k = 1,
-    # whose pivot is 2.  At k = 2, a_22 = 0, so rows 2..6 are caught up
-    # from column 2 and row 4 swaps in.  Row 6 is neither the pivot row
-    # nor swapped, yet it is caught up there with the others.  Every
-    # later pivot but the last is 2 again (a_33 = 0 swaps row 5 in, with
-    # every row current), so rows 3..6, deferred at 2, are current when
-    # they are next read, as pivot rows, and take no catch-up
+    # 2..6, all 0 on columns 0 and 1, are not touched at 1 through k = 1,
+    # whose pivot is 2.  At k = 2, a_22 = 0 and row 4 swaps in, at 1 like
+    # every row: every later pivot row is at 1 and every row below it 0
+    # in its column, so the one multiplier test is the only division
     e = [[int(i == j) for j in range(7)] for i in range(7)]
     rows = [[1, 1, 0, 0, 0, 0, 0], [-1, 1, 0, 0, 0, 0, 0], e[4], e[5], e[2], e[3]]
     rows.append([3 * x for x in e[6]])
     assert det_bareiss(SquareMatrix(rows)) == 6
-    assert catch_ups == [(2, 2, 1)] * 5
+    assert divisions == {"exact_div": 0, "divmod": 1}
     check_both_tags(rows, 6)
+    # the mirror reads each row at its own scale and the swap carries it:
+    # 2 tests, 3 + 1 entries and 1 test; the exact_divs are a_41 at step
+    # 1, the 2 mirrored entries and step 3's pivot
+    m = SquareMatrix(ZERO_PIVOT_AT_TWO_SCALES)
+    assert m.is_symmetric()
+    divisions.update(exact_div=0, divmod=0)
+    assert det_bareiss(m) == 15
+    assert divisions == {"exact_div": 4, "divmod": 7}
+    check_both_tags(ZERO_PIVOT_AT_TWO_SCALES, 15)
 
 
-def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
-    # On an order ideal in linear-extension order every leading minor of
-    # these matrices is a product of diagonal factors, so while none is 0
-    # each catch-up ratio prev / stale, a ratio of two leading minors, is
-    # an integer
+def test_the_papers_products_and_meet_matrices_match_their_closed_forms(divisions):
+    # Fᵀ G on random posets, with small diagonals so that pivot rows at
+    # scales other than 1 and prev come up, and meet matrices, with and
+    # without a zero Lindström factor: each det equals the paper's closed
+    # form.  The divisions by a scale outside the entry loop are exact on
+    # all of them, or exact_div would raise
     rng = random.Random("exact catch-up")
 
     def small_diagonal(p):
@@ -691,33 +716,29 @@ def test_catch_ups_divide_exactly_on_the_papers_matrices(catch_ups):
 
     for _ in range(200):
         p = randgen.random_poset(rng, rng.randint(1, 64))
-        det_bareiss(incidence_product_matrix(p, small_diagonal(p), small_diagonal(p)))
-    assert len(catch_ups) > 2000
-    assert all(num % den == 0 for _, num, den in catch_ups)
-    # Meet matrices, kept only while every Lindström factor is nonzero; a
-    # zero factor zeroes a leading minor, after which pivots need not divide
-    kept, inexact_elsewhere = [], 0
+        f, g = small_diagonal(p), small_diagonal(p)
+        assert det_bareiss(incidence_product_matrix(p, f, g)) == incidence_product_det(p, f, g)
+    assert divisions["exact_div"] > 1000
+    divisions.update(exact_div=0, divmod=0)
+    singular = 0
     for _ in range(500):
         p = randgen.grown_meet_semilattice(rng, rng.randint(1, 40))
-        catch_ups.clear()
-        _, minors = det_and_leading_minors(meet_matrix(p, randgen.random_incidence(rng, p)))
-        if len(minors) == p.n and all(minors):
-            kept += catch_ups
-        else:
-            inexact_elsewhere += sum(1 for _, num, den in catch_ups if num % den)
-    assert len(kept) > 1000
-    assert all(num % den == 0 for _, num, den in kept)
-    assert inexact_elsewhere > 0
+        f = randgen.random_incidence(rng, p)
+        det, minors = det_and_leading_minors(meet_matrix(p, f))
+        assert det == meet_matrix_det(p, f)
+        singular += not det
+    assert divisions["exact_div"] > 1000
+    assert singular > 50
 
 
-def test_the_papers_matrices_stay_at_the_input_scale(divisions, catch_ups):
+def test_the_papers_matrices_stay_at_the_input_scale(divisions):
     # In linear-extension order these matrices are L U with L unit lower
     # triangular and integral: a factor-closed GCD matrix Eᵀ diag(φ) E, E
     # the divisibility matrix in ascending order, has L = Eᵀ, and Apostol's
     # and Daniloff's Fᵀ G has L = Fᵀ D_F^-1, as f(a, a) divides f(a, b).
     # So every multiplier divides and every row stays at the input scale:
-    # each row-step that is not deferred takes the one divmod of its
-    # multiplier test, and nothing else divides or catches up
+    # each row-step whose a_ik is not 0 takes the one divmod of its
+    # multiplier test, and nothing else divides
     cases = []
     for m in (360, 5040, 55440, 720720):
         s = divisors(m)
@@ -732,7 +753,6 @@ def test_the_papers_matrices_stay_at_the_input_scale(divisions, catch_ups):
         assert det_bareiss(m) == det
         assert divisions == {"exact_div": 0, "divmod": row_steps(m.n) - deferred_row_steps(f)}
     assert [m.n for m, _, _ in cases] == [24, 60, 120, 240, 64, 64, 64, 64]
-    assert catch_ups == []
 
 
 def fraction_det(rows):
@@ -825,11 +845,11 @@ def test_scale_transitions_match_a_fraction_oracle():
 
     def witness(n):
         # found by search: leading minors -2, -4, 2, 1, -13 and -38.  Row 5
-        # is updated at step 2, whose pivot is 2, and deferred at step 3,
-        # whose pivot is 1, so it still waits at 2 at step 4, where prev = 1
-        # and the pivot row, updated at step 3, is at 1.  It reads a_54 at
-        # 1 from row 4, scales it by 2, ends at -26 and is caught up, at
-        # the ratio 1 / 2, as the last pivot row
+        # is updated at step 2, whose pivot is 2, and not touched at step
+        # 3, whose pivot is 1, so it still waits at 2 at step 4, where prev
+        # = 1 and the pivot row, updated at step 3, is at 1.  It reads a_54
+        # at 1 from row 4, scales it by 2, fails its multiplier test and
+        # divides its update by its own scale 2, ending at the pivot -13
         return SquareMatrix(WAITS_AT_TWO)
 
     counts = {}
@@ -879,12 +899,13 @@ WAITS_AT_TWO = [
 # Symmetric, with leading principal minors 2, -2, -4, 6, 22 and -29.  At
 # step 0 (a_00 = 2) row 2's multiplier 1 divides and it stays at 1; row
 # 3's, -1 / 2, does not, so it ends at the pivot 2; rows 1, 4 and 5 are 0
-# in column 0 and wait at 1.  At step 1 (a_11 = -1, pivot -2) rows 2 and 4
-# stay at 1, and row 3, 0 in column 1, waits at 2.  At step 2 row 2 is at
-# 1 while prev = -2, and a_22 = 2: row 4's multiplier 1 divides and it
+# in column 0 and not touched.  At step 1 (a_11 = -1, pivot -2) rows 2 and
+# 4 stay at 1, and row 3, 0 in column 1, waits at 2.  At step 2 row 2 is
+# at 1 while prev = -2, and a_22 = 2: row 4's multiplier 1 divides and it
 # stays at 1; row 5's, 1 / 2, does not, so it takes -4 row_5 + 2 row_2
 # and ends at the pivot -4; row 3, waiting at 2, reads a_32 = 2 at 1 from
-# row 2, takes 2 row_3 - 4 row_2 and ends at 4.
+# row 2 as 4 at its scale, and its multiplier 4 / 2 divides, so it takes
+# row_3 - 2 row_2 and stays at 2.
 STEP_AT_THE_INPUT_SCALE = [
     [2, 0, 2, -1, 0, 0],
     [0, -1, 2, 0, 1, 0],
@@ -895,11 +916,15 @@ STEP_AT_THE_INPUT_SCALE = [
 ]
 
 
-def test_a_step_at_the_input_scale_brings_no_row_current(catch_ups):
-    # Step 2 divides no row and catches none up: the only catch-ups are
-    # step 3's, at prev = -4, of row 3 from 4 as the pivot row and of row
-    # 4 from 1 before its update.  Had row 3 read a_32 unscaled, it would
-    # hold 2 row_3 - 2 row_2 at the scale 4, and the det would be wrong
+def test_a_step_whose_pivot_row_is_at_one_divides_no_entry(divisions):
+    # Steps 0 to 2 have their pivot rows at 1: they take 2 + 2 + 3
+    # multiplier tests and divide no entry.  Step 3's pivot row is row 3,
+    # at 2 with prev = -4: its pivot is -4 a_33 / 2, row 4 (at 1) reads
+    # a_43 as a_34 / 2 and divides its 2 entries by s t = 2, and row 5 (at
+    # prev) reads a_53 as -4 a_35 / 2 and divides its entry by t = 2.  At
+    # step 4 rows 4 and 5 are at prev, one entry divided.  Had row 3 read
+    # a_32 unscaled, it would hold row_3 - row_2 at the scale 2, and the
+    # det would be wrong
     m = SquareMatrix(STEP_AT_THE_INPUT_SCALE)
     assert m.is_symmetric()
     rows = [m.row(i) for i in range(m.n)]
@@ -907,17 +932,19 @@ def test_a_step_at_the_input_scale_brings_no_row_current(catch_ups):
     assert det == fraction_det(rows) == -29
     assert minors == [fraction_det([r[:k] for r in rows[:k]]) for k in range(1, m.n + 1)]
     assert minors[1] == -2 and minors[2] == -4
-    assert catch_ups == [(3, -4, 4), (4, -4, 1)]
+    assert divisions == {"exact_div": 3, "divmod": 7 + 3 + 1}
     assert det_bareiss(as_poly(m)) == Poly((det,)) * Poly((1, 1)) ** m.n
 
 
 # The direct sum of [[2, 1], [1, 2]] on rows 0 and 3 and on rows 1 and 4,
 # and [1] on row 2, with leading principal minors 2, 4, 4, 6 and 9.  Row
 # 3's multiplier at step 0 and row 4's at step 1 are 1 / 2, so they end
-# at the pivots 2 and 4.  Row 4 is 0 in columns 2 and 3, so it waits at 4
-# and is caught up, as the last pivot row, at prev 6: a catch-up ratio of
-# 3 / 2, and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
-INEXACT_CATCH_UP = [
+# at the pivots 2 and 4.  Rows 3 and 4 are 0 in column 2, and row 4 in
+# column 3, so they wait there and are the pivot rows of steps 3 and 4 at
+# the scales 2 and 4, where prev is 4 and 6: pivots 4 * 3 / 2 and 6 * 6 /
+# 4, where the ratio 6 / 4 of prev to the row's scale is not integral,
+# and 3 / 2 (1 + q)^2 in Z[q] as as_poly.
+STALE_PIVOT_ROWS = [
     [2, 0, 0, 1, 0],
     [0, 2, 0, 0, 1],
     [0, 0, 1, 0, 0],
@@ -926,13 +953,16 @@ INEXACT_CATCH_UP = [
 ]
 
 
-def test_an_inexact_catch_up_falls_back_to_entry_division(catch_ups):
-    # the catch-up of row 4 divides each live entry, in int and in Z[q],
-    # where no quotient of the two scales exists
-    check_both_tags(INEXACT_CATCH_UP, 9)
-    square = Poly((1, 1)) ** 2
-    assert (4, 6, 4) in catch_ups
-    assert (4, square * square * 6, square * 4) in catch_ups
+def test_a_stale_pivot_row_divides_only_its_pivot(divisions):
+    # the two stale pivot rows take one exact_div each, for their pivots,
+    # in int and in Z[q], where no quotient of the two scales exists; the
+    # 2 multiplier tests are the only divmods, and no entry is divided
+    m = SquareMatrix(STALE_PIVOT_ROWS)
+    for x in (m, as_poly(m)):
+        divisions.update(exact_div=0, divmod=0)
+        assert det_bareiss(x) == det_cofactor(x)
+        assert divisions == {"exact_div": 2, "divmod": 2}
+    check_both_tags(STALE_PIVOT_ROWS, 9)
 
 
 # Symmetric in Z[q] with a_00 = 2q + 1: row 1's multiplier q / (2q + 1)
@@ -973,30 +1003,31 @@ def _gcd_plus(n, d):
 
 
 @pytest.mark.parametrize(
-    "m, site, skip",
+    "m, skip",
     [
-        (_gcd_plus(6, 1), "det_bareiss", 5),
-        (_gcd_plus(6, Poly.variable()), "det_bareiss", 5),
-        (SquareMatrix(INEXACT_CATCH_UP), "_rescale", 0),
-        (as_poly(SquareMatrix(INEXACT_CATCH_UP)), "_rescale", 0),
+        (_gcd_plus(6, 1), 5),
+        (_gcd_plus(6, Poly.variable()), 5),
+        (SquareMatrix(WAITS_AT_TWO), 7),
+        (as_poly(SquareMatrix(WAITS_AT_TWO)), 7),
     ],
-    ids=["int", "poly", "int-deferred", "poly-deferred"],
+    ids=["int", "poly", "int-stale", "poly-stale"],
 )
-def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, site, skip):
+def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, skip):
     # one entry numerator off by one, at the first entry division by a
-    # non-unit that site makes: det_bareiss must raise on the remainder,
-    # not drop it.  Divisions by a unit cannot leave a remainder, so they
-    # are let through.  In det_bareiss the first skip = 5 divisions by a
-    # non-unit are _gcd_plus's multiplier tests at step 0; the next is the
-    # first entry of step 1, a Bareiss step.  In _rescale every division
-    # is an entry's, and the first by a non-unit is row 3's catch-up, from
-    # 2 to 4, in INEXACT_CATCH_UP
+    # non-unit: det_bareiss must raise on the remainder, not drop it.
+    # Divisions by a unit cannot leave a remainder, so they are let
+    # through.  In _gcd_plus the first skip = 5 divisions by a non-unit are
+    # the multiplier tests at step 0; the next is the first entry of step
+    # 1, a Bareiss step.  In WAITS_AT_TWO they are the 3 + 4 tests of
+    # steps 0 and 1, whose pivot rows are at 1; the next is the first
+    # entry of row 3 at step 2, which waits at the pivot -2 of step 0
+    # while prev is -4, and divides its update by that stale scale
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
     seen = []
 
     def off_by_one(a, b):
-        if b not in units and sys._getframe(1).f_code.co_name == site:
+        if b not in units:
             seen.append((a, b))
             if len(seen) == skip + 1:
                 return divmod(a + one, b)

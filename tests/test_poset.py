@@ -774,6 +774,9 @@ def test_incidence_from_dict():
         incidence_from_dict(p, {"entries": [[0, 1]]})
     with pytest.raises(ValueError):
         incidence_from_dict(p, {})
+    # two entries on one pair would leave the last one, silently
+    with pytest.raises(ValueError, match=r"^duplicate entry \(0, 1\)$"):
+        incidence_from_dict(p, {"entries": [[0, 1, 5], [0, 1, 7]]})
 
 
 @pytest.mark.parametrize(
@@ -787,6 +790,7 @@ def test_incidence_from_dict():
         {"entries": [[0, False, 3]]},
         {"entries": [["0", 1, 3]]},
         {"entries": [[0, 1.0, 3]]},
+        {"entries": [[0, 1, 5], [0, 1, 7]]},
     ],
     ids=repr,
 )

@@ -1,10 +1,12 @@
-"""The oldest Python that pyproject.toml accepts reproduces the pinned output.
+"""The oldest Python that pyproject.toml accepts, and the newest tested,
+reproduce the pinned output.
 
-pyproject.toml declares ``requires-python >= 3.10``.  When a ``python3.10``
-on PATH reports version 3.10, each pinned invocation runs under it in a
-subprocess, with ``PYTHONPATH`` set to ``src``, and the sha256 of its
-stdout must equal its digest in ``test_golden.GOLDEN``.  Otherwise the
-test is skipped; put a 3.10 interpreter first on PATH to run it.
+pyproject.toml declares ``requires-python >= 3.10``.  For each of
+``python3.10`` and ``python3.13``, when that name on PATH reports its
+version, each pinned invocation runs under it in a subprocess, with
+``PYTHONPATH`` set to ``src``, and the sha256 of its stdout must equal its
+digest in ``test_golden.GOLDEN``.  Otherwise that interpreter's cases are
+skipped; put it on PATH to run them.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ from posetdet.arith import divisors
 from test_golden import GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FLOOR = "python3.10"
+VERSIONS = ("3.10", "3.13")
 PINNED = (
     "verify main",
     "verify tutte --n 5",
@@ -39,24 +41,25 @@ PINNED = (
 )
 
 
-@pytest.fixture(scope="module")
-def floor_python():
-    exe = shutil.which(FLOOR)
+@pytest.fixture(scope="module", params=VERSIONS)
+def python(request):
+    version = request.param
+    exe = shutil.which("python" + version)
     if exe is not None:
         probe = subprocess.run(
             [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
             capture_output=True,
             text=True,
         )
-        if probe.returncode == 0 and probe.stdout.strip() == "3.10":
+        if probe.returncode == 0 and probe.stdout.strip() == version:
             return exe
-    pytest.skip(f"no {FLOOR} on PATH that reports version 3.10")
+    pytest.skip(f"no python{version} on PATH that reports version {version}")
 
 
 @pytest.mark.parametrize("argv", PINNED)
-def test_floor_python_matches_golden_digest(floor_python, argv):
+def test_python_matches_golden_digest(python, argv):
     run = subprocess.run(
-        [floor_python, "-m", "posetdet.cli", *argv.split()],
+        [python, "-m", "posetdet.cli", *argv.split()],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=300,
