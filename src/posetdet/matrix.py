@@ -7,18 +7,22 @@ own scale, and one rule updates it: a row that is 0 in the eliminated
 column is not touched, so the sparse incidence products Fᵀ G skip most
 of their rows; a row whose multiplier divides, in a step whose pivot row
 is still at the input scale, takes its next Schur complement row with no
-division; any other row takes Bareiss's entries, divided once by what
+division, subtracting a multiple of the pivot row only where that row
+is nonzero; any other row takes Bareiss's entries, divided once by what
 its own scale and the pivot row's leave of the previous pivot.  In
 linear-extension order the factor-closed GCD matrices and Apostol's and
 Daniloff's are L U with L integral and unit triangular, so their rows
-never leave the input scale.  det_cofactor is a deliberately independent
-slow oracle used to cross-check it.
+never leave the input scale, and row k of each Schur complement is 0
+outside the up-set of k: the division-free updates walk only the pivot
+row's support S_k, Σ_k Σ_i |S_k ∩ [start_i, n)| entry updates in all,
+start_i being i on a symmetric input and k + 1 otherwise.  det_cofactor
+is a deliberately independent slow oracle used to cross-check it.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 from .ring import InexactDivisionError, Poly, RingValue, exact_div, one_like, zero_like
@@ -132,6 +136,24 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
     Eᵀ diag(φ) E, E the 0/1 divisibility matrix: their entries stay as
     small as their Schur complements, with no entry division.
 
+    The division-free update walks row k's support S_k, the columns j >
+    k with a_kj != 0: a row that takes it subtracts q row_k only at the
+    columns of S_k from its start on, i when symmetric and k + 1
+    otherwise.  Every entry it skips would have had 0 subtracted, so each
+    det, minor and scale is the dense update's.  That is Σ_k Σ_i |S_k ∩
+    [start_i, n)| entry updates over the rows i that take it, against Σ_k
+    Σ_i (n - start_i).  While symmetric, a_ik = a_ki makes S_k the rows
+    the step touches: the row loop runs from the last row up and collects
+    S_k as it goes, so that at row i the list holds S_k ∩ [i, n), with no
+    pass of its own.  A general step lists S_k, after any row swap, at
+    its first row that takes the update, in one C-level pass
+    (itertools.compress over row k past k).  Rows in Bareiss's mode stay
+    dense, as each of their entries is rescaled.  Rows are independent
+    within a step, so their order changes no value.  For L U as above,
+    S_k is the support of U's row k past k, which in linear-extension
+    order lies in the up-set of k, and is all of it for a factor-closed
+    GCD matrix, whose U is diag(φ) E.
+
     While the matrix is symmetric, so is every intermediate, and only
     entries with j >= i are updated; a_ik at s is row k's entry a_ki
     times s / t.  A zero a_kk ends that: the lower triangle of the rows
@@ -177,7 +199,10 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
         pivot = p if t == prev else prev * p if t == one else exact_div(prev * p, t)
         if minors is not None:
             minors.append(pivot)
-        for i in range(k + 1, n):
+        # S_k: collected by a symmetric step's row loop, from the last row
+        # up; listed by a general step at its first division-free row
+        cols = [] if symmetric else None
+        for i in range(n - 1, k, -1):
             row_i = a[i]
             if symmetric:
                 a_ik, start = row_k[i], i
@@ -186,15 +211,19 @@ def det_bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingV
             if not a_ik:
                 continue
             s = scale[i]
-            if symmetric and s != t:
-                a_ik = a_ik * s if t == one else exact_div(a_ik * s, t)
+            if symmetric:
+                cols.append(i)
+                if s != t:
+                    a_ik = a_ik * s if t == one else exact_div(a_ik * s, t)
             if t == one:
                 try:
                     q, r = divmod(a_ik, p)
                 except InexactDivisionError:
                     r = True
                 if not r:
-                    for j in range(start, n):
+                    if cols is None:
+                        cols = list(compress(range(k + 1, n), row_k[k + 1 :]))
+                    for j in cols:
                         row_i[j] -= q * row_k[j]
                     continue
             if t == prev:

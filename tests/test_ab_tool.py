@@ -39,6 +39,9 @@ def test_ab_passes_a_tree_against_itself():
     # tutte at n = 2..5, in workload order
     lines = run.stdout.splitlines()
     assert lines[2].startswith("total ratio ")
+    # the summary ends with the rounds the change won, out of all rounds
+    wins, of, rounds = lines[2].split("; change faster in ")[1].split()[:3]
+    assert of == "of" and 0 <= int(wins) <= int(rounds) == 1
     assert [line.split(": total ratio ")[0] for line in lines[3:]] == [
         f"verify tutte --n {n}" for n in (2, 3, 4, 5)
     ]

@@ -1003,25 +1003,28 @@ def _gcd_plus(n, d):
 
 
 @pytest.mark.parametrize(
-    "m, skip",
+    "m, skip, divisor",
     [
-        (_gcd_plus(6, 1), 5),
-        (_gcd_plus(6, Poly.variable()), 5),
-        (SquareMatrix(WAITS_AT_TWO), 7),
-        (as_poly(SquareMatrix(WAITS_AT_TWO)), 7),
+        (_gcd_plus(6, 1), 5, 2),
+        (_gcd_plus(6, Poly.variable()), 5, Poly((1, 1))),
+        (SquareMatrix(WAITS_AT_TWO), 10, -2),
+        (as_poly(SquareMatrix(WAITS_AT_TWO)), 10, Poly((-2, -2))),
     ],
     ids=["int", "poly", "int-stale", "poly-stale"],
 )
-def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, skip):
+def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, skip, divisor):
     # one entry numerator off by one, at the first entry division by a
     # non-unit: det_bareiss must raise on the remainder, not drop it.
     # Divisions by a unit cannot leave a remainder, so they are let
     # through.  In _gcd_plus the first skip = 5 divisions by a non-unit are
     # the multiplier tests at step 0; the next is the first entry of step
     # 1, a Bareiss step.  In WAITS_AT_TWO they are the 3 + 4 tests of
-    # steps 0 and 1, whose pivot rows are at 1; the next is the first
-    # entry of row 3 at step 2, which waits at the pivot -2 of step 0
-    # while prev is -4, and divides its update by that stale scale
+    # steps 0 and 1, whose pivot rows are at 1, and the 1 + 2 entries that
+    # rows 5 and 4 divide by prev = -4 at step 2, which visits its rows
+    # from the last up; the next is the first entry of row 3 at step 2,
+    # which waits at the pivot -2 of step 0 while prev is -4, and divides
+    # its update by that stale scale.  divisor is the one that raises:
+    # prev, 1 + d, in _gcd_plus, and the stale scale in WAITS_AT_TWO
     one = 1 if type(m[0, 0]) is int else Poly.const(1)
     units = (1, -1, Poly.const(1), Poly.const(-1))
     seen = []
@@ -1037,6 +1040,156 @@ def test_a_nonzero_entry_remainder_raises_inexact_division(monkeypatch, m, skip)
     monkeypatch.setattr(matrix, "divmod", off_by_one, raising=False)
     with pytest.raises(InexactDivisionError, match="^division is not exact$"):
         det_bareiss(m)
-    assert len(seen) == skip + 1
+    assert len(seen) == skip + 1 and seen[skip][1] == divisor
     monkeypatch.undo()
     assert det_bareiss(m) == expected
+
+
+def unit_lower(rng, n, density, entry):
+    """A unit lower triangular matrix with entry() below the diagonal at
+    the given density."""
+    zero, one = entry() * 0, entry() ** 0
+
+    def below(i, j):
+        return entry() if j < i and rng.random() < density else zero
+
+    return SquareMatrix([[one if i == j else below(i, j) for j in range(n)] for i in range(n)])
+
+
+def sparse_l_u(rng, n, density, entry, shape):
+    """L U for L = unit_lower(rng, n, density, entry): shape "LU" takes U
+    upper triangular at the same density with entry() on its diagonal,
+    "LDL" takes U = D Lᵀ and "UDU" the symmetric Lᵀ D L, D diagonal with
+    entry() on it, or 0 with probability 0.15, so that symmetric steps
+    meet zero pivots."""
+    l = unit_lower(rng, n, density, entry)
+    if shape == "LU":
+        return l @ upper(rng, n, density, entry)
+    zero = l[0, 0] * 0
+    d = SquareMatrix(
+        [[entry() if i == j and rng.random() >= 0.15 else zero for j in range(n)] for i in range(n)]
+    )
+    return l @ d @ l.transpose() if shape == "LDL" else l.transpose() @ d @ l
+
+
+def fraction_minors(m):
+    """All n leading principal minors, the last the det, from fraction_det;
+    for Poly entries each minor is interpolated from its values at enough
+    integer points, as a product of n entries has degree at most the sum
+    of the rows' degrees."""
+    rows = [m.row(i) for i in range(m.n)]
+    if type(rows[0][0]) is int:
+        return [fraction_det([r[:k] for r in rows[:k]]) for k in range(1, m.n + 1)]
+    nodes = range(sum(max(0, *(x.degree for x in row)) for row in rows) + 1)
+    at = {x: [[y.evaluate(x) for y in row] for row in rows] for x in nodes}
+    return [
+        Poly.interpolate(nodes, [fraction_det([r[:k] for r in at[x][:k]]) for x in nodes])
+        for k in range(1, m.n + 1)
+    ]
+
+
+def test_the_support_walk_matches_the_oracles_on_sparse_l_u_products():
+    # In linear-extension order the paper's products are L U with L unit
+    # lower triangular and integral, and row k of the Schur complement at
+    # step k is U's row k, 0 outside U's support: the division-free update
+    # walks only that support.  Random such products at densities 0.1 to
+    # 0.5, in int and Z[q], general (L U) and symmetric (L D Lᵀ, and Lᵀ D
+    # L, whose rows can leave the input scale), as built and with their
+    # rows shuffled (rows and columns when symmetric), so that zero pivots
+    # swap sparse rows in; det and minors must equal fraction_det's, and
+    # the det det_cofactor's for n <= 8 (n <= 5 in Z[q])
+    rng = random.Random("support walk")
+    entries = {
+        int: lambda: rng.choice((-3, -2, -1, 1, 1, 2, 3)),
+        Poly: lambda: Poly((rng.choice((-2, -1, 1, 2)), rng.randint(-1, 1))),
+    }
+    counts = {}
+    for tag, entry in entries.items():
+        for case in range(300 if tag is int else 150):
+            n = rng.randint(2, 12 if tag is int else 7)
+            shape = ("LU", "LDL", "UDU")[case % 3]
+            m = sparse_l_u(rng, n, rng.uniform(0.1, 0.5), entry, shape)
+            assert m.is_symmetric() or shape == "LU"
+            for x in (m, shuffled(rng, m)):
+                expected = fraction_minors(x)
+                assert det_and_leading_minors(x) == (expected[-1], through_first_zero(expected))
+                if n <= 8 and (tag is int or n <= 5):
+                    assert expected[-1] == det_cofactor(x)
+                key = tag.__name__, shape, all(expected)
+                counts[key] = counts.get(key, 0) + 1
+    # every shape in both rings, with and without a zero leading minor
+    assert len(counts) == 12 and min(counts.values()) > 5
+
+
+# Symmetric, with leading principal minors 1 and 0 and det 21.  Step 0 is
+# symmetric: row 0's support past 0 is {2, 4}, the rows its walk visits,
+# and both multipliers -1 divide.  At step 1, a_11 = 0 ends symmetric
+# mode: the lower triangle is mirrored and row 2 swaps in.  The new row 1,
+# (-1, -1, -1, 0, -3), has the support {2, 4} past 1, and row 3's
+# multiplier -2 divides, so the general step walks {2, 4}.  A list taken
+# from row 1 before the swap, {2, 3}, would write column 3 and miss
+# column 4.  Step 2 walks row 2's support {3} for rows 3 and 4.
+HANDOVER_TO_A_SPARSE_PIVOT_ROW = [
+    [1, 0, -1, 0, -1],
+    [0, 0, -1, 2, 0],
+    [-1, -1, 0, 0, -2],
+    [0, 2, 0, 0, 1],
+    [-1, 0, -2, 1, 0],
+]
+
+
+def test_a_zero_pivot_hands_a_sparse_pivot_row_to_a_general_step(divisions):
+    m = SquareMatrix(HANDOVER_TO_A_SPARSE_PIVOT_ROW)
+    assert m.is_symmetric()
+    rows = [m.row(i) for i in range(m.n)]
+    assert det_and_leading_minors(m) == (fraction_det(rows), [1, 0]) == (21, [1, 0])
+    # 2 + 1 + 2 multiplier tests at steps 0 to 2 and row 4's at step 3,
+    # -5 / -4, which fails; its Bareiss update divides by s = 1
+    assert divisions == {"exact_div": 0, "divmod": 6}
+    check_both_tags(HANDOVER_TO_A_SPARSE_PIVOT_ROW, 21)
+
+
+def test_the_division_free_update_multiplies_only_on_the_pivot_rows_support(monkeypatch):
+    # Counted in Z[q], where each product is one call of Poly.__mul__: the
+    # division-free update multiplies once for each column in S_k, row
+    # k's support past k, from the row's start on (i when symmetric, k + 1
+    # otherwise), and each step after the first multiplies its pivot by
+    # prev.  as_poly(L U) = L (1 + q) U keeps L, so every row stays at the
+    # input scale, its live rows at step k are those with L_ik != 0, and
+    # S_k is U's row k past k
+    calls = [0]
+    poly_mul = Poly.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return poly_mul(a, b)
+
+    def support(u, k):
+        return [j for j in range(k + 1, u.n) if u[k, j]]
+
+    n = 12
+    s = range(1, n + 1)
+    zeta = SquareMatrix([[int(b % a == 0) for b in s] for a in s])
+    phi_zeta = SquareMatrix([[euler_phi(a) * x for x in zeta.row(a - 1)] for a in s])
+    rng = random.Random("walk products")
+    lower = unit_lower(rng, n, 0.3, lambda: rng.choice((-2, -1, 1, 2)))
+    right = upper(rng, n, 0.3, lambda: rng.choice((-2, -1, 1, 2)))
+    cases = [(zeta.transpose(), phi_zeta), (lower, right)]
+    assert gcd_matrix(s) == zeta.transpose() @ phi_zeta
+    for l, u in cases:
+        m = l @ u
+        sym = m.is_symmetric()
+        assert sym == (l is not lower)
+        walk = sum(
+            len([j for j in support(u, k) if j >= (i if sym else k + 1)])
+            for k in range(n)
+            for i in range(k + 1, n)
+            if l[i, k]
+        )
+        dense = sum(n - (i if sym else k + 1) for k in range(n) for i in range(k + 1, n) if l[i, k])
+        calls[0] = 0
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        det = det_bareiss(as_poly(m))
+        monkeypatch.undo()
+        assert det == Poly((det_bareiss(m),)) * Poly((1, 1)) ** n
+        assert calls[0] == walk + n - 1 < dense + n - 1

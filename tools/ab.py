@@ -12,7 +12,8 @@ files go to the temporary directory).  Each round runs every invocation
 once on each side, alternating which side goes first, and checks that
 both sides print the same stdout and stderr and return the same exit
 code.  The output is the ratio of total change time to total base time,
-and the median and quartiles of the per-round ratios, then one line per
+the median and quartiles of the per-round ratios and the number of
+rounds in which the change took less time than the base, then one line per
 invocation with its own total ratio, so that a change which speeds up
 one invocation and slows another shows.  On a machine
 whose speed drifts from second to second, interleaving single
@@ -107,8 +108,9 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed={args.seed}: {len(invocations)} invocations x {args.rounds} "
           f"rounds, identical stdout, stderr and exit codes")
     print(f"base {totals[0] / args.rounds:.4f} s a pass, change {totals[1] / args.rounds:.4f} s")
+    wins = sum(ratio < 1 for ratio in ratios)
     print(f"total ratio {totals[1] / totals[0]:.4f}; per-round median {med:.4f}, "
-          f"IQR {q1:.4f}-{q3:.4f}")
+          f"IQR {q1:.4f}-{q3:.4f}; change faster in {wins} of {args.rounds} rounds")
     for inv, (base, change) in zip(invocations, by_invocation):
         key = inv.key if len(inv.key) <= 48 else inv.key[:45] + "..."
         print(f"{key}: total ratio {change / base:.4f}, base {base / args.rounds:.4f} s a pass")
